@@ -237,7 +237,7 @@ def _cmd_sample(args) -> dict:
     result = genmodel.load_checkpoint(args.model)
     lplus = logs.UniqueVariantLog(result.train.variants + result.holdout.variants)
     rng = np.random.default_rng(args.seed)
-    draw = experiment._make_draw_fn(result.generator, args.temperature)
+    draw = lambda r: genmodel.sample_variant(result.generator, args.temperature, r)
     if args.mode == "naive":
         sample = sampling.naive_sample(
             draw, lplus, args.k, rng, union_observed=args.union_observed

@@ -158,7 +158,7 @@ def _run_model_task(payload: tuple) -> dict:
         assert isinstance(model, SamplerModel)
         tcfg = replace(model.train_config, seed=_task_seed(cfg.seed, si, mi))
         result = genmodel.train_and_select(truth.lplus, tcfg)
-        draw = _make_draw_fn(result.generator, tcfg.temperature)
+        draw = lambda r: genmodel.sample_variant(result.generator, tcfg.temperature, r)
         rng = np.random.default_rng([cfg.seed, si, mi, 2])
         if model.mode == "naive":
             sample = sampling.naive_sample(
@@ -205,13 +205,6 @@ def _run_model_task(payload: tuple) -> dict:
         raise GenmineError(
             f"system {ctx.name!r}, model {model.name!r}: {exc}"
         ) from exc
-
-
-def _make_draw_fn(gen: genmodel.NGramGenerator, temperature: float):
-    def draw(rng: np.random.Generator):
-        return genmodel.sample_variant(gen, temperature, rng)
-
-    return draw
 
 
 def run_experiment(

@@ -12,6 +12,16 @@ The n-gram/linear pair is a reference implementation of the sampling
 interface (draw a variant, score a variant); any stronger sequence model
 can be plugged in behind the same two callables.
 
+Both callables are cached on the model instance.  A generator compiles,
+on first use, one cumulative-probability table per (context, first step)
+and temperature; a draw takes one ``rng.random()`` per symbol and bisects
+that table, the same single double and the same normalization that
+``Generator.choice(p=...)`` uses, so a seeded stream gives the same
+variants as sampling from :meth:`NGramGenerator.next_distribution`
+directly.  A scorer memoizes ``score`` per variant.  Every derived model
+(``with_added_counts``, ``dataclasses.replace``, training) starts with
+empty caches, and checkpoints never contain them.
+
 Adversarial refinement alternates discriminator updates against fresh
 generator samples with a reinforcement step that feeds high-scoring
 samples back into the generator's count tables.  Snapshots are ranked by
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -36,6 +47,9 @@ START = "start"
 END = "end"
 
 PROB_CLAMP = 1e-6
+# Distinct variants memoized per scorer; with smoothing every sequence up to
+# the length bound has positive probability, so the support can be huge.
+SCORE_MEMO_LIMIT = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +65,13 @@ class NGramGenerator:
     alphabet: tuple[str, ...]
     max_len: int
     counts: Mapping[tuple[str, ...], Mapping[str, float]]
+    # (context, first step, temperature) -> CDF over symbols(); see cdf().
+    _cdfs: dict[tuple[tuple[str, ...], bool, float], list[float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        object.__setattr__(self, "_cdfs", {})
         if self.order < 1:
             raise InvalidInputError("order must be >= 1")
         if self.smoothing < 0:
@@ -102,6 +121,23 @@ class NGramGenerator:
                 probs /= mass
         return probs
 
+    def cdf(self, context: tuple[str, ...], first: bool, temperature: float) -> list[float]:
+        """Cumulative draw table for one context, built once and cached.
+
+        The probabilities are :meth:`next_distribution` (end marker masked
+        on the first step) raised to ``1/temperature`` and renormalized; the
+        cumulative sum is normalized exactly as ``Generator.choice`` does,
+        so ``bisect_right(cdf, rng.random())`` picks the index ``choice``
+        would pick from the same stream.
+        """
+        key = (context, first, temperature)
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            cdf = self._cdfs[key] = _compile_cdf(
+                self.next_distribution(context, mask_end=first), temperature
+            )
+        return cdf
+
     def log_prob(self, v: Variant) -> float:
         """Log-probability of emitting exactly ``v`` (including termination)."""
         if len(v) > self.max_len:
@@ -137,6 +173,20 @@ class NGramGenerator:
                 continue
             _accumulate(new_counts, v, self.order, weight)
         return replace(self, counts=new_counts)
+
+
+def _compile_cdf(probs: np.ndarray, temperature: float) -> list[float]:
+    if np.isnan(probs).any() or (probs < 0).any():
+        raise InvalidInputError("generator counts must be finite and non-negative")
+    if temperature != 1.0:
+        logp = np.log(probs, out=np.full_like(probs, -np.inf), where=probs > 0)
+        logp = logp / temperature
+        logp -= logp.max()
+        probs = np.exp(logp)
+        probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def _accumulate(
@@ -182,28 +232,26 @@ def sample_variant(
     """Draw one variant; symbols come from p^(1/temperature), renormalized.
 
     The end marker is masked at the first position (variants are non-empty)
-    and generation stops at the end marker or at the length bound.
+    and generation stops at the end marker or at the length bound.  Each
+    symbol consumes one ``rng.random()`` (see :meth:`NGramGenerator.cdf`).
     """
     if temperature <= 0:
         raise InvalidInputError("temperature must be > 0")
     syms = gen.symbols()
     end_index = len(syms) - 1
+    ctx_len = gen.order - 1
+    context = (START,) * ctx_len
     emitted: list[str] = []
     while True:
-        probs = gen.next_distribution(gen.context_of(emitted), mask_end=not emitted)
-        if temperature != 1.0:
-            with np.errstate(divide="ignore"):
-                logp = np.where(probs > 0, np.log(probs, where=probs > 0), -np.inf)
-            logp = logp / temperature
-            logp -= logp.max()
-            probs = np.exp(logp)
-            probs /= probs.sum()
-        idx = int(rng.choice(len(syms), p=probs))
+        idx = bisect_right(gen.cdf(context, not emitted, temperature), rng.random())
         if idx == end_index:
             break
-        emitted.append(syms[idx])
+        label = syms[idx]
+        emitted.append(label)
         if len(emitted) >= gen.max_len:
             break
+        if ctx_len:
+            context = context[1:] + (label,)
     return tuple(emitted)
 
 
@@ -231,6 +279,9 @@ class FeatureScorer:
     bias: float
     max_len_ref: int
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # variant -> score(); filled by score(), at most SCORE_MEMO_LIMIT entries.
+    _scores: dict[Variant, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vocabulary) != len(self.weights):
@@ -238,6 +289,10 @@ class FeatureScorer:
         if self.max_len_ref < 1:
             raise InvalidInputError("max_len_ref must be >= 1")
         object.__setattr__(self, "_index", {f: i for i, f in enumerate(self.vocabulary)})
+        weights = np.asarray(self.weights, dtype=float)
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_scores", {})
 
     def featurize(self, v: Variant) -> np.ndarray:
         vec = np.zeros(len(self.vocabulary))
@@ -252,7 +307,7 @@ class FeatureScorer:
         return vec
 
     def raw_score(self, v: Variant) -> float:
-        return float(self.featurize(v) @ np.asarray(self.weights)) + self.bias
+        return float(self.featurize(v) @ self._weights) + self.bias
 
 
 def init_scorer(variants: Iterable[Variant], max_len_ref: int) -> FeatureScorer:
@@ -282,10 +337,17 @@ def _extend_vocabulary(scorer: FeatureScorer, variants: Iterable[Variant]) -> Fe
 
 
 def score(d: FeatureScorer, v: Variant) -> float:
-    """Probability that the variant is realistic, clamped to [1e-6, 1-1e-6]."""
-    raw = d.raw_score(v)
-    p = 0.5 * (1.0 + math.tanh(0.5 * raw))
-    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    """Probability that the variant is realistic, clamped to [1e-6, 1-1e-6].
+
+    Memoized per variant on ``d``.
+    """
+    p = d._scores.get(v)
+    if p is None:
+        p = 0.5 * (1.0 + math.tanh(0.5 * d.raw_score(v)))
+        p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+        if len(d._scores) < SCORE_MEMO_LIMIT:
+            d._scores[v] = p
+    return p
 
 
 def scorer_loss_gradient(
@@ -300,7 +362,7 @@ def scorer_loss_gradient(
     feats_pos = np.stack([scorer.featurize(v) for v in positives])
     feats_neg = np.stack([scorer.featurize(v) for v in negatives])
     return losses.loss_gradient(
-        loss, feats_pos, feats_neg, np.asarray(scorer.weights), scorer.bias
+        loss, feats_pos, feats_neg, scorer._weights, scorer.bias
     )
 
 
@@ -363,7 +425,7 @@ def train_discriminator(
     d = _extend_vocabulary(d, list(positives) + list(negatives))
     feats_pos = np.stack([d.featurize(v) for v in positives])
     feats_neg = np.stack([d.featurize(v) for v in negatives])
-    weights = np.asarray(d.weights, dtype=float)
+    weights = d._weights
     bias = d.bias
     history: list[float] = []
     n_steps = max(1, math.ceil(max(len(positives), len(negatives)) / cfg.batch_size))
@@ -571,28 +633,39 @@ def save_checkpoint(result: TrainResult, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainResult:
-    data = json.loads(Path(path).read_text())
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise InvalidInputError(f"unsupported checkpoint version {data.get('version')!r}")
-    g = data["generator"]
-    gen = NGramGenerator(
-        order=int(g["order"]),
-        smoothing=float(g["smoothing"]),
-        alphabet=tuple(g["alphabet"]),
-        max_len=int(g["max_len"]),
-        counts={tuple(ctx): {s: float(w) for s, w in row.items()} for ctx, row in g["counts"]},
-    )
-    cfg = TrainConfig(**data["config"])
-    return TrainResult(
-        generator=gen,
-        d_p=_scorer_from_dict(data["d_p"]),
-        d_r=_scorer_from_dict(data["d_r"]),
-        train=UniqueVariantLog(tuple(tuple(v) for v in data["train_variants"])),
-        holdout=UniqueVariantLog(tuple(tuple(v) for v in data["holdout_variants"])),
-        candidates=tuple(
-            CandidateEval(int(c["round"]), float(c["tp_e"]), int(c["sample_count"]))
-            for c in data["candidates"]
-        ),
-        selected_round=int(data["selected_round"]),
-        config=cfg,
-    )
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not JSON or lacks or mistypes a field raises
+    :class:`InvalidInputError`.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+        if data.get("version") != CHECKPOINT_VERSION:
+            raise InvalidInputError(f"unsupported checkpoint version {data.get('version')!r}")
+        g = data["generator"]
+        gen = NGramGenerator(
+            order=int(g["order"]),
+            smoothing=float(g["smoothing"]),
+            alphabet=tuple(g["alphabet"]),
+            max_len=int(g["max_len"]),
+            counts={
+                tuple(ctx): {s: float(w) for s, w in row.items()} for ctx, row in g["counts"]
+            },
+        )
+        return TrainResult(
+            generator=gen,
+            d_p=_scorer_from_dict(data["d_p"]),
+            d_r=_scorer_from_dict(data["d_r"]),
+            train=UniqueVariantLog(tuple(tuple(v) for v in data["train_variants"])),
+            holdout=UniqueVariantLog(tuple(tuple(v) for v in data["holdout_variants"])),
+            candidates=tuple(
+                CandidateEval(int(c["round"]), float(c["tp_e"]), int(c["sample_count"]))
+                for c in data["candidates"]
+            ),
+            selected_round=int(data["selected_round"]),
+            config=TrainConfig(**data["config"]),
+        )
+    except InvalidInputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed checkpoint {str(path)!r}: {exc!r}") from exc

@@ -2,7 +2,9 @@
 
 These deliberately share no code with the package: the playout oracle is a
 plain recursive path enumeration over dict markings, and the gradient
-oracle is central finite differences over the loss evaluation.
+oracle is central finite differences over the loss evaluation.  The
+sampling oracle draws every symbol with ``rng.choice`` from the generator's
+public next-symbol distribution, bypassing its compiled draw tables.
 """
 
 from __future__ import annotations
@@ -87,3 +89,25 @@ def finite_diff_gradient(loss_id, feats_pos, feats_neg, weights, bias, h=1e-5):
         grad[i] = (value(up, bias) - value(down, bias)) / (2 * h)
     grad_b = (value(weights, bias + h) - value(weights, bias - h)) / (2 * h)
     return grad, grad_b
+
+
+def sample_variant_reference(gen, temperature, rng):
+    """One variant drawn symbol by symbol with ``rng.choice(p=...)``."""
+    syms = gen.symbols()
+    end_index = len(syms) - 1
+    emitted: list[str] = []
+    while True:
+        probs = gen.next_distribution(gen.context_of(emitted), mask_end=not emitted)
+        if temperature != 1.0:
+            logp = np.log(probs, out=np.full_like(probs, -np.inf), where=probs > 0)
+            logp = logp / temperature
+            logp -= logp.max()
+            probs = np.exp(logp)
+            probs /= probs.sum()
+        idx = int(rng.choice(len(syms), p=probs))
+        if idx == end_index:
+            break
+        emitted.append(syms[idx])
+        if len(emitted) >= gen.max_len:
+            break
+    return tuple(emitted)

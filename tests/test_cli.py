@@ -114,6 +114,23 @@ class TestTrainAndSample:
         meta = json.loads(meta_out.read_text())
         assert meta["kappa"] == 20 and meta["acceptance_rate"] is not None
 
+    @pytest.mark.parametrize("text", [
+        '{"version": 1}',
+        '{"version": 1, "generator": {"order": "three"}}',
+        '{"version": 1, "generator": null}',
+        "[1]",
+        "not json",
+    ])
+    def test_malformed_checkpoint_is_domain_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["--error-json", "sample", "--model", str(bad),
+                     "--out", str(tmp_path / "o.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["type"] == "InvalidInputError"
+        assert "Traceback" not in err
+
 
 class TestMetricsCommand:
     def test_counts_match_direct_call(self, tmp_path, capsys):

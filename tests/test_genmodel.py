@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genmine import (
     InvalidInputError,
@@ -20,7 +23,9 @@ from genmine import (
     train_and_select,
     train_discriminator,
 )
-from genmine.genmodel import END, init_scorer, scorer_loss_gradient
+from genmine.genmodel import END, NGramGenerator, init_scorer, scorer_loss_gradient
+
+from .oracles import sample_variant_reference
 
 
 def lplus(*variants):
@@ -128,6 +133,55 @@ class TestSampleVariant:
         assert tv < 0.02
 
 
+variant_lists = st.lists(
+    st.lists(st.sampled_from("abcd"), min_size=1, max_size=5).map(tuple),
+    min_size=1, max_size=6, unique=True,
+)
+
+
+class TestCompiledSampler:
+    @staticmethod
+    def assert_same_stream(gen, temperature, seed, n=40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [sample_variant(gen, temperature, rng) for _ in range(n)]
+        expected = [sample_variant_reference(gen, temperature, ref_rng) for _ in range(n)]
+        assert drawn == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variants=variant_lists,
+        additions=st.lists(st.tuples(
+            st.lists(st.sampled_from("abcd"), min_size=1, max_size=4).map(tuple),
+            st.floats(0.1, 5.0),
+        ), max_size=3),
+        order=st.integers(1, 3),
+        smoothing=st.sampled_from([0.0, 0.1]),
+        temperature=st.sampled_from([1.0, 0.5, 1.7, 1e-4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_choice_reference(
+        self, variants, additions, order, smoothing, temperature, seed
+    ):
+        gen = fit_mle(lplus(*variants), order=order, smoothing=smoothing)
+        self.assert_same_stream(gen, temperature, seed)
+        # The derived generator must not reuse the tables compiled above.
+        derived = gen.with_added_counts(additions)
+        self.assert_same_stream(derived, temperature, seed)
+        self.assert_same_stream(replace(derived, smoothing=0.5), temperature, seed)
+
+    def test_negative_counts_rejected(self):
+        gen = NGramGenerator(order=1, smoothing=0.0, alphabet=("a",), max_len=2,
+                             counts={(): {"a": 2.0, END: -1.0}})
+        with pytest.raises(InvalidInputError):
+            sample_variant(gen, 1.0, np.random.default_rng(0))
+
+
+def sigmoid_clamped(raw):
+    p = 0.5 * (1.0 + math.tanh(0.5 * raw))
+    return min(max(p, 1e-6), 1.0 - 1e-6)
+
+
 class TestScorer:
     def test_zero_scorer_gives_half(self):
         d = init_scorer([("a", "b")], max_len_ref=2)
@@ -152,8 +206,30 @@ class TestScorer:
         )
         assert score(stepped, ("a",)) > 0.5 > score(stepped, ("b",))
 
+    @settings(max_examples=40, deadline=None)
+    @given(variants=variant_lists, scale=st.sampled_from([0.1, 3.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_memoized_scores_are_exact(self, variants, scale, seed):
+        d = init_scorer(variants, max_len_ref=5)
+        rng = np.random.default_rng(seed)
+        d = replace(d, weights=tuple(rng.normal(0.0, scale, len(d.weights)).tolist()),
+                    bias=float(rng.normal(0.0, scale)))
+        probes = variants + [("d", "c", "b", "a")]
+        for _ in range(2):  # the second pass reads the memo
+            for v in probes:
+                assert score(d, v) == sigmoid_clamped(d.raw_score(v))
+
 
 class TestTrainDiscriminator:
+    def test_trained_scorer_has_its_own_memo(self):
+        positives, negatives = [("a", "b")], [("b", "a")]
+        d = init_scorer(positives + negatives, max_len_ref=2)
+        assert score(d, ("a", "b")) == 0.5
+        trained = train_discriminator(d, positives, negatives, TrainConfig(seed=1))
+        assert score(trained, ("a", "b")) == sigmoid_clamped(trained.raw_score(("a", "b")))
+        assert score(trained, ("a", "b")) > 0.5
+        assert score(d, ("a", "b")) == 0.5
+
     def test_identical_classes_stay_near_half(self):
         variants = [("a", "b"), ("b", "a"), ("a",), ("b",)]
         d = init_scorer(variants, max_len_ref=2)
