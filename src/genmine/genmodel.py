@@ -18,9 +18,10 @@ and temperature; a draw takes one ``rng.random()`` per symbol and bisects
 that table, the same single double and the same normalization that
 ``Generator.choice(p=...)`` uses, so a seeded stream gives the same
 variants as sampling from :meth:`NGramGenerator.next_distribution`
-directly.  A scorer memoizes ``score`` per variant.  Every derived model
-(``with_added_counts``, ``dataclasses.replace``, training) starts with
-empty caches, and checkpoints never contain them.
+directly.  A scorer memoizes ``score`` per variant, which pays when it
+sees the same variants again, as MH chains over a small support do.
+Every derived model (``with_added_counts``, ``dataclasses.replace``,
+training) starts with empty caches, and checkpoints never contain them.
 
 Adversarial refinement alternates discriminator updates against fresh
 generator samples with a reinforcement step that feeds high-scoring
@@ -65,7 +66,7 @@ class NGramGenerator:
     alphabet: tuple[str, ...]
     max_len: int
     counts: Mapping[tuple[str, ...], Mapping[str, float]]
-    # (context, first step, temperature) -> CDF over symbols(); see cdf().
+    # (context, first step, temperature) -> CDF over symbols(); see _cdf().
     _cdfs: dict[tuple[tuple[str, ...], bool, float], list[float]] = field(
         init=False, repr=False, compare=False
     )
@@ -74,12 +75,23 @@ class NGramGenerator:
         object.__setattr__(self, "_cdfs", {})
         if self.order < 1:
             raise InvalidInputError("order must be >= 1")
-        if self.smoothing < 0:
-            raise InvalidInputError("smoothing must be >= 0")
+        if not 0 <= self.smoothing < math.inf:
+            raise InvalidInputError("smoothing must be finite and >= 0")
         if self.max_len < 1:
             raise InvalidInputError("max_len must be >= 1")
         if START in self.alphabet or END in self.alphabet:
             raise InvalidInputError("alphabet must not contain the boundary markers")
+        # next_distribution divides by the smoothed row total, so it must be
+        # finite; a row of huge finite counts could overflow it to inf.
+        width = len(self.alphabet) + 1
+        for row in self.counts.values():
+            weights = list(row.values())
+            if not all(w >= 0 for w in weights) or not math.isfinite(
+                sum(weights) + self.smoothing * width
+            ):
+                raise InvalidInputError(
+                    "generator counts must be non-negative with a finite total per context"
+                )
 
     def symbols(self) -> tuple[str, ...]:
         return self.alphabet + (END,)
@@ -121,7 +133,7 @@ class NGramGenerator:
                 probs /= mass
         return probs
 
-    def cdf(self, context: tuple[str, ...], first: bool, temperature: float) -> list[float]:
+    def _cdf(self, context: tuple[str, ...], first: bool, temperature: float) -> list[float]:
         """Cumulative draw table for one context, built once and cached.
 
         The probabilities are :meth:`next_distribution` (end marker masked
@@ -176,8 +188,6 @@ class NGramGenerator:
 
 
 def _compile_cdf(probs: np.ndarray, temperature: float) -> list[float]:
-    if np.isnan(probs).any() or (probs < 0).any():
-        raise InvalidInputError("generator counts must be finite and non-negative")
     if temperature != 1.0:
         logp = np.log(probs, out=np.full_like(probs, -np.inf), where=probs > 0)
         logp = logp / temperature
@@ -233,25 +243,21 @@ def sample_variant(
 
     The end marker is masked at the first position (variants are non-empty)
     and generation stops at the end marker or at the length bound.  Each
-    symbol consumes one ``rng.random()`` (see :meth:`NGramGenerator.cdf`).
+    symbol consumes one ``rng.random()`` (see :meth:`NGramGenerator._cdf`).
     """
     if temperature <= 0:
         raise InvalidInputError("temperature must be > 0")
     syms = gen.symbols()
     end_index = len(syms) - 1
-    ctx_len = gen.order - 1
-    context = (START,) * ctx_len
     emitted: list[str] = []
     while True:
-        idx = bisect_right(gen.cdf(context, not emitted, temperature), rng.random())
+        cdf = gen._cdf(gen.context_of(emitted), not emitted, temperature)
+        idx = bisect_right(cdf, rng.random())
         if idx == end_index:
             break
-        label = syms[idx]
-        emitted.append(label)
+        emitted.append(syms[idx])
         if len(emitted) >= gen.max_len:
             break
-        if ctx_len:
-            context = context[1:] + (label,)
     return tuple(emitted)
 
 

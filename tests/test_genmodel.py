@@ -171,10 +171,22 @@ class TestCompiledSampler:
         self.assert_same_stream(replace(derived, smoothing=0.5), temperature, seed)
 
     def test_negative_counts_rejected(self):
-        gen = NGramGenerator(order=1, smoothing=0.0, alphabet=("a",), max_len=2,
-                             counts={(): {"a": 2.0, END: -1.0}})
         with pytest.raises(InvalidInputError):
-            sample_variant(gen, 1.0, np.random.default_rng(0))
+            NGramGenerator(order=1, smoothing=0.0, alphabet=("a",), max_len=2,
+                           counts={(): {"a": 2.0, END: -1.0}})
+
+    @pytest.mark.parametrize("row, smoothing", [
+        ({"a": 1e308, "b": 1e308}, 0.0),  # finite counts whose total overflows
+        ({"a": 1e308}, 1e308),
+        ({"a": math.nan}, 0.0),
+        ({"a": math.inf}, 0.0),
+        ({"a": 1.0}, math.inf),
+        ({"a": 1.0}, math.nan),
+    ])
+    def test_non_finite_totals_rejected(self, row, smoothing):
+        with pytest.raises(InvalidInputError):
+            NGramGenerator(order=1, smoothing=smoothing, alphabet=("a", "b"), max_len=2,
+                           counts={(): row})
 
 
 def sigmoid_clamped(raw):
