@@ -38,7 +38,6 @@ from .genmodel import (
     TrainResult,
     fit_mle,
     load_checkpoint,
-    refine_generator,
     sample_variant,
     save_checkpoint,
     score,
@@ -76,8 +75,6 @@ from .petri import (
     PetriNet,
     Transition,
     dfg_discover,
-    enabled,
-    fire,
     flower_model,
     has_reachable_final,
     load_net,
@@ -91,7 +88,6 @@ from .petri import (
 from .sampling import (
     SampleResult,
     mh_acceptance,
-    mh_chain,
     mh_chain_candidate,
     mh_sample,
     naive_sample,

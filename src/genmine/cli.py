@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the built-in sampler on an event log")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--log", help="event log CSV")
-    src.add_argument("--variants", help="variant TSV (already deduplicated)")
+    src.add_argument("--variants", help="variant TSV; a repeated line counts once")
     p.add_argument("--out", required=True, help="model checkpoint JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", type=int, default=3)
@@ -203,11 +203,7 @@ def _load_lplus(args) -> logs.UniqueVariantLog:
         log = logs.read_event_log_csv(args.log)
         _, lplus = logs.build_variant_logs(log)
         return lplus
-    variants = logs.read_variants_tsv(args.variants)
-    seen: dict[logs.Variant, None] = {}
-    for v in variants:
-        seen.setdefault(v)
-    return logs.UniqueVariantLog(tuple(seen))
+    return logs.unique_variants(logs.read_variants_tsv(args.variants))
 
 
 def _cmd_train(args) -> dict:

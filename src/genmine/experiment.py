@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import conformance, genmodel, metrics, petri, sampling, stats
-from .errors import GenmineError, InvalidInputError
+from .errors import DegenerateInputError, GenmineError, InvalidInputError
 from .genmodel import TrainConfig
 from .logs import build_variant_logs, max_trace_len, synth_event_log
 from .metrics import SystemTruth
@@ -334,7 +334,9 @@ def _paired_tests(models: Sequence[ModelSpec], s_by_model: Mapping[str, list[flo
                             "shapiro_p": gate.shapiro_p,
                         }
                     )
-                except GenmineError as exc:
+                except DegenerateInputError as exc:
                     entry["note"] = f"degenerate differences: {exc}"
+                except InvalidInputError as exc:
+                    entry["note"] = f"gate not applicable: {exc}"
             out.append(entry)
     return out

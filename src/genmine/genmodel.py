@@ -356,22 +356,6 @@ def score(d: FeatureScorer, v: Variant) -> float:
     return p
 
 
-def scorer_loss_gradient(
-    loss: str,
-    scorer: FeatureScorer,
-    positives: Sequence[Variant],
-    negatives: Sequence[Variant],
-) -> tuple[np.ndarray, float, float]:
-    """Chain-rule gradient of a loss id w.r.t. the scorer's weights and bias."""
-    if not positives or not negatives:
-        raise InvalidInputError("both batches must be non-empty")
-    feats_pos = np.stack([scorer.featurize(v) for v in positives])
-    feats_neg = np.stack([scorer.featurize(v) for v in negatives])
-    return losses.loss_gradient(
-        loss, feats_pos, feats_neg, scorer._weights, scorer.bias
-    )
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -384,7 +368,6 @@ class TrainConfig:
     rounds: int = 5
     batch_size: int = 32
     learning_rate: float = 0.5
-    eval_interval: int = 1
     select_sample_size: int = 10_000
     temperature: float = 1.0
     seed: int = 0
@@ -398,8 +381,8 @@ class TrainConfig:
     def __post_init__(self):
         positive = (
             self.pretrain_passes, self.batch_size, self.learning_rate,
-            self.eval_interval, self.select_sample_size, self.temperature,
-            self.order, self.round_samples, self.reinforce_weight,
+            self.select_sample_size, self.temperature, self.order,
+            self.round_samples, self.reinforce_weight,
         )
         if any(x <= 0 for x in positive):
             raise InvalidInputError("all TrainConfig numeric fields must be positive")
@@ -463,6 +446,13 @@ def _refinement_step(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[NGramGenerator, FeatureScorer, list[Variant]]:
+    """One adversarial round: draw fresh samples, retrain ``d_p`` against
+    them and reinforce the generator with score-weighted counts of the
+    samples that clear the threshold.
+
+    Counts are only ever added, so the generator stays normalized and the
+    training variants keep nonzero probability.
+    """
     samples = [sample_variant(gen, cfg.temperature, rng) for _ in range(cfg.round_samples)]
     d_p = train_discriminator(d_p, train_list, samples, cfg, rng=rng)
     additions = []
@@ -475,27 +465,6 @@ def _refinement_step(
     return gen, d_p, samples
 
 
-def refine_generator(
-    gen: NGramGenerator,
-    d_p: FeatureScorer,
-    train: Sequence[Variant],
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> tuple[NGramGenerator, FeatureScorer]:
-    """Adversarial refinement loop.
-
-    Each round draws fresh samples, retrains the probability discriminator
-    against them, and reinforces the generator with score-weighted counts
-    of the samples that clear the acceptance threshold.  The generator
-    stays normalized by construction and training variants keep nonzero
-    probability because counts are only ever added.
-    """
-    train_list = list(train)
-    for _ in range(cfg.rounds):
-        gen, d_p, _ = _refinement_step(gen, d_p, train_list, cfg, rng)
-    return gen, d_p
-
-
 @dataclass(frozen=True)
 class CandidateEval:
     round_index: int
@@ -503,17 +472,11 @@ class CandidateEval:
     sample_count: int
 
 
-def select_model(candidates: Sequence[tuple[object, float, int]]):
-    """Pick the snapshot with maximal tp_e; ties prefer fewer samples, then earliest."""
-    if not candidates:
+def select_model(evals: Sequence[CandidateEval]) -> int:
+    """Index of the evaluation with maximal tp_e; ties prefer fewer samples, then earliest."""
+    if not evals:
         raise InvalidInputError("select_model requires at least one candidate")
-    best_idx = 0
-    for i in range(1, len(candidates)):
-        _, tp_e, count = candidates[i]
-        _, best_tp_e, best_count = candidates[best_idx]
-        if (tp_e, -count) > (best_tp_e, -best_count):
-            best_idx = i
-    return candidates[best_idx][0]
+    return max(range(len(evals)), key=lambda i: (evals[i].tp_e, -evals[i].sample_count))
 
 
 @dataclass(frozen=True)
@@ -532,8 +495,8 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
     """Full training pipeline over an observed unique variant log.
 
     Splits off a holdout slice, fits the n-gram by counting, then runs
-    ``cfg.rounds`` refinement rounds.  After every ``cfg.eval_interval``
-    rounds the current generator is scored by drawing
+    ``cfg.rounds`` refinement rounds.  After the fit and after every round
+    the current generator is scored by drawing
     ``cfg.select_sample_size`` variants and measuring holdout coverage;
     the best-scoring snapshot wins.
     """
@@ -568,10 +531,8 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
         d_r = train_discriminator(
             d_r, train_list, samples, cfg, loss="relativistic_d", rng=rng
         )
-        if r % cfg.eval_interval == 0:
-            evaluate(r)
-    triples = [(i, e.tp_e, e.sample_count) for i, e in enumerate(evals)]
-    best_index = select_model(triples)
+        evaluate(r)
+    best_index = select_model(evals)
     best_gen, best_dp, best_dr = snapshots[best_index]
     return TrainResult(
         generator=best_gen,
@@ -589,7 +550,7 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
 # Checkpoint format
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _scorer_to_dict(d: FeatureScorer) -> dict:

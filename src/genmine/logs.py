@@ -138,10 +138,12 @@ def build_variant_logs(log: EventLog) -> tuple[VariantLog, UniqueVariantLog]:
     if not log.traces:
         raise InvalidInputError("build_variant_logs requires a non-empty log")
     all_variants = tuple(variant_of(t) for t in log.traces)
-    seen: dict[Variant, None] = {}
-    for v in all_variants:
-        seen.setdefault(v)
-    return VariantLog(all_variants), UniqueVariantLog(tuple(seen))
+    return VariantLog(all_variants), unique_variants(all_variants)
+
+
+def unique_variants(variants: Iterable[Variant]) -> UniqueVariantLog:
+    """Deduplicate variants, keeping the first occurrence of each."""
+    return UniqueVariantLog(tuple(dict.fromkeys(variants)))
 
 
 def split_holdout(

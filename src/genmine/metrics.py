@@ -16,8 +16,8 @@ hold exactly by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 
@@ -94,7 +94,6 @@ class MetricsReport:
     hits_unobserved: int
     n_holdout: int = 0
     hits_holdout: int = 0
-    provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_system < 1:
@@ -161,7 +160,6 @@ def compute_rates(
     lplus: Collection[Variant],
     v_u: Collection[Variant],
     lplus_e: Collection[Variant] | None = None,
-    provenance: Mapping[str, object] | None = None,
 ) -> MetricsReport:
     """Exact set-intersection rates of an estimated variant set.
 
@@ -187,7 +185,6 @@ def compute_rates(
         hits_unobserved=len(v_hat & unobserved),
         n_holdout=len(holdout),
         hits_holdout=len(v_hat & holdout),
-        provenance=dict(provenance or {}),
     )
 
 

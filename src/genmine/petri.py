@@ -146,9 +146,6 @@ class CompiledNet:
             vec[self.place_index[p]] = c
         return tuple(vec)
 
-    def unvector(self, vec: Sequence[int]) -> Marking:
-        return {p: c for p, c in zip(self.place_order, vec) if c > 0}
-
     def is_enabled(self, vec: Sequence[int], ti: int) -> bool:
         return all(vec[p] >= 1 for p in self.pre[ti])
 
@@ -162,25 +159,6 @@ class CompiledNet:
 
     def enabled_indices(self, vec: Sequence[int]) -> list[int]:
         return [i for i in range(len(self.transitions)) if self.is_enabled(vec, i)]
-
-
-def enabled(net: PetriNet, marking: Mapping[str, int]) -> set[str]:
-    """Transition ids enabled in the given marking."""
-    cn = CompiledNet(net)
-    vec = cn.vector(marking)
-    return {cn.transitions[i].tid for i in cn.enabled_indices(vec)}
-
-
-def fire(net: PetriNet, marking: Mapping[str, int], tid: str) -> Marking:
-    """Fire one transition; raises if it is not enabled."""
-    cn = CompiledNet(net)
-    vec = cn.vector(marking)
-    for i, t in enumerate(cn.transitions):
-        if t.tid == tid:
-            if not cn.is_enabled(vec, i):
-                raise InvalidInputError(f"transition {tid!r} is not enabled")
-            return cn.unvector(cn.fire(vec, i))
-    raise InvalidInputError(f"unknown transition {tid!r}")
 
 
 def playout_enumerate(

@@ -84,14 +84,20 @@ def mh_acceptance(p_current: float, p_proposal: float) -> float:
     return min(1.0, (1.0 / p_current - 1.0) / (1.0 / p_proposal - 1.0))
 
 
-def mh_chain(
+def mh_chain_candidate(
     g: DrawFn,
     d_p: ProbFn,
     v_init: Variant,
     kappa: int,
     rng: np.random.Generator,
-) -> tuple[Variant, int]:
-    """Run one chain of ``kappa`` steps; returns (final accepted state, #accepted)."""
+    strict_pseudocode: bool = False,
+) -> tuple[Variant, int, int]:
+    """Run one chain of ``kappa`` steps; returns (candidate, #accepted, #draws).
+
+    The candidate is the final accepted state.  Strict mode emits instead a
+    fresh, never-evaluated proposal drawn after the chain finished, exactly
+    as the literal pseudocode does.
+    """
     if kappa < 1:
         raise InvalidInputError("kappa must be >= 1")
     v_x = v_init
@@ -104,23 +110,6 @@ def mh_chain(
         if alpha > rng.random():
             v_x, p_x = v_y, p_y
             accepted += 1
-    return v_x, accepted
-
-
-def mh_chain_candidate(
-    g: DrawFn,
-    d_p: ProbFn,
-    v_init: Variant,
-    kappa: int,
-    rng: np.random.Generator,
-    strict_pseudocode: bool = False,
-) -> tuple[Variant, int, int]:
-    """One chain's emitted candidate: (candidate, #accepted, #draws).
-
-    Strict mode emits a fresh, never-evaluated proposal drawn after the
-    chain finished, exactly as the literal pseudocode does.
-    """
-    v_x, accepted = mh_chain(g, d_p, v_init, kappa, rng)
     if strict_pseudocode:
         return g(rng), accepted, kappa + 1
     return v_x, accepted, kappa

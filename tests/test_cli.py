@@ -15,6 +15,7 @@ from genmine import (
     write_variants_tsv,
 )
 from genmine.cli import main
+from genmine.genmodel import CHECKPOINT_VERSION
 
 
 @pytest.fixture
@@ -115,9 +116,9 @@ class TestTrainAndSample:
         assert meta["kappa"] == 20 and meta["acceptance_rate"] is not None
 
     @pytest.mark.parametrize("text", [
-        '{"version": 1}',
-        '{"version": 1, "generator": {"order": "three"}}',
-        '{"version": 1, "generator": null}',
+        json.dumps({"version": CHECKPOINT_VERSION}),
+        json.dumps({"version": CHECKPOINT_VERSION, "generator": {"order": "three"}}),
+        json.dumps({"version": CHECKPOINT_VERSION, "generator": None}),
         "[1]",
         "not json",
     ])
@@ -128,8 +129,45 @@ class TestTrainAndSample:
                      "--out", str(tmp_path / "o.tsv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert json.loads(err)["error"]["type"] == "InvalidInputError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert error["message"].startswith("malformed checkpoint")
         assert "Traceback" not in err
+
+    def test_version_1_checkpoint_rejected(self, tmp_path, tiny_log_file, capsys):
+        log_path, _ = tiny_log_file
+        model = tmp_path / "model.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model),
+                     "--rounds", "0", "--select-sample-size", "50"]) == 0
+        payload = json.loads(model.read_text())
+        payload["version"] = 1
+        payload["config"]["eval_interval"] = 1  # the TrainConfig field version 1 carried
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["--error-json", "sample", "--model", str(model),
+                     "--out", str(tmp_path / "o.tsv")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "InvalidInputError",
+                         "message": "unsupported checkpoint version 1"}
+
+    def test_train_deduplicates_variant_lines(self, tmp_path, capsys):
+        lines = [("a", "b", "c"), ("b",), ("a", "c"), ("a", "b", "c"), ("c", "b"),
+                 ("b",), ("a", "b"), ("b", "c"), ("a", "c")]
+        unique = list(dict.fromkeys(lines))
+        variants = tmp_path / "variants.tsv"
+        variants.write_text("".join("\t".join(v) + "\n" for v in lines))
+        model = tmp_path / "model.json"
+        assert main(["train", "--variants", str(variants), "--out", str(model),
+                     "--rounds", "0", "--select-sample-size", "50",
+                     "--holdout-fraction", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["observed_variants"] == len(unique)
+        checkpoint = json.loads(model.read_text())
+        train = [tuple(v) for v in checkpoint["train_variants"]]
+        holdout = [tuple(v) for v in checkpoint["holdout_variants"]]
+        assert sorted(train + holdout) == sorted(unique)
+        assert train == [v for v in unique if v in train]
+        assert holdout == [v for v in unique if v in holdout]
 
 
 class TestMetricsCommand:

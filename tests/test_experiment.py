@@ -130,6 +130,20 @@ class TestRunExperiment:
         [entry] = _paired_tests(models, s_by_model)
         assert "note" in entry and "degenerate" in entry["note"]
 
+    @pytest.mark.parametrize("diffs, reason", [
+        ([0.1, 0.1, 0.1, 0.9], "wilcoxon_upper requires at least 5"),  # fails normality
+        ([0.01 * i for i in range(51)], "shapiro_wilk supports 3 <= n <= 50"),
+    ])
+    def test_inapplicable_gate_is_not_called_degenerate(self, diffs, reason):
+        from genmine.experiment import _paired_tests
+
+        models = [BaselineModel(name="net", kind="trace"),
+                  SamplerModel(name="samp", mode="naive", train_config=FAST_TRAIN)]
+        s_by_model = {"net": [0.0] * len(diffs), "samp": diffs}
+        [entry] = _paired_tests(models, s_by_model)
+        assert entry["note"].startswith("gate not applicable: ")
+        assert reason in entry["note"]
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             run_experiment([], standard_models(), ExperimentConfig())

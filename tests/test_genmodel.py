@@ -15,7 +15,6 @@ from genmine import (
     UniqueVariantLog,
     fit_mle,
     load_checkpoint,
-    refine_generator,
     sample_variant,
     save_checkpoint,
     score,
@@ -23,7 +22,14 @@ from genmine import (
     train_and_select,
     train_discriminator,
 )
-from genmine.genmodel import END, NGramGenerator, init_scorer, scorer_loss_gradient
+from genmine.genmodel import (
+    END,
+    CandidateEval,
+    NGramGenerator,
+    _refinement_step,
+    init_scorer,
+)
+from genmine.losses import loss_gradient
 
 from .oracles import sample_variant_reference
 
@@ -209,7 +215,9 @@ class TestScorer:
 
     def test_gradient_step_direction(self):
         d = init_scorer([("a",), ("b",)], max_len_ref=1)
-        grad_w, grad_b, _ = scorer_loss_gradient("standard_d_logistic", d, [("a",)], [("b",)])
+        grad_w, grad_b, _ = loss_gradient(
+            "standard_d_logistic", d.featurize(("a",)), d.featurize(("b",)), d.weights, d.bias
+        )
         lr = 0.1
         stepped = replace(
             d,
@@ -276,12 +284,10 @@ class TestTrainDiscriminator:
 
 class TestRefineGenerator:
     def test_zero_rounds_is_identity(self):
-        train = lplus(["a", "b"], ["a", "c"])
-        gen = fit_mle(train, 2, 0.1)
-        d = init_scorer(list(train), max_len_ref=2)
-        cfg = TrainConfig(rounds=0)
-        gen2, _ = refine_generator(gen, d, list(train), cfg, np.random.default_rng(0))
-        assert gen2.counts == gen.counts
+        cfg = TrainConfig(rounds=0, order=2, select_sample_size=50)
+        result = train_and_select(lplus(["a", "b"], ["a", "c"], ["b", "c"]), cfg)
+        assert result.generator.counts == fit_mle(result.train, 2, cfg.smoothing).counts
+        assert [c.round_index for c in result.candidates] == [0]
 
     def test_unreachable_threshold_keeps_generator(self):
         train = lplus(["a", "b"], ["a", "c"])
@@ -292,7 +298,8 @@ class TestRefineGenerator:
             rounds=1, round_samples=50, reinforce_threshold=1.0 - 1e-6,
             pretrain_passes=1, learning_rate=1e-9,
         )
-        gen2, _ = refine_generator(gen, d, list(train), cfg, np.random.default_rng(0))
+        gen2, _, samples = _refinement_step(gen, d, list(train), cfg, np.random.default_rng(0))
+        assert len(samples) == 50
         assert gen2.counts == gen.counts
 
     def test_reinforcing_a_variant_raises_its_probability(self):
@@ -310,21 +317,27 @@ class TestRefineGenerator:
         base = gen.log_prob(("a", "c"))
         d = init_scorer(list(train), max_len_ref=3)
         cfg = TrainConfig(rounds=3, round_samples=500, seed=6)
-        gen2, _ = refine_generator(gen, d, list(train), cfg, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        gen2 = gen
+        for _ in range(cfg.rounds):
+            gen2, d, _ = _refinement_step(gen2, d, list(train), cfg, rng)
         assert gen2.log_prob(("a", "c")) >= base - 1e-9
+
+
+def evals(*scores):
+    """CandidateEvals for rounds 0, 1, ... from (tp_e, sample_count) pairs."""
+    return [CandidateEval(r, tp_e, count) for r, (tp_e, count) in enumerate(scores)]
 
 
 class TestSelectModel:
     def test_lexicographic(self):
-        candidates = [("g1", 0.9, 100), ("g2", 0.9, 80), ("g3", 0.8, 50)]
-        assert select_model(candidates) == "g2"
+        assert select_model(evals((0.9, 100), (0.9, 80), (0.8, 50))) == 1
 
     def test_single(self):
-        assert select_model([("only", 0.1, 5)]) == "only"
+        assert select_model(evals((0.1, 5))) == 0
 
     def test_all_equal_prefers_earliest(self):
-        candidates = [("first", 0.5, 10), ("second", 0.5, 10), ("third", 0.5, 10)]
-        assert select_model(candidates) == "first"
+        assert select_model(evals((0.5, 10), (0.5, 10), (0.5, 10))) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -340,7 +353,8 @@ class TestTrainAndSelect:
         result = train_and_select(UniqueVariantLog(tuple(variants)), cfg)
         assert len(result.candidates) == 3  # round 0 plus two refinements
         assert len(result.train) + len(result.holdout) == len(variants)
-        assert result.selected_round in {c.round_index for c in result.candidates}
+        best = result.candidates[select_model(result.candidates)]
+        assert result.selected_round == best.round_index
 
     def test_checkpoint_round_trip(self, tmp_path):
         variants = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]

@@ -11,7 +11,6 @@ from genmine import (
     InvalidInputError,
     UniqueVariantLog,
     mh_acceptance,
-    mh_chain,
     mh_chain_candidate,
     mh_sample,
     naive_sample,
@@ -99,7 +98,7 @@ class TestMhChain:
         # alpha = 1 always: the chain just tracks the latest proposal
         draw = categorical_draw([VA, VB], [0.5, 0.5])
         rng = np.random.default_rng(3)
-        finals = [mh_chain(draw, lambda v: 0.5, VA, 40, rng)[0] for _ in range(300)]
+        finals = [mh_chain_candidate(draw, lambda v: 0.5, VA, 40, rng)[0] for _ in range(300)]
         freq = Counter(finals)
         assert abs(freq[VA] / 300 - 0.5) < 0.1
 
