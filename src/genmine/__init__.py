@@ -76,7 +76,6 @@ from .petri import (
     Transition,
     dfg_discover,
     flower_model,
-    has_reachable_final,
     load_net,
     make_net,
     net_from_dict,

@@ -9,9 +9,9 @@ observed ones.  System-level scores are exact set ratios between a net's
 playout and a known variant set.
 
 The generalization of a net against an estimated system variant set is the
-harmonic mean of log fitness and log precision measured on a synthetic log
-of those variants.  Both conformance functions are parameters so stronger
-metrics can be swapped in without touching the pipeline.
+harmonic mean of log fitness and log precision measured on a log holding
+each of those variants once.  Both conformance functions are parameters so
+stronger metrics can be swapped in without touching the pipeline.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterable
 
 from .errors import BudgetExceededError, InvalidInputError
-from .logs import Variant, VariantLog, build_variant_logs, synth_event_log
+from .logs import Variant, VariantLog
 from .petri import CompiledNet, PetriNet
 
 _CLOSURE_LIMIT = 20_000
@@ -45,30 +45,26 @@ class ConformanceScores:
 # Silent-transition closure
 # ---------------------------------------------------------------------------
 
-def _silent_closure(cn: CompiledNet, vec: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """All markings reachable from ``vec`` by firing only silent transitions.
-
-    Maps each marking to a shortest silent firing sequence reaching it
-    (deterministic: BFS, transitions in sorted-id order).
-    """
-    paths: dict[tuple[int, ...], tuple[int, ...]] = {vec: ()}
-    frontier = deque([vec])
+def _silent_closure(cn: CompiledNet, vec: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """All markings reachable from ``vec`` by firing only silent transitions."""
+    seen = {vec}
+    frontier = [vec]
     while frontier:
-        cur = frontier.popleft()
+        cur = frontier.pop()
         for si in cn.silent:
             if not cn.is_enabled(cur, si):
                 continue
             nxt = cn.fire(cur, si)
-            if nxt in paths:
+            if nxt in seen:
                 continue
-            paths[nxt] = paths[cur] + (si,)
-            if len(paths) > _CLOSURE_LIMIT:
+            seen.add(nxt)
+            if len(seen) > _CLOSURE_LIMIT:
                 raise BudgetExceededError(
                     "silent-transition closure exceeded marking limit",
-                    partial_count=len(paths),
+                    partial_count=len(seen),
                 )
             frontier.append(nxt)
-    return paths
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +363,14 @@ def model_generalization(
 ) -> GeneralizationResult:
     """Generalization of a net against an estimated system variant set.
 
-    Builds a synthetic log containing each estimated variant exactly once
-    and takes the harmonic mean of log fitness and log precision on it.
+    Scores a log containing each estimated variant exactly once and takes
+    the harmonic mean of log fitness and log precision on it.
     """
-    log = synth_event_log(v_hat_s)
-    lstar, _ = build_variant_logs(log)
+    lstar = VariantLog(tuple(sorted(set(map(tuple, v_hat_s)))))
+    if not lstar.variants:
+        raise InvalidInputError("model_generalization requires a non-empty variant set")
+    if not all(lstar.variants):
+        raise InvalidInputError("variants must be non-empty")
     fit = fitness_fn(net, lstar)
     prec = precision_fn(net, lstar)
     scores = ConformanceScores(

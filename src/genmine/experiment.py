@@ -1,9 +1,9 @@
 """End-to-end controlled experiment runner.
 
 For each ground-truth system: play out its variant set (or accept a
-pre-split truth), hold out the unobserved share, synthesize the observed
-log, and score every requested model against the truth.  Net models are
-played out at the log's length bound; sampler models train the built-in
+pre-split truth), hold out the unobserved share, and score every requested
+model against the truth.  Net models are played out up to the length of
+the longest observed variant; sampler models train the built-in
 generator on the observed variants and estimate the system set naively or
 via Metropolis-Hastings.  Each net model additionally receives a
 generalization score against every sampler's estimated variant set.
@@ -26,7 +26,6 @@ import numpy as np
 from . import conformance, genmodel, metrics, petri, sampling, stats
 from .errors import DegenerateInputError, GenmineError, InvalidInputError
 from .genmodel import TrainConfig
-from .logs import build_variant_logs, max_trace_len, synth_event_log
 from .metrics import SystemTruth
 from .petri import DEFAULT_BUDGET, PetriNet
 
@@ -115,8 +114,7 @@ def _prepare_system(
             budget=cfg.playout_budget,
         )
         truth = metrics.split_system(v_s, cfg.split_ratio, _task_seed(cfg.seed, system_index, 0))
-    log = synth_event_log(truth.lplus, seed=_task_seed(cfg.seed, system_index, 1))
-    mu = max_trace_len(log)
+    mu = max(len(v) for v in truth.lplus)
     alphabet = tuple(sorted({a for v in truth.v_s for a in v}))
     return _SystemContext(name=name, truth=truth, mu=mu, alphabet=alphabet)
 
@@ -129,9 +127,7 @@ def _materialize_net(model: ModelSpec, ctx: _SystemContext) -> PetriNet | None:
             return petri.trace_model(ctx.truth.lplus)
         if model.kind == "flower":
             return petri.flower_model(ctx.alphabet)
-        log = synth_event_log(ctx.truth.lplus)
-        lstar, _ = build_variant_logs(log)
-        return petri.dfg_discover(lstar)
+        return petri.dfg_discover(ctx.truth.lplus)
     return None
 
 

@@ -43,6 +43,8 @@ class SystemTruth:
             raise InvalidInputError("observed and unobserved parts must be disjoint")
         if not observed or not self.v_u:
             raise InvalidInputError("both observed and unobserved parts must be non-empty")
+        if () in self.v_s:
+            raise InvalidInputError("variants must be non-empty")
         max_len = max(len(v) for v in self.v_s)
         if not any(len(v) == max_len for v in observed):
             raise InvalidInputError("observed part must contain a maximal-length variant")

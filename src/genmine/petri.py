@@ -220,39 +220,6 @@ def playout_enumerate(
     return frozenset(results)
 
 
-def has_reachable_final(
-    net: PetriNet,
-    token_cap: int | None = DEFAULT_TOKEN_CAP,
-    budget: int = 100_000,
-) -> bool:
-    """Cheap diagnostic probe: can any declared final marking be reached?
-
-    Not a soundness check; returns False for nets without final markings.
-    """
-    cn = CompiledNet(net)
-    if not cn.finals:
-        return False
-    finals = set(cn.finals)
-    stack = [cn.initial]
-    visited = {cn.initial}
-    expansions = 0
-    while stack:
-        vec = stack.pop()
-        if vec in finals:
-            return True
-        expansions += 1
-        if expansions > budget:
-            return False
-        for ti in cn.enabled_indices(vec):
-            nxt = cn.fire(vec, ti)
-            if token_cap is not None and any(c > token_cap for c in nxt):
-                continue
-            if nxt not in visited:
-                visited.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Baseline model constructors
 # ---------------------------------------------------------------------------
@@ -296,7 +263,7 @@ def flower_model(alphabet: Iterable[str]) -> PetriNet:
     return make_net({"p_pool"}, transitions, arcs, {"p_pool": 1}, [{"p_pool": 1}])
 
 
-def dfg_discover(lstar: VariantLog) -> PetriNet:
+def dfg_discover(lstar: VariantLog | UniqueVariantLog) -> PetriNet:
     """Directly-follows baseline miner.
 
     The net is the state machine of the directly-follows graph: one place

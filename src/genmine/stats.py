@@ -1,28 +1,35 @@
 """Small-sample statistical tests used by the experiment harness.
 
-Implemented directly (coefficients from the published approximations)
-rather than delegated, so the suite can be validated against an external
-oracle instead of testing a library against itself:
+Shapiro-Wilk and the upper-tailed paired t-test come from ``scipy.stats``.
+Each function first checks its input domain (one-dimensional, finite, the
+supported size, not degenerate), so an inapplicable input is a domain error
+and scipy is never asked for a result it would only warn about.
 
-  * Shapiro-Wilk via the AS R94 approximation, for 3 <= n <= 50,
-  * upper-tailed paired t-test (Student t tail from scipy.special),
-  * upper-tailed Wilcoxon signed-rank test with average ranks for ties,
-    exact sign-flip enumeration up to n = 20 and the normal approximation
-    with tie correction above (no continuity correction).
+The upper-tailed Wilcoxon signed-rank test stays here.  Zero differences
+are dropped and ties in the absolute values get average ranks.  Up to
+n = 20 the p-value comes from enumerating all sign flips, which is exact
+with ties; scipy's ``method="exact"`` rounds a tied statistic instead,
+and its permutation fallback draws random flips above n = 13.  Above
+n = 20 the normal approximation with tie correction and no continuity
+correction is scipy's.
+
+``scipy.stats`` is imported on first use inside each function: it costs
+more to import than the rest of the package, and only the paired tests
+of an experiment need it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateInputError, InvalidInputError
 
-SHAPIRO_MAX_N = 50
+# scipy's documented limit for Shapiro-Wilk; it warns above it.
+SHAPIRO_MAX_N = 5000
+_WILCOXON_EXACT_MAX_N = 20
 
 
 def _as_array(sample: Sequence[float], name: str) -> np.ndarray:
@@ -34,113 +41,35 @@ def _as_array(sample: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
-# ---------------------------------------------------------------------------
-# Shapiro-Wilk (AS R94 approximation)
-# ---------------------------------------------------------------------------
-
-_C1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
-_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_C3 = (0.5440, -0.39978, 0.025054, -6.714e-4)
-_C4 = (1.3822, -0.77857, 0.062767, -2.0322e-3)
-_C5 = (-1.5861, -0.31082, -0.083751, 3.8915e-3)
-_C6 = (-0.4803, -0.082676, 3.0302e-3)
-_G = (-2.273, 0.459)
-_PI6 = 6.0 / math.pi
-_STQR = math.asin(math.sqrt(0.75))
-
-
-def _poly(coeffs: Sequence[float], x: float) -> float:
-    return sum(c * x**i for i, c in enumerate(coeffs))
-
-
 def shapiro_wilk(sample: Sequence[float]) -> tuple[float, float]:
-    """W statistic and normality p-value for a sample of size 3..50."""
-    x = np.sort(_as_array(sample, "sample"))
+    """W statistic and normality p-value for a sample of size 3..5000."""
+    x = _as_array(sample, "sample")
     n = len(x)
     if not 3 <= n <= SHAPIRO_MAX_N:
         raise InvalidInputError(f"shapiro_wilk supports 3 <= n <= {SHAPIRO_MAX_N}, got {n}")
-    if x[0] == x[-1]:
+    # scipy's swilk treats a range below 1e-19 as zero and warns.
+    if np.ptp(x) < 1e-19:
         raise DegenerateInputError("shapiro_wilk requires a non-constant sample")
-    # Expected normal order statistics (Blom scores) and coefficients.
-    m = special.ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    ssumm2 = float(m @ m)
-    rsn = 1.0 / math.sqrt(n)
-    a = m / math.sqrt(ssumm2)
-    if n > 3:
-        a_n = _poly(_C1, rsn) + m[-1] / math.sqrt(ssumm2)
-        if n > 5:
-            a_n1 = _poly(_C2, rsn) + m[-2] / math.sqrt(ssumm2)
-            phi = (ssumm2 - 2 * m[-1] ** 2 - 2 * m[-2] ** 2) / (
-                1 - 2 * a_n**2 - 2 * a_n1**2
-            )
-        else:
-            phi = (ssumm2 - 2 * m[-1] ** 2) / (1 - 2 * a_n**2)
-        a = m / math.sqrt(phi)
-        a[-1] = a_n
-        a[0] = -a_n
-        if n > 5:
-            a[-2] = a_n1
-            a[1] = -a_n1
-    b = float(a @ x)
-    ss = float(np.sum((x - x.mean()) ** 2))
-    w = min(b * b / ss, 1.0)
-    # Normalizing transformation of W to a standard normal z.
-    if n == 3:
-        p = _PI6 * (math.asin(math.sqrt(w)) - _STQR)
-        p = min(max(p, 0.0), 1.0)
-        return w, p
-    if n <= 11:
-        gamma = _poly(_G, n)
-        if gamma - math.log1p(-w) <= 0:
-            return w, 0.0
-        wt = -math.log(gamma - math.log1p(-w))
-        mu = _poly(_C3, n)
-        sigma = math.exp(_poly(_C4, n))
-    else:
-        u = math.log(n)
-        wt = math.log1p(-w) if w < 1.0 else -math.inf
-        mu = _poly(_C5, u)
-        sigma = math.exp(_poly(_C6, u))
-    if not math.isfinite(wt):
-        return w, 1.0
-    z = (wt - mu) / sigma
-    return w, float(special.ndtr(-z))
+    from scipy import stats
 
+    res = stats.shapiro(x)
+    return float(res.statistic), float(res.pvalue)
 
-# ---------------------------------------------------------------------------
-# Paired t-test, upper-tailed
-# ---------------------------------------------------------------------------
 
 def paired_t_upper(differences: Sequence[float]) -> tuple[float, float]:
     """t statistic and one-sided (upper tail) p-value on paired differences."""
     d = _as_array(differences, "differences")
-    n = len(d)
-    if n < 2:
+    if len(d) < 2:
         raise InvalidInputError("paired_t_upper requires n >= 2")
-    sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
+    # Differences equal up to rounding have no variance to test; scipy would
+    # warn of catastrophic cancellation for them.
+    mean = d.mean()
+    if np.max(np.abs(d - mean)) <= 10 * np.finfo(float).eps * abs(mean):
         raise DegenerateInputError("paired_t_upper requires nonzero variance")
-    t = float(np.mean(d) / (sd / math.sqrt(n)))
-    p = float(special.stdtr(n - 1, -t))
-    return t, p
+    from scipy import stats
 
-
-# ---------------------------------------------------------------------------
-# Wilcoxon signed-rank test, upper-tailed
-# ---------------------------------------------------------------------------
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j < len(values) and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # average of 1-based ranks i+1..j
-        i = j
-    return ranks
+    res = stats.ttest_1samp(d, 0.0, alternative="greater")
+    return float(res.statistic), float(res.pvalue)
 
 
 def wilcoxon_upper(differences: Sequence[float]) -> tuple[float, float]:
@@ -158,34 +87,24 @@ def wilcoxon_upper(differences: Sequence[float]) -> tuple[float, float]:
         raise DegenerateInputError("wilcoxon_upper: all differences are zero")
     if n < 5:
         raise InvalidInputError("wilcoxon_upper requires at least 5 nonzero differences")
-    ranks = _average_ranks(np.abs(d))
+    from scipy import stats
+
+    if n > _WILCOXON_EXACT_MAX_N:
+        res = stats.wilcoxon(d, alternative="greater", method="asymptotic", correction=False)
+        return float(res.statistic), float(res.pvalue)
+    ranks = stats.rankdata(np.abs(d))
     w_plus = float(np.sum(ranks[d > 0.0]))
-    if n <= 20:
-        # Average ranks are multiples of 1/2; doubling keeps everything integral.
-        doubled = np.rint(2.0 * ranks).astype(int)
-        total = int(doubled.sum())
-        counts = np.zeros(total + 1, dtype=np.int64)
-        counts[0] = 1
-        for r in doubled:
-            shifted = np.zeros_like(counts)
-            shifted[r:] = counts[:-r] if r > 0 else counts
-            counts = counts + shifted
-        threshold = int(round(2.0 * w_plus))
-        p = float(counts[threshold:].sum() / 2.0**n)
-        return w_plus, p
-    mean_w = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
-    tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if var_w <= 0:
-        raise DegenerateInputError("wilcoxon_upper: degenerate variance after ties")
-    z = (w_plus - mean_w) / math.sqrt(var_w)
-    return w_plus, float(special.ndtr(-z))
+    # Average ranks are multiples of 1/2; doubling keeps everything integral.
+    doubled = np.rint(2.0 * ranks).astype(int)
+    counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        shifted = np.zeros_like(counts)
+        shifted[r:] = counts[:-r]
+        counts = counts + shifted
+    threshold = int(round(2.0 * w_plus))
+    return w_plus, float(counts[threshold:].sum() / 2.0**n)
 
-
-# ---------------------------------------------------------------------------
-# Test selection gate
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GateResult:

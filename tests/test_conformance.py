@@ -156,3 +156,8 @@ class TestModelGeneralization:
         )
         assert result.generalization == pytest.approx(2 / 3)
         assert result.scores.fitness_method == "<lambda>"
+
+    @pytest.mark.parametrize("variants", [set(), {("a",), ()}])
+    def test_empty_set_or_variant_rejected(self, sequence_net_ab, variants):
+        with pytest.raises(InvalidInputError):
+            model_generalization(sequence_net_ab, variants)

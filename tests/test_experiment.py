@@ -132,7 +132,6 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("diffs, reason", [
         ([0.1, 0.1, 0.1, 0.9], "wilcoxon_upper requires at least 5"),  # fails normality
-        ([0.01 * i for i in range(51)], "shapiro_wilk supports 3 <= n <= 50"),
     ])
     def test_inapplicable_gate_is_not_called_degenerate(self, diffs, reason):
         from genmine.experiment import _paired_tests
@@ -143,6 +142,17 @@ class TestRunExperiment:
         [entry] = _paired_tests(models, s_by_model)
         assert entry["note"].startswith("gate not applicable: ")
         assert reason in entry["note"]
+
+    def test_more_than_50_systems_are_tested(self):
+        from genmine.experiment import _paired_tests
+
+        diffs = [0.01 * i for i in range(51)]
+        models = [BaselineModel(name="net", kind="trace"),
+                  SamplerModel(name="samp", mode="naive", train_config=FAST_TRAIN)]
+        [entry] = _paired_tests(models, {"net": [0.0] * len(diffs), "samp": diffs})
+        assert "note" not in entry
+        assert entry["method"] in ("paired_t", "wilcoxon")
+        assert 0.0 <= entry["p_value"] <= 1.0
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -34,6 +34,10 @@ class TestSplitSystem:
         with pytest.raises(InvalidInputError):
             split_system({("a",)}, 0.7, seed=0)
 
+    def test_empty_variant_rejected(self):
+        with pytest.raises(InvalidInputError):
+            split_system({("a",), ("b",), ()}, 0.7, seed=0)
+
     def test_max_length_variant_always_observed(self):
         v_s = {("a",), ("a", "a"), ("a", "b"), ("x", "y", "z")} | variants("w", 8)
         max_len = max(len(v) for v in v_s)

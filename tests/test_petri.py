@@ -11,7 +11,6 @@ from genmine import (
     VariantLog,
     dfg_discover,
     flower_model,
-    has_reachable_final,
     make_net,
     net_from_dict,
     net_to_dict,
@@ -176,21 +175,6 @@ class TestDfgDiscover:
         lstar = VariantLog((("a", "b"), ("b", "a")))
         out = playout_enumerate(dfg_discover(lstar), max_len=3)
         assert {("a", "b"), ("b", "a")} < out
-
-
-class TestDiagnostics:
-    def test_reachable_final(self, sequence_net_ab):
-        assert has_reachable_final(sequence_net_ab)
-
-    def test_unreachable_final(self):
-        net = make_net(
-            ["p0", "p1", "p2"],
-            [("t", "a")],
-            [("p0", "t"), ("t", "p1")],
-            {"p0": 1},
-            [{"p2": 1}],
-        )
-        assert not has_reachable_final(net)
 
 
 class TestNetJson:

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import genmine
 from genmine import (
     DegenerateInputError,
     InvalidInputError,
@@ -45,11 +51,15 @@ class TestShapiroWilk:
         with pytest.raises(DegenerateInputError):
             shapiro_wilk([2.0, 2.0, 2.0])
 
+    def test_range_below_swilk_resolution_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            shapiro_wilk([0.0, 5e-20, 1e-20])
+
     def test_size_bounds(self):
         with pytest.raises(InvalidInputError):
             shapiro_wilk([1.0, 2.0])
         with pytest.raises(InvalidInputError):
-            shapiro_wilk(np.arange(51.0))
+            shapiro_wilk(np.arange(5001.0))
 
 
 class TestPairedTUpper:
@@ -79,6 +89,11 @@ class TestPairedTUpper:
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateInputError):
             paired_t_upper([1.0, 1.0, 1.0])
+
+    def test_rounding_noise_is_zero_variance(self):
+        # 0.3 - 0.2 and 0.1 differ only in the last bit
+        with pytest.raises(DegenerateInputError):
+            paired_t_upper([0.3 - 0.2, 0.1, 0.5 - 0.4, 0.1])
 
 
 class TestWilcoxonUpper:
@@ -149,3 +164,15 @@ class TestNormalityGate:
         outcome = normality_gate([1.0, 2.0, 3.0, 2.5, 1.5])
         assert 0.0 < outcome.shapiro_w <= 1.0
         assert 0.0 <= outcome.p_value <= 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(genmine.__file__).resolve().parents[1])
+    code = (
+        "import sys, genmine; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
