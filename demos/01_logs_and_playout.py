@@ -10,7 +10,6 @@ from genmine import (
     build_system,
     build_variant_logs,
     complexity_profile,
-    max_trace_len,
     playout_enumerate,
     split_system,
     synth_event_log,
@@ -47,6 +46,6 @@ print(f"observed |L+|={len(truth.lplus)}, unobserved |V_u|={len(truth.v_u)}")
 log = synth_event_log(truth.lplus, seed=1)
 lstar, lplus = build_variant_logs(log)
 assert lplus.as_set() == truth.lplus.as_set()
-print(f"synthetic log: {len(log)} traces, max trace length {max_trace_len(log)}")
+print(f"synthetic log: {len(log)} traces, max trace length {max(len(t) for t in log)}")
 first = log.traces[0]
 print(f"first trace {first.case_id}: {[e.label for e in first.events]}")

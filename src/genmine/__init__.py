@@ -53,7 +53,6 @@ from .logs import (
     Variant,
     VariantLog,
     build_variant_logs,
-    max_trace_len,
     read_event_log_csv,
     read_variants_tsv,
     split_holdout,

@@ -12,6 +12,10 @@ The generalization of a net against an estimated system variant set is the
 harmonic mean of log fitness and log precision measured on a log holding
 each of those variants once.  Both conformance functions are parameters so
 stronger metrics can be swapped in without touching the pipeline.
+
+Replay and precision search markings on the net's compiled form
+(``PetriNet.compiled``), which both share; what they memoize per marking
+lives for one call only.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Collection, Iterable
 
 from .errors import BudgetExceededError, InvalidInputError
 from .logs import Variant, VariantLog
-from .petri import CompiledNet, PetriNet
+from .petri import CompiledNet, PetriNet, TokenMarking
 
 _CLOSURE_LIMIT = 20_000
 
@@ -45,15 +50,19 @@ class ConformanceScores:
 # Silent-transition closure
 # ---------------------------------------------------------------------------
 
-def _silent_closure(cn: CompiledNet, vec: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All markings reachable from ``vec`` by firing only silent transitions."""
-    seen = {vec}
-    frontier = [vec]
+def _enabled_silent(cn: CompiledNet, marking: TokenMarking) -> list[int]:
+    if not cn.silent:
+        return []
+    return [ti for ti in cn.enabled_indices(marking) if cn.transitions[ti].label is None]
+
+
+def _silent_closure(cn: CompiledNet, marking: TokenMarking) -> set[TokenMarking]:
+    """All markings reachable from ``marking`` by firing only silent transitions."""
+    seen = {marking}
+    frontier = [marking]
     while frontier:
         cur = frontier.pop()
-        for si in cn.silent:
-            if not cn.is_enabled(cur, si):
-                continue
+        for si in _enabled_silent(cn, cur):
             nxt = cn.fire(cur, si)
             if nxt in seen:
                 continue
@@ -87,34 +96,87 @@ class _TokenCounts:
 
 _REPLAY_POP_LIMIT = 200_000
 
+# One replay move: (added cost, labels advanced, next marking, consumed, produced).
+_Move = tuple[int, int, TokenMarking, int, int]
 
-def _replay_variant(cn: CompiledNet, variant: Variant) -> _TokenCounts:
+
+def _overlap(a: TokenMarking, b: TokenMarking) -> int:
+    """Tokens two markings have in common (multiset intersection size)."""
+    i = j = common = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            common += 1
+            i += 1
+            j += 1
+        elif a[i] < b[j]:
+            i += 1
+        else:
+            j += 1
+    return common
+
+
+def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> tuple[_Move, ...]:
+    """Moves out of a replay state that must next replay ``label``.
+
+    ``label is None`` once the variant is consumed.  Order is push order:
+    an unknown label's one missing-token event, then every enabled
+    candidate, then the cheapest force-fired one, then silent transitions.
+    """
+    moves: list[_Move] = []
+    if label is not None:
+        cands = cn.by_label.get(label, ())
+        if not cands:
+            # Unknown label: one missing-token event by convention.
+            moves.append((1, 1, marking, 1, 0))
+        # Every enabled candidate is explored (keeps clean replays exact);
+        # force-firing branches only through the cheapest disabled one.
+        held = set(marking)
+        disabled: tuple[int, int] | None = None
+        for ti in cands:
+            deficit = len(cn.pre[ti] - held)
+            if deficit:
+                if disabled is None or deficit < disabled[0]:
+                    disabled = (deficit, ti)
+                continue
+            moves.append((0, 1, cn.fire(marking, ti), len(cn.pre[ti]), len(cn.post[ti])))
+        if disabled is not None:
+            deficit, ti = disabled
+            moves.append((deficit, 1, cn.fire(marking, ti), len(cn.pre[ti]), len(cn.post[ti])))
+    for si in _enabled_silent(cn, marking):
+        moves.append((0, 0, cn.fire(marking, si), len(cn.pre[si]), len(cn.post[si])))
+    return tuple(moves)
+
+
+def _replay_variant(
+    cn: CompiledNet,
+    variant: Variant,
+    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]],
+) -> _TokenCounts:
     """Cheapest token replay of one variant.
 
     Duplicate labels and silent transitions make greedy replay ambiguous,
     so the replay is a shortest-path search over (position, marking)
     states minimizing inserted-plus-leftover tokens, tie-broken by firing
     count.  A variant that can reach a final marking cleanly therefore
-    always replays with zero missing and zero remaining tokens.
+    always replays with zero missing and zero remaining tokens.  ``memo``
+    keeps the moves out of each (next label, marking) pair; variants of
+    one log share it.
     """
-    import heapq
-
-    init_produced = sum(cn.initial)
-    start = (0, cn.initial)
+    init_produced = len(cn.initial)
     # heap entries: (cost, firings, tiebreak, pos, marking, consumed, produced, settled)
     counter = 0
     heap = [(0, 0, counter, 0, cn.initial, 0, init_produced, None)]
-    best: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {start: (0, 0)}
+    best: dict[tuple[int, TokenMarking], tuple[int, int]] = {(0, cn.initial): (0, 0)}
     pops = 0
     n = len(variant)
     while heap:
-        cost, firings, _, pos, vec, consumed, produced, settled = heapq.heappop(heap)
+        cost, firings, _, pos, marking, consumed, produced, settled = heappop(heap)
         if settled is not None:
-            miss_f, rem_f, final = settled
+            rem_f, final = settled
             return _TokenCounts(
                 missing=cost - rem_f,
                 remaining=rem_f,
-                consumed=consumed + sum(final),
+                consumed=consumed + len(final),
                 produced=produced,
             )
         pops += 1
@@ -123,95 +185,37 @@ def _replay_variant(cn: CompiledNet, variant: Variant) -> _TokenCounts:
                 f"token replay exceeded {_REPLAY_POP_LIMIT} state expansions",
                 partial_count=pos,
             )
-        if best.get((pos, vec), (cost + 1, 0)) < (cost, firings):
+        if best.get((pos, marking), (cost + 1, 0)) < (cost, firings):
             continue
-
-        def push(cost2, firings2, pos2, vec2, consumed2, produced2):
-            nonlocal counter
-            key = (pos2, vec2)
-            if key not in best or (cost2, firings2) < best[key]:
-                best[key] = (cost2, firings2)
-                counter += 1
-                heapq.heappush(
-                    heap, (cost2, firings2, counter, pos2, vec2, consumed2, produced2, None)
-                )
-
         if pos == n:
             # Goal edges: settle against a final marking (or count leftovers).
+            label = None
             counter += 1
             if cn.finals:
                 for f in cn.finals:
-                    miss_f = sum(max(0, fc - mc) for fc, mc in zip(f, vec))
-                    rem_f = sum(max(0, mc - fc) for fc, mc in zip(f, vec))
+                    common = _overlap(f, marking)
+                    miss_f = len(f) - common
+                    rem_f = len(marking) - common
                     counter += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            cost + miss_f + rem_f,
-                            firings,
-                            counter,
-                            pos,
-                            vec,
-                            consumed,
-                            produced,
-                            (miss_f, rem_f, f),
-                        ),
-                    )
+                    heappush(heap, (cost + miss_f + rem_f, firings, counter, pos, marking,
+                                    consumed, produced, (rem_f, f)))
             else:
-                rem = sum(vec)
-                heapq.heappush(
-                    heap,
-                    (cost + rem, firings, counter, pos, vec, consumed, produced, (0, rem, ())),
-                )
+                rem = len(marking)
+                heappush(heap, (cost + rem, firings, counter, pos, marking,
+                                consumed, produced, (rem, ())))
         else:
             label = variant[pos]
-            cands = cn.by_label.get(label, ())
-            if not cands:
-                # Unknown label: one missing-token event by convention.
-                push(cost + 1, firings + 1, pos + 1, vec, consumed + 1, produced)
-            # Every enabled candidate is explored (keeps clean replays exact);
-            # force-firing branches only through the cheapest disabled one.
-            disabled: tuple[int, int] | None = None
-            for ti in cands:
-                deficit = sum(1 for p in cn.pre[ti] if vec[p] < 1)
-                if deficit and (disabled is None or deficit < disabled[0]):
-                    disabled = (deficit, ti)
-                if deficit:
-                    continue
-                push(
-                    cost,
-                    firings + 1,
-                    pos + 1,
-                    cn.fire(vec, ti),
-                    consumed + len(cn.pre[ti]),
-                    produced + len(cn.post[ti]),
-                )
-            if disabled is not None:
-                deficit, ti = disabled
-                out = list(vec)
-                for p in cn.pre[ti]:
-                    if out[p] >= 1:
-                        out[p] -= 1
-                for p in cn.post[ti]:
-                    out[p] += 1
-                push(
-                    cost + deficit,
-                    firings + 1,
-                    pos + 1,
-                    tuple(out),
-                    consumed + len(cn.pre[ti]),
-                    produced + len(cn.post[ti]),
-                )
-        for si in cn.silent:
-            if cn.is_enabled(vec, si):
-                push(
-                    cost,
-                    firings + 1,
-                    pos,
-                    cn.fire(vec, si),
-                    consumed + len(cn.pre[si]),
-                    produced + len(cn.post[si]),
-                )
+        moves = memo.get((label, marking))
+        if moves is None:
+            moves = memo[(label, marking)] = _replay_moves(cn, label, marking)
+        for dcost, dpos, nxt, dconsumed, dproduced in moves:
+            cost2, firings2, key = cost + dcost, firings + 1, (pos + dpos, nxt)
+            seen = best.get(key)
+            if seen is None or (cost2, firings2) < seen:
+                best[key] = (cost2, firings2)
+                counter += 1
+                heappush(heap, (cost2, firings2, counter, pos + dpos, nxt,
+                                consumed + dconsumed, produced + dproduced, None))
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 
 
@@ -224,12 +228,13 @@ def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
     """
     if len(lstar) == 0:
         raise InvalidInputError("token_replay_fitness requires a non-empty variant log")
-    cn = CompiledNet(net)
+    cn = net.compiled
     total = _TokenCounts()
     cache: dict[Variant, _TokenCounts] = {}
+    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]] = {}
     for v in lstar:
         if v not in cache:
-            cache[v] = _replay_variant(cn, v)
+            cache[v] = _replay_variant(cn, v, memo)
         total.add(cache[v])
     miss_term = 1.0 if total.consumed == 0 else 1.0 - total.missing / total.consumed
     rem_term = 1.0 if total.produced == 0 else 1.0 - total.remaining / total.produced
@@ -266,46 +271,47 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     set of continuations A(s), computed over every marking reachable by
     replaying s including silent closure; labels enabled but never observed
     escape.  Prefixes the net cannot replay are truncated at the first
-    failure and counted up to it.
+    failure and counted up to it.  The silent closure and the visible steps
+    of each marking are computed once per call.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
-    cn = CompiledNet(net)
+    cn = net.compiled
     root = _build_prefix_trie(lstar)
+    closures: dict[TokenMarking, set[TokenMarking]] = {}
+    steps: dict[TokenMarking, dict[str, list[TokenMarking]]] = {}
     escaping = 0
     allowed = 0
-    queue: deque[tuple[_TrieNode, frozenset[tuple[int, ...]]]] = deque(
-        [(root, frozenset([cn.initial]))]
-    )
+    queue: deque[tuple[_TrieNode, set[TokenMarking]]] = deque([(root, {cn.initial})])
     while queue:
         node, markings = queue.popleft()
-        closure: set[tuple[int, ...]] = set()
+        closure: set[TokenMarking] = set()
         for m in markings:
-            closure.update(_silent_closure(cn, m))
+            if m not in closures:
+                closures[m] = _silent_closure(cn, m)
+            closure.update(closures[m])
             if len(closure) > _CLOSURE_LIMIT:
                 raise BudgetExceededError(
                     "escaping-edges replay exceeded marking limit",
                     partial_count=len(closure),
                 )
-        enabled_labels: set[str] = set()
+        # Visible continuations: label -> markings after firing it.
+        successors: dict[str, set[TokenMarking]] = {}
         for m in closure:
-            for ti in cn.enabled_indices(m):
-                label = cn.transitions[ti].label
-                if label is not None:
-                    enabled_labels.add(label)
-        observed = set(node.children)
-        allowed += node.count * len(enabled_labels)
-        escaping += node.count * len(enabled_labels - observed)
+            if m not in steps:
+                by_label: dict[str, list[TokenMarking]] = {}
+                for ti in cn.enabled_indices(m):
+                    label = cn.transitions[ti].label
+                    if label is not None:
+                        by_label.setdefault(label, []).append(cn.fire(m, ti))
+                steps[m] = by_label
+            for label, nxts in steps[m].items():
+                successors.setdefault(label, set()).update(nxts)
+        allowed += node.count * len(successors)
+        escaping += node.count * len(successors.keys() - node.children.keys())
         for label, child in node.children.items():
-            cands = cn.by_label.get(label, ())
-            child_markings = {
-                cn.fire(m, ti)
-                for m in closure
-                for ti in cands
-                if cn.is_enabled(m, ti)
-            }
-            if child_markings:
-                queue.append((child, frozenset(child_markings)))
+            if label in successors:
+                queue.append((child, successors[label]))
     if allowed == 0:
         return 1.0
     return 1.0 - escaping / allowed

@@ -247,9 +247,10 @@ def run_experiment(
                 block.pop("elapsed_s", None)
             if block["kind"] == "net":
                 per_sampler = {}
+                if any(sampler_sets.values()):
+                    net = _materialize_net(models[names.index(block["name"])], ctx)
                 for sampler_name, variants in sorted(sampler_sets.items()):
                     if variants:
-                        net = _materialize_net(models[names.index(block["name"])], ctx)
                         res = conformance.model_generalization(net, [tuple(v) for v in variants])
                         per_sampler[sampler_name] = {
                             "generalization": res.generalization,

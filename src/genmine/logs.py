@@ -126,13 +126,6 @@ def variant_of(trace: Trace) -> Variant:
     return tuple(e.label for e in trace.events)
 
 
-def max_trace_len(log: EventLog) -> int:
-    """Length of the longest trace in the log."""
-    if not log.traces:
-        raise InvalidInputError("max_trace_len requires a non-empty log")
-    return max(len(t) for t in log.traces)
-
-
 def build_variant_logs(log: EventLog) -> tuple[VariantLog, UniqueVariantLog]:
     """Map every trace to its variant and deduplicate in first-occurrence order."""
     if not log.traces:

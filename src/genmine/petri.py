@@ -7,6 +7,13 @@ is reached.  Nets without declared final markings are played out in
 permissive mode: any deadlock with at least one emitted label terminates a
 variant, which is what unsound discovered nets need.
 
+Playout, token replay and escaping-edges precision all search markings
+through one compiled form, :class:`CompiledNet`, built once per net
+(``PetriNet.compiled``).  It stores a marking sparsely, as the sorted
+tuple of the indices of the places that hold tokens, one entry per token,
+so firing, enabling checks and hashing cost time in the number of tokens,
+not in the number of places.
+
 State explosion is kept in check three ways: a per-place token cap, a cap
 on the visible sequence length, and a global expansion budget that raises
 :class:`~genmine.errors.BudgetExceededError` with the partial result count.
@@ -16,13 +23,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import BudgetExceededError, InvalidInputError
 from .logs import UniqueVariantLog, Variant, VariantLog
 
 Marking = dict[str, int]
+# A marking in CompiledNet's form: sorted place indices, one per token.
+TokenMarking = tuple[int, ...]
 
 DEFAULT_TOKEN_CAP = 3
 DEFAULT_BUDGET = 10_000_000
@@ -83,6 +93,14 @@ class PetriNet:
     def finals(self) -> list[Marking]:
         return [dict(fm) for fm in self.final_markings]
 
+    @cached_property
+    def compiled(self) -> CompiledNet:
+        """The compiled form, built on first use and kept with the net.
+
+        Playout, token replay and precision of one net share it.
+        """
+        return CompiledNet(self)
+
 
 def make_net(
     places: Iterable[str],
@@ -106,31 +124,44 @@ def _freeze_marking(m: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled vector form used by the search loops
+# Compiled form shared by playout, token replay and escaping-edges precision
 # ---------------------------------------------------------------------------
 
 class CompiledNet:
-    """Index-based view of a net: markings become tuples of ints."""
+    """Index-based view of a net with sparse markings.
+
+    Places and transitions are numbered in sorted id order.  A marking is a
+    sorted tuple of place indices with one entry per token, so two tokens
+    on place 0 and one on place 3 read ``(0, 0, 3)``.  Each marking has
+    exactly one such tuple, so hashing and equality cost O(tokens), not
+    O(places).  Arcs carry no weights: a transition is enabled when every
+    place of its preset holds a token, and ``consumers`` lists, per place,
+    the transitions that place enables, so that only transitions next to a
+    marked place are checked.
+    """
 
     def __init__(self, net: PetriNet):
-        self.net = net
-        self.place_order = sorted(net.places)
-        self.place_index = {p: i for i, p in enumerate(self.place_order)}
+        self.place_index = {p: i for i, p in enumerate(sorted(net.places))}
         self.transitions = sorted(net.transitions, key=lambda t: t.tid)
-        self.pre: list[tuple[int, ...]] = []
-        self.post: list[tuple[int, ...]] = []
-        pre_map: dict[str, list[int]] = {t.tid: [] for t in self.transitions}
-        post_map: dict[str, list[int]] = {t.tid: [] for t in self.transitions}
+        index = {t.tid: i for i, t in enumerate(self.transitions)}
+        pre: list[list[int]] = [[] for _ in self.transitions]
+        post: list[list[int]] = [[] for _ in self.transitions]
         for src, dst in net.arcs:
             if src in net.places:
-                pre_map[dst].append(self.place_index[src])
+                pre[index[dst]].append(self.place_index[src])
             else:
-                post_map[src].append(self.place_index[dst])
-        for t in self.transitions:
-            self.pre.append(tuple(sorted(pre_map[t.tid])))
-            self.post.append(tuple(sorted(post_map[t.tid])))
-        self.initial = self.vector(net.initial())
-        self.finals = tuple(self.vector(fm) for fm in net.finals())
+                post[index[src]].append(self.place_index[dst])
+        self.pre = tuple(frozenset(ps) for ps in pre)
+        self.post = tuple(tuple(sorted(ps)) for ps in post)
+        consumers: list[list[int]] = [[] for _ in self.place_index]
+        for ti, ps in enumerate(pre):
+            for p in ps:
+                consumers[p].append(ti)
+        self.consumers = tuple(tuple(c) for c in consumers)
+        # Transitions with an empty preset are enabled in every marking.
+        self.unconditional = tuple(ti for ti, ps in enumerate(self.pre) if not ps)
+        self.initial = self.encode(net.initial())
+        self.finals = tuple(self.encode(fm) for fm in net.finals())
         self.silent = tuple(i for i, t in enumerate(self.transitions) if t.label is None)
         self.by_label: dict[str, tuple[int, ...]] = {}
         for i, t in enumerate(self.transitions):
@@ -138,27 +169,44 @@ class CompiledNet:
                 self.by_label.setdefault(t.label, ())
                 self.by_label[t.label] += (i,)
 
-    def vector(self, marking: Mapping[str, int]) -> tuple[int, ...]:
-        vec = [0] * len(self.place_order)
+    def encode(self, marking: Mapping[str, int]) -> TokenMarking:
+        """The sorted token tuple of a ``{place: count}`` marking."""
+        tokens: list[int] = []
         for p, c in marking.items():
             if p not in self.place_index:
                 raise InvalidInputError(f"marking references unknown place {p!r}")
-            vec[self.place_index[p]] = c
-        return tuple(vec)
+            tokens += [self.place_index[p]] * c
+        tokens.sort()
+        return tuple(tokens)
 
-    def is_enabled(self, vec: Sequence[int], ti: int) -> bool:
-        return all(vec[p] >= 1 for p in self.pre[ti])
+    def fire(self, marking: TokenMarking, ti: int) -> TokenMarking:
+        """The marking after ``ti`` fires.
 
-    def fire(self, vec: tuple[int, ...], ti: int) -> tuple[int, ...]:
-        out = list(vec)
+        A preset place without a token gives nothing up, which is how token
+        replay force-fires a disabled transition; every other caller fires
+        only enabled transitions.
+        """
+        out = list(marking)
         for p in self.pre[ti]:
-            out[p] -= 1
-        for p in self.post[ti]:
-            out[p] += 1
+            if p in out:
+                out.remove(p)
+        out += self.post[ti]
+        out.sort()
         return tuple(out)
 
-    def enabled_indices(self, vec: Sequence[int]) -> list[int]:
-        return [i for i in range(len(self.transitions)) if self.is_enabled(vec, i)]
+    def enabled_indices(self, marking: TokenMarking) -> list[int]:
+        """Transitions enabled in ``marking``, in ascending index order."""
+        held = set(marking)
+        cands = set(self.unconditional)
+        for p in held:
+            cands.update(self.consumers[p])
+        pre = self.pre
+        return sorted(ti for ti in cands if pre[ti] <= held)
+
+
+def _exceeds_cap(marking: TokenMarking, cap: int) -> bool:
+    """Whether some place holds more than ``cap`` tokens (runs are adjacent)."""
+    return any(marking[i] == marking[i + cap] for i in range(len(marking) - cap))
 
 
 def playout_enumerate(
@@ -180,7 +228,8 @@ def playout_enumerate(
         raise InvalidInputError("max_len must be positive")
     if token_cap is not None and token_cap < 1:
         raise InvalidInputError("token_cap must be positive")
-    cn = CompiledNet(net)
+    cn = net.compiled
+    labels = [t.label for t in cn.transitions]
     results: set[Variant] = set()
     start = (cn.initial, ())
     stack = [start]
@@ -188,34 +237,31 @@ def playout_enumerate(
     finals = set(cn.finals)
     expansions = 0
     while stack:
-        vec, prefix = stack.pop()
+        marking, prefix = stack.pop()
         expansions += 1
         if expansions > budget:
             raise BudgetExceededError(
                 f"playout exceeded budget of {budget} expansions",
                 partial_count=len(results),
             )
-        if finals and vec in finals and prefix:
+        if finals and marking in finals and prefix:
             results.add(prefix)
-        deadlock = True
-        for ti in range(len(cn.transitions)):
-            if not cn.is_enabled(vec, ti):
+        enabled = cn.enabled_indices(marking)
+        for ti in enabled:
+            nxt_marking = cn.fire(marking, ti)
+            if token_cap is not None and _exceeds_cap(nxt_marking, token_cap):
                 continue
-            deadlock = False
-            nxt_vec = cn.fire(vec, ti)
-            if token_cap is not None and any(c > token_cap for c in nxt_vec):
-                continue
-            label = cn.transitions[ti].label
+            label = labels[ti]
             if label is None:
-                nxt = (nxt_vec, prefix)
+                nxt = (nxt_marking, prefix)
             else:
                 if max_len is not None and len(prefix) >= max_len:
                     continue
-                nxt = (nxt_vec, prefix + (label,))
+                nxt = (nxt_marking, prefix + (label,))
             if nxt not in visited:
                 visited.add(nxt)
                 stack.append(nxt)
-        if deadlock and not finals and prefix:
+        if not enabled and not finals and prefix:
             results.add(prefix)
     return frozenset(results)
 
@@ -274,6 +320,8 @@ def dfg_discover(lstar: VariantLog | UniqueVariantLog) -> PetriNet:
     """
     if len(lstar) == 0:
         raise InvalidInputError("dfg_discover requires a non-empty variant log")
+    if not all(lstar):
+        raise InvalidInputError("dfg_discover requires non-empty variants")
     starts: set[str] = set()
     ends: set[str] = set()
     pairs: set[tuple[str, str]] = set()

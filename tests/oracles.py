@@ -4,14 +4,21 @@ These deliberately share no code with the package: the playout oracle is a
 plain recursive path enumeration over dict markings, and the gradient
 oracle is central finite differences over the loss evaluation.  The
 sampling oracle draws every symbol with ``rng.choice`` from the generator's
-public next-symbol distribution, bypassing its compiled draw tables.
+public next-symbol distribution, bypassing its compiled draw tables.  The
+token-replay and escaping-edges references are the searches the package
+ran before its sparse-marking core, kept on dense per-place count vectors
+(one entry per place) with a plain enabling scan over every transition.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
+
 import numpy as np
 
 from genmine import losses
+from genmine.errors import BudgetExceededError
 
 
 def brute_force_playout(net, max_len, token_cap, budget=2_000_000):
@@ -111,3 +118,207 @@ def sample_variant_reference(gen, temperature, rng):
         if len(emitted) >= gen.max_len:
             break
     return tuple(emitted)
+
+
+# ---------------------------------------------------------------------------
+# Dense-vector token replay and escaping-edges precision
+# ---------------------------------------------------------------------------
+
+REPLAY_POP_LIMIT = 200_000
+CLOSURE_LIMIT = 20_000
+
+
+class DenseNet:
+    """Index-based view of a net: markings are tuples of per-place counts."""
+
+    def __init__(self, net):
+        self.place_order = sorted(net.places)
+        self.place_index = {p: i for i, p in enumerate(self.place_order)}
+        self.transitions = sorted(net.transitions, key=lambda t: t.tid)
+        self.pre: list[tuple[int, ...]] = []
+        self.post: list[tuple[int, ...]] = []
+        pre_map: dict[str, list[int]] = {t.tid: [] for t in self.transitions}
+        post_map: dict[str, list[int]] = {t.tid: [] for t in self.transitions}
+        for src, dst in net.arcs:
+            if src in net.places:
+                pre_map[dst].append(self.place_index[src])
+            else:
+                post_map[src].append(self.place_index[dst])
+        for t in self.transitions:
+            self.pre.append(tuple(sorted(pre_map[t.tid])))
+            self.post.append(tuple(sorted(post_map[t.tid])))
+        self.initial = self.vector(net.initial())
+        self.finals = tuple(self.vector(fm) for fm in net.finals())
+        self.silent = tuple(i for i, t in enumerate(self.transitions) if t.label is None)
+        self.by_label: dict[str, tuple[int, ...]] = {}
+        for i, t in enumerate(self.transitions):
+            if t.label is not None:
+                self.by_label.setdefault(t.label, ())
+                self.by_label[t.label] += (i,)
+
+    def vector(self, marking):
+        vec = [0] * len(self.place_order)
+        for p, c in marking.items():
+            vec[self.place_index[p]] = c
+        return tuple(vec)
+
+    def is_enabled(self, vec, ti):
+        return all(vec[p] >= 1 for p in self.pre[ti])
+
+    def fire(self, vec, ti):
+        out = list(vec)
+        for p in self.pre[ti]:
+            out[p] -= 1
+        for p in self.post[ti]:
+            out[p] += 1
+        return tuple(out)
+
+    def enabled_indices(self, vec):
+        return [i for i in range(len(self.transitions)) if self.is_enabled(vec, i)]
+
+
+def _dense_silent_closure(cn, vec, closure_limit):
+    seen = {vec}
+    frontier = [vec]
+    while frontier:
+        cur = frontier.pop()
+        for si in cn.silent:
+            if not cn.is_enabled(cur, si):
+                continue
+            nxt = cn.fire(cur, si)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if len(seen) > closure_limit:
+                raise BudgetExceededError(
+                    "silent-transition closure exceeded marking limit",
+                    partial_count=len(seen),
+                )
+            frontier.append(nxt)
+    return seen
+
+
+def replay_counts_reference(net, variant, pop_limit=REPLAY_POP_LIMIT):
+    """(missing, remaining, consumed, produced) of the cheapest replay of ``variant``."""
+    cn = DenseNet(net)
+    init_produced = sum(cn.initial)
+    start = (0, cn.initial)
+    counter = 0
+    heap = [(0, 0, counter, 0, cn.initial, 0, init_produced, None)]
+    best = {start: (0, 0)}
+    pops = 0
+    n = len(variant)
+    while heap:
+        cost, firings, _, pos, vec, consumed, produced, settled = heapq.heappop(heap)
+        if settled is not None:
+            miss_f, rem_f, final = settled
+            return (cost - rem_f, rem_f, consumed + sum(final), produced)
+        pops += 1
+        if pops > pop_limit:
+            raise BudgetExceededError(
+                f"token replay exceeded {pop_limit} state expansions",
+                partial_count=pos,
+            )
+        if best.get((pos, vec), (cost + 1, 0)) < (cost, firings):
+            continue
+
+        def push(cost2, firings2, pos2, vec2, consumed2, produced2):
+            nonlocal counter
+            key = (pos2, vec2)
+            if key not in best or (cost2, firings2) < best[key]:
+                best[key] = (cost2, firings2)
+                counter += 1
+                heapq.heappush(
+                    heap, (cost2, firings2, counter, pos2, vec2, consumed2, produced2, None)
+                )
+
+        if pos == n:
+            counter += 1
+            if cn.finals:
+                for f in cn.finals:
+                    miss_f = sum(max(0, fc - mc) for fc, mc in zip(f, vec))
+                    rem_f = sum(max(0, mc - fc) for fc, mc in zip(f, vec))
+                    counter += 1
+                    heapq.heappush(
+                        heap,
+                        (cost + miss_f + rem_f, firings, counter, pos, vec, consumed,
+                         produced, (miss_f, rem_f, f)),
+                    )
+            else:
+                rem = sum(vec)
+                heapq.heappush(
+                    heap,
+                    (cost + rem, firings, counter, pos, vec, consumed, produced, (0, rem, ())),
+                )
+        else:
+            label = variant[pos]
+            cands = cn.by_label.get(label, ())
+            if not cands:
+                push(cost + 1, firings + 1, pos + 1, vec, consumed + 1, produced)
+            disabled = None
+            for ti in cands:
+                deficit = sum(1 for p in cn.pre[ti] if vec[p] < 1)
+                if deficit and (disabled is None or deficit < disabled[0]):
+                    disabled = (deficit, ti)
+                if deficit:
+                    continue
+                push(cost, firings + 1, pos + 1, cn.fire(vec, ti),
+                     consumed + len(cn.pre[ti]), produced + len(cn.post[ti]))
+            if disabled is not None:
+                deficit, ti = disabled
+                out = list(vec)
+                for p in cn.pre[ti]:
+                    if out[p] >= 1:
+                        out[p] -= 1
+                for p in cn.post[ti]:
+                    out[p] += 1
+                push(cost + deficit, firings + 1, pos + 1, tuple(out),
+                     consumed + len(cn.pre[ti]), produced + len(cn.post[ti]))
+        for si in cn.silent:
+            if cn.is_enabled(vec, si):
+                push(cost, firings + 1, pos, cn.fire(vec, si),
+                     consumed + len(cn.pre[si]), produced + len(cn.post[si]))
+    raise BudgetExceededError("token replay found no settlement", partial_count=0)
+
+
+def etc_precision_reference(net, lstar, closure_limit=CLOSURE_LIMIT):
+    """Escaping-edges precision over the prefix automaton of ``lstar``."""
+    cn = DenseNet(net)
+    root = {"children": {}, "count": len(lstar)}
+    for v in lstar:
+        node = root
+        for label in v:
+            node = node["children"].setdefault(label, {"children": {}, "count": 0})
+            node["count"] += 1
+    escaping = 0
+    allowed = 0
+    queue = deque([(root, frozenset([cn.initial]))])
+    while queue:
+        node, markings = queue.popleft()
+        closure = set()
+        for m in markings:
+            closure.update(_dense_silent_closure(cn, m, closure_limit))
+            if len(closure) > closure_limit:
+                raise BudgetExceededError(
+                    "escaping-edges replay exceeded marking limit",
+                    partial_count=len(closure),
+                )
+        enabled_labels = set()
+        for m in closure:
+            for ti in cn.enabled_indices(m):
+                label = cn.transitions[ti].label
+                if label is not None:
+                    enabled_labels.add(label)
+        observed = set(node["children"])
+        allowed += node["count"] * len(enabled_labels)
+        escaping += node["count"] * len(enabled_labels - observed)
+        for label, child in node["children"].items():
+            cands = cn.by_label.get(label, ())
+            child_markings = {
+                cn.fire(m, ti) for m in closure for ti in cands if cn.is_enabled(m, ti)
+            }
+            if child_markings:
+                queue.append((child, frozenset(child_markings)))
+    if allowed == 0:
+        return 1.0
+    return 1.0 - escaping / allowed

@@ -1,23 +1,38 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genmine import (
+    BudgetExceededError,
     InvalidInputError,
+    SystemSpec,
     UniqueVariantLog,
     VariantLog,
+    build_system,
+    conformance,
     dfg_discover,
     etc_precision,
     flower_model,
     generalization_score,
+    make_net,
     model_generalization,
+    petri,
+    playout_enumerate,
     system_fitness,
     system_precision,
     token_replay_fitness,
     trace_model,
 )
+from genmine.conformance import _replay_variant, _silent_closure
+
+from .oracles import etc_precision_reference, replay_counts_reference
+
+SILENT_WEIGHTS = {"seq": 1, "xor": 1, "and": 1, "loop": 0.3}
+ALPHABET = ("a", "b", "c", "d")
 
 
 class TestTokenReplayFitness:
@@ -161,3 +176,201 @@ class TestModelGeneralization:
     def test_empty_set_or_variant_rejected(self, sequence_net_ab, variants):
         with pytest.raises(InvalidInputError):
             model_generalization(sequence_net_ab, variants)
+
+    def test_net_compiled_once_for_both_scorers(self, monkeypatch, xor_net_abc):
+        built = []
+
+        class CountingNet(petri.CompiledNet):
+            def __init__(self, net):
+                built.append(net)
+                super().__init__(net)
+
+        monkeypatch.setattr(petri, "CompiledNet", CountingNet)
+        model_generalization(xor_net_abc, {("a", "b"), ("a", "d")})
+        assert built == [xor_net_abc]
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the dense-vector references in tests/oracles.py
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args, **kwargs):
+    """A result, or the budget error's message and partial count."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return ("budget", str(exc), exc.partial_count)
+
+
+def _assert_matches_reference(net, lstar):
+    cn = net.compiled
+    memo: dict = {}  # shared by the variants of one log, as in token_replay_fitness
+    for v in lstar:
+        got = _outcome(lambda: astuple(_replay_variant(cn, v, memo)))
+        assert got == _outcome(replay_counts_reference, net, v), v
+    assert _outcome(etc_precision, net, lstar) == _outcome(etc_precision_reference, net, lstar)
+
+
+@st.composite
+def _logs_for(draw, net):
+    """Played-out variants, unobserved ones and unknown labels, in any order."""
+    played = sorted(playout_enumerate(net, max_len=4, token_cap=3))
+    labels = sorted(net.labels()) + ["z"]
+    observed = draw(st.lists(st.sampled_from(played), max_size=4)) if played else []
+    other = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=5).map(tuple),
+        min_size=1, max_size=4,
+    ))
+    return VariantLog(tuple(draw(st.permutations(observed + other))))
+
+
+@st.composite
+def _system_cases(draw):
+    spec = SystemSpec(seed=draw(st.integers(0, 60)), depth=draw(st.sampled_from([1, 2])),
+                      alphabet_budget=24, weights=SILENT_WEIGHTS, silent_skip=True,
+                      duplicate_label=True)
+    net = build_system(spec)
+    return net, draw(_logs_for(net))
+
+
+@st.composite
+def _baseline_cases(draw):
+    variants = draw(st.lists(
+        st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=4).map(tuple),
+        min_size=1, max_size=5, unique=True,
+    ))
+    kind = draw(st.sampled_from(["trace", "dfg", "flower"]))
+    if kind == "trace":
+        net = trace_model(UniqueVariantLog(tuple(variants)))
+    elif kind == "dfg":
+        net = dfg_discover(VariantLog(tuple(variants)))
+    else:
+        net = flower_model({a for v in variants for a in v})
+    return net, draw(_logs_for(net))
+
+
+@st.composite
+def _hand_made_cases(draw):
+    """Nets with 0-3 finals whose arcs run from lower to higher places.
+
+    Labels repeat, some transitions are silent, labelled ones may have an
+    empty preset and any may test a further place through a self-loop; all
+    firing sequences are finite.  Initial and final markings may hold
+    several tokens.
+    """
+    n = draw(st.integers(3, 5))
+    places = [f"p{i}" for i in range(n)]
+    transitions, arcs = [], []
+    for k in range(draw(st.integers(1, 6))):
+        tid = f"t{k}"
+        label = draw(st.sampled_from(ALPHABET[:3] + (None,)))
+        cut = draw(st.integers(0, n - 2))
+        pre = draw(st.sets(st.integers(0, cut), min_size=0 if label else 1, max_size=2))
+        post = draw(st.sets(st.integers(cut + 1, n - 1), max_size=2))
+        free = sorted(set(range(n)) - pre - post)
+        loop = draw(st.sets(st.sampled_from(free), max_size=1)) if free else set()
+        transitions.append((tid, label))
+        arcs += [(places[i], tid) for i in pre | loop] + [(tid, places[i]) for i in post | loop]
+    marking = st.dictionaries(st.sampled_from(places), st.integers(1, 2), min_size=1, max_size=2)
+    initial = draw(marking)
+    finals = draw(st.lists(marking, max_size=3))
+    net = make_net(places, transitions, arcs, initial, finals)
+    return net, draw(_logs_for(net))
+
+
+# Two paths replay "a" into the same state with the same cost and firings:
+# t_a then silent tau, or silent tau_s then t_a2, which also tests x.  They
+# consume 2 and 3 tokens, so the counts show which one the push order
+# settles first.
+_TIE_NET = make_net(
+    ["p", "q", "r", "s", "x"],
+    [("t_a", "a"), ("tau", None), ("tau_s", None), ("t_a2", "a")],
+    [("p", "t_a"), ("t_a", "q"), ("q", "tau"), ("tau", "r"), ("p", "tau_s"), ("tau_s", "s"),
+     ("s", "t_a2"), ("x", "t_a2"), ("t_a2", "r"), ("t_a2", "x")],
+    {"p": 1, "x": 1},
+    [{"r": 1, "x": 1}],
+)
+
+
+class TestDenseReference:
+    @given(_system_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_system_nets(self, case):
+        _assert_matches_reference(*case)
+
+    @given(_baseline_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_baseline_nets(self, case):
+        _assert_matches_reference(*case)
+
+    @given(_hand_made_cases())
+    @example(case=(_TIE_NET, VariantLog((("a",),))))
+    @settings(max_examples=80, deadline=None)
+    def test_hand_made_nets(self, case):
+        _assert_matches_reference(*case)
+
+
+class TestBudgetEdges:
+    """Each limit raises with the partial count the dense references report."""
+
+    @pytest.mark.parametrize("limit", [1, 2, 5, 20, 50])
+    def test_replay_pop_limit(self, monkeypatch, limit):
+        net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
+                                      weights=SILENT_WEIGHTS, silent_skip=True,
+                                      duplicate_label=True))
+        variant = tuple(sorted(net.labels(), reverse=True)) * 3 + ("z",)
+        monkeypatch.setattr(conformance, "_REPLAY_POP_LIMIT", limit)
+        with pytest.raises(BudgetExceededError) as got:
+            _replay_variant(net.compiled, variant, {})
+        with pytest.raises(BudgetExceededError) as want:
+            replay_counts_reference(net, variant, pop_limit=limit)
+        assert got.value.partial_count == want.value.partial_count
+        assert str(got.value) == str(want.value)
+
+    @staticmethod
+    def _shuffle_net():
+        """Three tokens that silent moves walk along s0 -> s3: 20 markings."""
+        places = ["s0", "s1", "s2", "s3"]
+        transitions = [(f"tau{i}", None) for i in range(3)] + [("t_a", "a")]
+        arcs = [(f"s{i}", f"tau{i}") for i in range(3)] + [(f"tau{i}", f"s{i + 1}") for i in range(3)]
+        arcs += [("s3", "t_a"), ("t_a", "s3")]
+        return make_net(places, transitions, arcs, {"s0": 3}, [{"s3": 3}])
+
+    @pytest.mark.parametrize("limit", [1, 5, 19])
+    def test_closure_limit(self, monkeypatch, limit):
+        net = self._shuffle_net()
+        cn = net.compiled
+        lstar = VariantLog((("a",),))
+        assert len(_silent_closure(cn, cn.initial)) == 20
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
+        with pytest.raises(BudgetExceededError) as closure:
+            _silent_closure(cn, cn.initial)
+        assert closure.value.partial_count == limit + 1
+        got = _outcome(etc_precision, net, lstar)
+        assert got == _outcome(etc_precision_reference, net, lstar, closure_limit=limit)
+        assert got[2] == limit + 1
+
+    @pytest.mark.parametrize("limit, raises", [(2, 3), (3, 6), (5, 6), (6, None)])
+    def test_etc_union_limit(self, monkeypatch, limit, raises):
+        # Two "a" transitions lead to two markings whose silent closures are
+        # disjoint and of size 3 each, so the union's size at the limit does
+        # not depend on which closure is added first.
+        places = ["p0", "x1", "x2", "x3", "y1", "y2", "y3"]
+        transitions = [("t_ax", "a"), ("t_ay", "a"), ("t_b", "b")] + [
+            (f"tau_{c}{i}", None) for c in "xy" for i in (1, 2)
+        ]
+        arcs = [("p0", "t_ax"), ("t_ax", "x1"), ("p0", "t_ay"), ("t_ay", "y1"),
+                ("x3", "t_b"), ("t_b", "y3")]
+        for c in "xy":
+            for i in (1, 2):
+                arcs += [(f"{c}{i}", f"tau_{c}{i}"), (f"tau_{c}{i}", f"{c}{i + 1}")]
+        net = make_net(places, transitions, arcs, {"p0": 1}, [{"y3": 1}])
+        lstar = VariantLog((("a", "b"), ("a",)))
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
+        got = _outcome(etc_precision, net, lstar)
+        assert got == _outcome(etc_precision_reference, net, lstar, closure_limit=limit)
+        if raises is None:
+            assert isinstance(got, float)
+        else:
+            assert got[2] == raises
+

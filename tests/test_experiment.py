@@ -14,6 +14,7 @@ from genmine import (
     TrainConfig,
     build_system,
     flower_model,
+    petri,
     run_experiment,
 )
 
@@ -111,6 +112,21 @@ class TestRunExperiment:
             ExperimentConfig(seed=2),
         )
         assert report["systems"][0]["models"][0]["name"] == "external"
+
+    def test_net_built_once_per_block(self, monkeypatch):
+        # One trace net for the cell's playout, one shared by both samplers'
+        # generalization scores.
+        built = []
+        trace_model = petri.trace_model
+        monkeypatch.setattr(petri, "trace_model", lambda lplus: built.append(1) or trace_model(lplus))
+        models = [BaselineModel(name="trace", kind="trace")] + [
+            SamplerModel(name=name, mode="naive", train_config=FAST_TRAIN, k=50)
+            for name in ("naive1", "naive2")
+        ]
+        report = run_experiment(small_systems(1), models, ExperimentConfig(seed=4))
+        per_sampler = report["systems"][0]["models"][0]["generalization"]["per_sampler"]
+        assert sorted(per_sampler) == ["naive1", "naive2"]
+        assert len(built) == 2
 
     def test_timing_opt_in(self):
         systems = small_systems(1)

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from genmine import (
     EventInstance,
-    EventLog,
     InvalidInputError,
     Trace,
     UniqueVariantLog,
     build_variant_logs,
-    max_trace_len,
     read_event_log_csv,
     read_variants_tsv,
     split_holdout,
@@ -55,18 +53,6 @@ class TestTraceInvariants:
         events = trace_from_labels(["a", "b"]).events
         with pytest.raises(InvalidInputError):
             Trace(case_id="c", events=(events[1], events[0]))
-
-
-class TestMaxTraceLen:
-    def test_single_trace(self):
-        assert max_trace_len(log_from_variants([["a", "b", "c"]])) == 3
-
-    def test_two_traces(self):
-        assert max_trace_len(log_from_variants([["a", "b"], list("abcdefg")])) == 7
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(InvalidInputError):
-            max_trace_len(EventLog(()))
 
 
 class TestBuildVariantLogs:

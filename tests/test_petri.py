@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from genmine import (
     BudgetExceededError,
     InvalidInputError,
+    SystemSpec,
     UniqueVariantLog,
     VariantLog,
+    build_system,
     dfg_discover,
     flower_model,
     make_net,
@@ -24,18 +26,18 @@ from .oracles import brute_force_playout
 
 def enabled(net, marking):
     cn = CompiledNet(net)
-    return {cn.transitions[i].tid for i in cn.enabled_indices(cn.vector(marking))}
+    return {cn.transitions[i].tid for i in cn.enabled_indices(cn.encode(marking))}
 
 
 def fire(net, marking, tid):
-    """The marking after ``tid`` fires, in the compiled vector form."""
+    """The marking after ``tid`` fires, in the compiled token-tuple form."""
     cn = CompiledNet(net)
     ti = next(i for i, t in enumerate(cn.transitions) if t.tid == tid)
-    return cn.fire(cn.vector(marking), ti)
+    return cn.fire(cn.encode(marking), ti)
 
 
-def vector(net, marking):
-    return CompiledNet(net).vector(marking)
+def encode(net, marking):
+    return CompiledNet(net).encode(marking)
 
 
 class TestEnabledFire:
@@ -58,11 +60,11 @@ class TestEnabledFire:
 
     def test_fire_moves_token(self, sequence_net_ab):
         after = fire(sequence_net_ab, {"p_src": 1}, "t_a")
-        assert after == vector(sequence_net_ab, {"p1": 1})
+        assert after == encode(sequence_net_ab, {"p1": 1})
 
     def test_fire_self_loop_conserves(self):
         net = make_net(["p1"], [("t", "a")], [("p1", "t"), ("t", "p1")], {"p1": 1})
-        assert fire(net, {"p1": 1}, "t") == vector(net, {"p1": 1})
+        assert fire(net, {"p1": 1}, "t") == encode(net, {"p1": 1})
 
     def test_fire_and_split(self):
         net = make_net(
@@ -71,7 +73,26 @@ class TestEnabledFire:
             [("p1", "t"), ("t", "p2"), ("t", "p3")],
             {"p1": 1},
         )
-        assert fire(net, {"p1": 1}, "t") == vector(net, {"p2": 1, "p3": 1})
+        assert fire(net, {"p1": 1}, "t") == encode(net, {"p2": 1, "p3": 1})
+
+    def test_marking_is_sorted_token_tuple(self):
+        net = make_net(["p0", "p1", "p2"], [("t", "a")], [("p0", "t"), ("t", "p2")], {"p0": 1})
+        assert encode(net, {"p2": 1, "p0": 2}) == (0, 0, 2)
+        assert fire(net, {"p0": 2, "p2": 1}, "t") == (0, 2, 2)
+
+    def test_enabled_in_ascending_order(self):
+        net = make_net(
+            ["p1", "p2"],
+            [("t0", "a"), ("t1", "b"), ("t2", "c"), ("t3", "d")],
+            [("p2", "t0"), ("p1", "t1"), ("p2", "t1"), ("p1", "t3"), ("t0", "p1")],
+            {"p1": 1},
+        )
+        cn = CompiledNet(net)
+        assert cn.enabled_indices(cn.encode({"p1": 1, "p2": 1})) == [0, 1, 2, 3]
+        assert cn.enabled_indices(cn.encode({"p1": 2})) == [2, 3]
+
+    def test_compiled_once_per_net(self, sequence_net_ab):
+        assert sequence_net_ab.compiled is sequence_net_ab.compiled
 
 
 class TestPlayout:
@@ -89,6 +110,41 @@ class TestPlayout:
         with pytest.raises(BudgetExceededError) as err:
             playout_enumerate(net, max_len=20, budget=50)
         assert err.value.partial_count >= 0
+
+    @pytest.mark.parametrize(
+        "kind, budget, partial",
+        [("flower", 1, 0), ("flower", 7, 6), ("flower", 50, 49), ("flower", 200, 199),
+         ("system", 1, 0), ("system", 7, 4), ("system", 50, 26), ("system", 200, 108)],
+    )
+    def test_budget_partial_count_pinned(self, kind, budget, partial):
+        # Pinned from the dense-vector implementation: the search order and
+        # so the count found before the budget runs out must not change.
+        if kind == "flower":
+            net, max_len = flower_model(["a", "b"]), 20
+        else:
+            net = build_system(SystemSpec(
+                seed=1, depth=2, alphabet_budget=24, silent_skip=True, duplicate_label=True,
+                weights={"seq": 1, "xor": 1, "and": 1, "loop": 0.3},
+            ))
+            max_len = None
+        with pytest.raises(BudgetExceededError) as err:
+            playout_enumerate(net, max_len=max_len, budget=budget)
+        assert err.value.partial_count == partial
+
+    @pytest.mark.parametrize("cap, count", [(1, 0), (2, 0), (3, 13), (4, 14)])
+    def test_initial_marking_over_token_cap(self, cap, count):
+        # Four tokens start on p: successors above the cap are pruned, so
+        # nothing plays out until the cap admits three tokens on one place.
+        perm = make_net(["p", "q"], [("t_a", "a"), ("t_b", "b")],
+                        [("p", "t_a"), ("t_a", "q"), ("q", "t_b")], {"p": 4})
+        got = playout_enumerate(perm, max_len=8, token_cap=cap)
+        assert len(got) == count
+        assert got == brute_force_playout(perm, 8, cap)
+        drain = make_net(["p", "q"], [("t_a", "a"), ("t_x", None)],
+                         [("p", "t_a"), ("t_a", "q"), ("p", "t_x")], {"p": 4}, [{"q": 2}])
+        got = playout_enumerate(drain, max_len=8, token_cap=cap)
+        assert got == ({("a", "a")} if cap >= 3 else set())
+        assert got == brute_force_playout(drain, 8, cap)
 
     def test_deterministic(self, xor_net_abc):
         a = playout_enumerate(xor_net_abc, max_len=4)
@@ -175,6 +231,10 @@ class TestDfgDiscover:
         lstar = VariantLog((("a", "b"), ("b", "a")))
         out = playout_enumerate(dfg_discover(lstar), max_len=3)
         assert {("a", "b"), ("b", "a")} < out
+
+    def test_empty_variant_rejected(self):
+        with pytest.raises(InvalidInputError):
+            dfg_discover(VariantLog((("a",), ())))
 
 
 class TestNetJson:
