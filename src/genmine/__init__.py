@@ -12,8 +12,6 @@ from .conformance import (
     etc_precision,
     generalization_score,
     model_generalization,
-    system_fitness,
-    system_precision,
     token_replay_fitness,
 )
 from .errors import (
@@ -60,13 +58,6 @@ from .logs import (
     variant_of,
     write_event_log_csv,
     write_variants_tsv,
-)
-from .losses import (
-    ScoredBatch,
-    relativistic_d_loss,
-    relativistic_g_loss,
-    standard_d_loss,
-    standard_g_loss,
 )
 from .metrics import MetricsReport, SystemTruth, compute_rates, score_s, split_system
 from .petri import (

@@ -1,12 +1,12 @@
 """Conformance checking: log fitness, log precision, and generalization.
 
-Two families of scores live here.  Log-level scores replay a variant log
-on a net: token-replay fitness aggregates missing/remaining/consumed/
-produced token counts over the whole log before applying the standard
-``0.5*(1-m/c) + 0.5*(1-r/p)`` formula, and escaping-edges precision walks
-the prefix automaton of the log comparing model-enabled continuations with
-observed ones.  System-level scores are exact set ratios between a net's
-playout and a known variant set.
+Both scores replay a variant log on a net.  Token-replay fitness
+aggregates missing/remaining/consumed/produced token counts over the whole
+log before applying the standard ``0.5*(1-m/c) + 0.5*(1-r/p)`` formula,
+and escaping-edges precision walks the prefix automaton of the log
+comparing model-enabled continuations with observed ones.  The exact set
+ratios between a net's playout and a known variant set are
+``metrics.compute_rates``' ``tp_s`` and ``tp``.
 
 The generalization of a net against an estimated system variant set is the
 harmonic mean of log fitness and log precision measured on a log holding
@@ -20,11 +20,10 @@ lives for one call only.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Collection, Iterable
+from typing import Callable, Iterable
 
 from .errors import BudgetExceededError, InvalidInputError
 from .logs import Variant, VariantLog
@@ -318,29 +317,8 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
 
 
 # ---------------------------------------------------------------------------
-# System-level set ratios and the generalization score
+# The generalization score
 # ---------------------------------------------------------------------------
-
-def system_fitness(v_pn: Collection[Variant], v_s: Collection[Variant]) -> float:
-    """Share of the realistic variant set the model covers."""
-    v_s = frozenset(v_s)
-    if not v_s:
-        raise InvalidInputError("system_fitness requires a non-empty system variant set")
-    return len(frozenset(v_pn) & v_s) / len(v_s)
-
-
-def system_precision(v_pn: Collection[Variant], v_s: Collection[Variant]) -> float:
-    """Share of the modeled variants that are realistic.
-
-    A model playing out nothing scores 0.0 (with a warning): a net that
-    models nothing is maximally unhelpful, not maximally precise.
-    """
-    v_pn = frozenset(v_pn)
-    if not v_pn:
-        warnings.warn("system_precision of an empty playout is defined as 0.0", stacklevel=2)
-        return 0.0
-    return len(v_pn & frozenset(v_s)) / len(v_pn)
-
 
 def generalization_score(fit: float, prec: float) -> float:
     """Harmonic mean of fitness and precision; 0 when both are 0."""

@@ -399,8 +399,7 @@ def train_discriminator(
     cfg: TrainConfig,
     loss: str = "standard_d_logistic",
     rng: np.random.Generator | None = None,
-    return_history: bool = False,
-):
+) -> FeatureScorer:
     """Minibatch gradient descent on the selected loss.
 
     Positives are variants considered real, negatives generated ones.  The
@@ -433,10 +432,7 @@ def train_discriminator(
             weights = weights - cfg.learning_rate * grad_w
             bias = bias - cfg.learning_rate * grad_b
             history.append(value)
-    trained = replace(d, weights=tuple(weights.tolist()), bias=float(bias))
-    if return_history:
-        return trained, history
-    return trained
+    return replace(d, weights=tuple(weights.tolist()), bias=float(bias))
 
 
 def _refinement_step(

@@ -209,8 +209,9 @@ def _parse_timestamp(raw: str) -> datetime:
 def read_event_log_csv(path: str | Path) -> EventLog:
     """Read `case_id,activity,timestamp` rows; rows may arrive ungrouped.
 
-    Rows are sorted by case id then timestamp.  A malformed timestamp is a
-    hard error: silent data corruption is worse than rejection.
+    Rows are sorted by case id then timestamp.  A malformed timestamp, or a
+    log that mixes naive and offset-aware timestamps, is a hard error:
+    silent data corruption is worse than rejection.
     """
     rows: list[tuple[str, str, datetime]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -229,6 +230,8 @@ def read_event_log_csv(path: str | Path) -> EventLog:
             rows.append((case_id, activity, _parse_timestamp(ts)))
     if not rows:
         raise InvalidInputError(f"event log {path} contains no rows")
+    if len({ts.tzinfo is None for _, _, ts in rows}) > 1:
+        raise InvalidInputError(f"event log {path} mixes naive and offset-aware timestamps")
     rows.sort(key=lambda r: (r[0], r[2]))
     traces = []
     i = 0

@@ -1,60 +1,29 @@
-"""Adversarial loss functions and their gradients for the linear scorer.
+"""The two discriminator losses the trainer minimizes, with their gradients.
 
-The literal forms operate on probabilities:
+Both work on the raw (pre-sigmoid) scores ``r = x @ w + b`` of the linear
+scorer.  ``standard_d_logistic`` is the binary cross-entropy of real
+against generated variants:
 
-    L_G = mean(1 - D(G(z)))
-    L_D = mean(1 - D(x_r)) + mean(D(G(z)))
+    L_D  = -mean(log sigmoid(r_real)) - mean(log sigmoid(-r_fake))
 
-They are kept for fidelity tests; the training default is the logistic
-(binary cross-entropy) form, which has usable gradients away from the
-probability box edges.  The relativistic pair works on raw (pre-sigmoid)
-scores of paired real/fake batches:
+``relativistic_d`` (Jolicoeur-Martineau, "The relativistic
+discriminator", ICLR 2019) scores paired real/fake batches by their gap:
 
     L_Dr = -mean(log sigmoid(r_real - r_fake))
-    L_Gr = -mean(log sigmoid(r_fake - r_real))
 
 All means use numpy summation (pairwise, numerically stable).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import InvalidInputError
 
-LOSS_IDS = (
-    "standard_d",
-    "standard_d_logistic",
-    "standard_g",
-    "relativistic_d",
-    "relativistic_g",
-)
+LOSS_IDS = ("standard_d_logistic", "relativistic_d")
 
 
-@dataclass(frozen=True)
-class ScoredBatch:
-    """Discriminator outputs on a batch of real and generated samples."""
-
-    real_scores: tuple[float, ...]
-    fake_scores: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.real_scores or not self.fake_scores:
-            raise InvalidInputError("both score batches must be non-empty")
-
-    def paired(self) -> "ScoredBatch":
-        if len(self.real_scores) != len(self.fake_scores):
-            raise InvalidInputError(
-                "relativistic pairing needs equally sized batches "
-                f"({len(self.real_scores)} vs {len(self.fake_scores)})"
-            )
-        return self
-
-
-def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
 
 
@@ -62,103 +31,6 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     # log sigmoid(x) = -softplus(-x), stable for large |x|
     x = np.asarray(x, dtype=float)
     return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
-
-
-def _check_probs(values: Sequence[float], name: str, open_interval: bool = False) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    lo_ok = arr > 0.0 if open_interval else arr >= 0.0
-    if not np.all(lo_ok & (arr <= 1.0)):
-        raise InvalidInputError(f"{name} must be probabilities, got values outside range")
-    return arr
-
-
-def standard_d_loss(batch: ScoredBatch, form: str = "literal") -> float:
-    """Discriminator loss: literal mean form or logistic cross-entropy.
-
-    Literal form expects probabilities; logistic form expects raw scores.
-    """
-    if form == "literal":
-        real = _check_probs(batch.real_scores, "real_scores")
-        fake = _check_probs(batch.fake_scores, "fake_scores")
-        return float(np.mean(1.0 - real) + np.mean(fake))
-    if form == "logistic":
-        real = np.asarray(batch.real_scores, dtype=float)
-        fake = np.asarray(batch.fake_scores, dtype=float)
-        # -mean log sigmoid(r_real) - mean log(1 - sigmoid(r_fake))
-        return float(-np.mean(_log_sigmoid(real)) - np.mean(_log_sigmoid(-fake)))
-    raise InvalidInputError(f"unknown form {form!r}")
-
-
-def standard_g_loss(fake_scores: Sequence[float]) -> float:
-    """Generator loss: mean(1 - D(G(z))) on probability scores."""
-    if len(fake_scores) == 0:
-        raise InvalidInputError("fake_scores must be non-empty")
-    fake = _check_probs(fake_scores, "fake_scores", open_interval=True)
-    return float(np.mean(1.0 - fake))
-
-
-def relativistic_d_loss(batch: ScoredBatch) -> float:
-    """-mean log sigmoid(r_real - r_fake) over paired raw scores."""
-    batch = batch.paired()
-    diff = np.asarray(batch.real_scores, dtype=float) - np.asarray(batch.fake_scores, dtype=float)
-    return float(-np.mean(_log_sigmoid(diff)))
-
-
-def relativistic_g_loss(batch: ScoredBatch) -> float:
-    """-mean log sigmoid(r_fake - r_real); the mirror of the D loss."""
-    batch = batch.paired()
-    diff = np.asarray(batch.fake_scores, dtype=float) - np.asarray(batch.real_scores, dtype=float)
-    return float(-np.mean(_log_sigmoid(diff)))
-
-
-# ---------------------------------------------------------------------------
-# Analytic gradients through the linear scorer
-# ---------------------------------------------------------------------------
-
-def loss_value(
-    loss: str,
-    raw_real: np.ndarray,
-    raw_fake: np.ndarray,
-) -> float:
-    """Evaluate a loss id on raw scores (probabilities derived internally)."""
-    if loss == "standard_d":
-        return standard_d_loss(
-            ScoredBatch(tuple(_sigmoid(raw_real)), tuple(_sigmoid(raw_fake))), "literal"
-        )
-    if loss == "standard_d_logistic":
-        return standard_d_loss(ScoredBatch(tuple(raw_real), tuple(raw_fake)), "logistic")
-    if loss == "standard_g":
-        return standard_g_loss(tuple(_sigmoid(raw_fake)))
-    if loss == "relativistic_d":
-        return relativistic_d_loss(ScoredBatch(tuple(raw_real), tuple(raw_fake)))
-    if loss == "relativistic_g":
-        return relativistic_g_loss(ScoredBatch(tuple(raw_real), tuple(raw_fake)))
-    raise InvalidInputError(f"unknown loss id {loss!r}")
-
-
-def _dloss_draw(loss: str, raw_real: np.ndarray, raw_fake: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of the loss w.r.t. each raw score."""
-    n_r, n_f = len(raw_real), len(raw_fake)
-    p_r, p_f = _sigmoid(raw_real), _sigmoid(raw_fake)
-    if loss == "standard_d":
-        # d/dr mean(1-p_r): -p(1-p)/n ; d/dr mean(p_f): +p(1-p)/n
-        return -p_r * (1 - p_r) / n_r, p_f * (1 - p_f) / n_f
-    if loss == "standard_d_logistic":
-        # -mean log p_r - mean log(1-p_f)
-        return (p_r - 1.0) / n_r, p_f / n_f
-    if loss == "standard_g":
-        return np.zeros(n_r), -p_f * (1 - p_f) / n_f
-    if loss == "relativistic_d":
-        if n_r != n_f:
-            raise InvalidInputError("relativistic losses need equally sized batches")
-        s = _sigmoid(raw_real - raw_fake)
-        return -(1 - s) / n_r, (1 - s) / n_f
-    if loss == "relativistic_g":
-        if n_r != n_f:
-            raise InvalidInputError("relativistic losses need equally sized batches")
-        s = _sigmoid(raw_fake - raw_real)
-        return (1 - s) / n_r, -(1 - s) / n_f
-    raise InvalidInputError(f"unknown loss id {loss!r}")
 
 
 def loss_gradient(
@@ -173,10 +45,13 @@ def loss_gradient(
     ``features_*`` are (batch, dim) matrices of the scorer's feature map.
     Returns (weight gradient, bias gradient, loss value).
     """
+    if loss not in LOSS_IDS:
+        raise InvalidInputError(f"unknown loss id {loss!r}")
     features_real = np.atleast_2d(np.asarray(features_real, dtype=float))
     features_fake = np.atleast_2d(np.asarray(features_fake, dtype=float))
     weights = np.asarray(weights, dtype=float)
-    if features_real.shape[0] == 0 or features_fake.shape[0] == 0:
+    n_r, n_f = features_real.shape[0], features_fake.shape[0]
+    if n_r == 0 or n_f == 0:
         raise InvalidInputError("both batches must be non-empty")
     if features_real.shape[1] != weights.shape[0] or features_fake.shape[1] != weights.shape[0]:
         raise InvalidInputError(
@@ -185,7 +60,17 @@ def loss_gradient(
         )
     raw_real = features_real @ weights + bias
     raw_fake = features_fake @ weights + bias
-    d_real, d_fake = _dloss_draw(loss, raw_real, raw_fake)
+    if loss == "standard_d_logistic":
+        p_r, p_f = _sigmoid(raw_real), _sigmoid(raw_fake)
+        d_real, d_fake = (p_r - 1.0) / n_r, p_f / n_f
+        value = -np.mean(_log_sigmoid(raw_real)) - np.mean(_log_sigmoid(-raw_fake))
+    else:
+        if n_r != n_f:
+            raise InvalidInputError(f"relativistic_d needs equally sized batches ({n_r} vs {n_f})")
+        diff = raw_real - raw_fake
+        s = _sigmoid(diff)
+        d_real, d_fake = -(1 - s) / n_r, (1 - s) / n_f
+        value = -np.mean(_log_sigmoid(diff))
     grad_w = features_real.T @ d_real + features_fake.T @ d_fake
     grad_b = float(np.sum(d_real) + np.sum(d_fake))
-    return grad_w, grad_b, loss_value(loss, raw_real, raw_fake)
+    return grad_w, grad_b, float(value)

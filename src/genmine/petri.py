@@ -369,6 +369,10 @@ def net_to_dict(net: PetriNet) -> dict:
 
 
 def net_from_dict(data: Mapping) -> PetriNet:
+    """Build a net from :func:`net_to_dict` output.
+
+    A missing or mistyped field raises :class:`InvalidInputError`.
+    """
     try:
         return make_net(
             places=data["places"],
@@ -379,8 +383,10 @@ def net_from_dict(data: Mapping) -> PetriNet:
                 {p: int(c) for p, c in fm.items()} for fm in data.get("final_markings", [])
             ],
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed net JSON: {exc}") from exc
+    except InvalidInputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed net JSON: {exc!r}") from exc
 
 
 def save_net(net: PetriNet, path: str | Path) -> None:
@@ -388,4 +394,10 @@ def save_net(net: PetriNet, path: str | Path) -> None:
 
 
 def load_net(path: str | Path) -> PetriNet:
-    return net_from_dict(json.loads(Path(path).read_text()))
+    """Read a net written by :func:`save_net`; a file that is not JSON raises
+    :class:`InvalidInputError`."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed net JSON in {str(path)!r}: {exc!r}") from exc
+    return net_from_dict(data)

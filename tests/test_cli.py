@@ -66,6 +66,26 @@ class TestPlayoutCommand:
             main(["playout", "--max-len", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("initial_marking", [{"p": "x"}, [["p", 1]], None],
+                             ids=["non_int_count", "list", "not_json"])
+    def test_malformed_net_is_domain_error(self, tmp_path, tiny_net_file, capsys,
+                                           initial_marking):
+        net_path, _ = tiny_net_file
+        if initial_marking is None:
+            net_path.write_text("not json")
+        else:
+            data = json.loads(net_path.read_text())
+            data["initial_marking"] = initial_marking
+            net_path.write_text(json.dumps(data))
+        code = main(["--error-json", "playout", "--net", str(net_path),
+                     "--max-len", "3", "--out", str(tmp_path / "o.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert error["message"].startswith("malformed net JSON")
+        assert "Traceback" not in err
+
 
 class TestDiscoverAndConformance:
     def test_dfg_then_conformance(self, tmp_path, tiny_log_file, capsys):
@@ -80,6 +100,20 @@ class TestDiscoverAndConformance:
         assert scores["fitness"] == 1.0  # dfg replays its own log
         assert 0.0 <= scores["precision"] <= 1.0
         assert scores["generalization"] > 0.0
+
+    def test_mixed_timezones_are_domain_error(self, tmp_path, capsys):
+        log_path = tmp_path / "mixed.csv"
+        log_path.write_text("case_id,activity,timestamp\n"
+                            "c1,a,2020-01-01T00:00:00Z\n"
+                            "c1,b,2020-01-01T00:00:01\n")
+        code = main(["--error-json", "discover-dfg", "--log", str(log_path),
+                     "--out", str(tmp_path / "dfg.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert "naive and offset-aware" in error["message"]
+        assert "Traceback" not in err
 
 
 class TestTrainAndSample:

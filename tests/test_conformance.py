@@ -13,6 +13,7 @@ from genmine import (
     UniqueVariantLog,
     VariantLog,
     build_system,
+    compute_rates,
     conformance,
     dfg_discover,
     etc_precision,
@@ -22,8 +23,6 @@ from genmine import (
     model_generalization,
     petri,
     playout_enumerate,
-    system_fitness,
-    system_precision,
     token_replay_fitness,
     trace_model,
 )
@@ -94,14 +93,20 @@ class TestEtcPrecision:
 
 
 class TestSystemRatios:
+    """The exact set ratios of a net's playout are ``compute_rates``' ``tp_s`` and ``tp``."""
+
+    @staticmethod
+    def rates(v_pn, v_s):
+        return compute_rates(v_pn, v_s, v_s, ())
+
     def test_equal_sets(self):
         vs = {("a",), ("b",)}
-        assert system_fitness(vs, vs) == 1.0
-        assert system_precision(vs, vs) == 1.0
+        assert self.rates(vs, vs).tp_s == 1.0
+        assert self.rates(vs, vs).tp == 1.0
 
     def test_disjoint_sets(self):
-        assert system_fitness({("a",)}, {("b",)}) == 0.0
-        assert system_precision({("a",)}, {("b",)}) == 0.0
+        assert self.rates({("a",)}, {("b",)}).tp_s == 0.0
+        assert self.rates({("a",)}, {("b",)}).tp == 0.0
 
     def test_published_ratios(self):
         v_s = {(f"v{i}",) for i in range(178)}
@@ -109,19 +114,15 @@ class TestSystemRatios:
         unrealistic = {(f"u{i}",) for i in range(56)}
         v_pn = realistic | unrealistic
         assert len(v_pn) == 176
-        assert system_fitness(v_pn, v_s) == pytest.approx(0.6742, abs=5e-4)
-        assert system_precision(v_pn, v_s) == pytest.approx(0.6818, abs=5e-4)
+        assert self.rates(v_pn, v_s).tp_s == pytest.approx(0.6742, abs=5e-4)
+        assert self.rates(v_pn, v_s).tp == pytest.approx(0.6818, abs=5e-4)
 
     def test_subset_is_fully_precise(self):
-        assert system_precision({("a",)}, {("a",), ("b",)}) == 1.0
+        assert self.rates({("a",)}, {("a",), ("b",)}).tp == 1.0
 
     def test_empty_system_rejected(self):
         with pytest.raises(InvalidInputError):
-            system_fitness({("a",)}, set())
-
-    def test_empty_playout_warns(self):
-        with pytest.warns(UserWarning):
-            assert system_precision(set(), {("a",)}) == 0.0
+            self.rates({("a",)}, set())
 
 
 class TestGeneralizationScore:
@@ -188,6 +189,31 @@ class TestModelGeneralization:
         monkeypatch.setattr(petri, "CompiledNet", CountingNet)
         model_generalization(xor_net_abc, {("a", "b"), ("a", "d")})
         assert built == [xor_net_abc]
+
+
+class TestPropositions:
+    """Measures against a built system's own complete playout.
+
+    Built systems are sound workflow nets with budgeted loops: every reachable
+    marking can still reach the final marking, so the playout is finite and
+    complete.  Every variant then replays without missing or remaining tokens
+    (fitness 1.0), and every label a reachable marking enables after a logged
+    prefix continues some logged variant, so no edge escapes (precision 1.0).
+    Neither proposition holds for nets with dead ends (permissive playout) or
+    for a truncated playout; neither is drawn here.
+    """
+
+    @given(seed=st.integers(0, 10_000), depth=st.integers(0, 2),
+           weights=st.sampled_from([SILENT_WEIGHTS, SystemSpec(seed=0).weights]),
+           silent_skip=st.booleans(), duplicate_label=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_complete_playout_is_fit_and_precise(self, seed, depth, weights, silent_skip,
+                                                 duplicate_label):
+        net = build_system(SystemSpec(seed=seed, depth=depth, weights=weights,
+                                      silent_skip=silent_skip, duplicate_label=duplicate_label))
+        lstar = VariantLog(tuple(sorted(playout_enumerate(net, max_len=None))))
+        assert token_replay_fitness(net, lstar) == 1.0
+        assert etc_precision(net, lstar) == 1.0
 
 
 # ---------------------------------------------------------------------------

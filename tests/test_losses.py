@@ -5,90 +5,46 @@ import math
 import numpy as np
 import pytest
 
-from genmine import InvalidInputError, ScoredBatch
-from genmine.losses import (
-    LOSS_IDS,
-    loss_gradient,
-    loss_value,
-    relativistic_d_loss,
-    relativistic_g_loss,
-    standard_d_loss,
-    standard_g_loss,
-)
+from genmine import InvalidInputError
+from genmine.losses import LOSS_IDS, loss_gradient
 
 from .oracles import finite_diff_gradient
 
 LN2 = math.log(2.0)
 
 
+def loss_of(loss, raw_real, raw_fake):
+    """Loss value at the given raw scores: one-hot features, zero bias."""
+    raw = np.concatenate([raw_real, raw_fake]).astype(float)
+    feats = np.eye(len(raw))
+    return loss_gradient(loss, feats[: len(raw_real)], feats[len(raw_real):], raw, 0.0)[2]
+
+
 class TestStandardDLoss:
-    def test_perfect_discriminator(self):
-        batch = ScoredBatch((1.0, 1.0), (0.0, 0.0))
-        assert standard_d_loss(batch, "literal") == 0.0
-
-    def test_coin_flip(self):
-        batch = ScoredBatch((0.5, 0.5), (0.5,))
-        assert standard_d_loss(batch, "literal") == pytest.approx(1.0)
-
     def test_logistic_at_zero_raw(self):
-        batch = ScoredBatch((0.0, 0.0), (0.0,))
-        assert standard_d_loss(batch, "logistic") == pytest.approx(2 * LN2, abs=1e-12)
+        value = loss_of("standard_d_logistic", [0.0, 0.0], [0.0])
+        assert value == pytest.approx(2 * LN2, abs=1e-12)
 
-    def test_literal_rejects_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            standard_d_loss(ScoredBatch((1.5,), (0.2,)), "literal")
-
-    def test_literal_minimized_at_extremes(self):
-        best = standard_d_loss(ScoredBatch((1.0,), (0.0,)), "literal")
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            real = tuple(rng.uniform(0, 1, size=3))
-            fake = tuple(rng.uniform(0, 1, size=3))
-            assert standard_d_loss(ScoredBatch(real, fake), "literal") >= best
-
-
-class TestStandardGLoss:
-    def test_generator_wins(self):
-        assert standard_g_loss((1.0, 1.0)) == 0.0
-
-    def test_coin_flip(self):
-        assert standard_g_loss((0.5,)) == 0.5
-
-    def test_mean(self):
-        assert standard_g_loss((0.2, 0.4)) == pytest.approx(0.7)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            standard_g_loss(())
+    def test_perfect_discriminator(self):
+        value = loss_of("standard_d_logistic", [50.0, 50.0], [-50.0])
+        assert value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRelativisticLosses:
     def test_equal_scores_give_ln2(self):
-        batch = ScoredBatch((0.3, -0.7), (0.3, -0.7))
-        assert relativistic_d_loss(batch) == pytest.approx(LN2)
-        assert relativistic_g_loss(batch) == pytest.approx(LN2)
+        assert loss_of("relativistic_d", [0.3, -0.7], [0.3, -0.7]) == pytest.approx(LN2)
 
     def test_large_gap_approaches_zero(self):
-        batch = ScoredBatch((50.0,), (0.0,))
-        assert relativistic_d_loss(batch) == pytest.approx(0.0, abs=1e-12)
+        assert loss_of("relativistic_d", [50.0], [0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_diff(self):
-        batch = ScoredBatch((1.0,), (0.0,))
-        assert relativistic_d_loss(batch) == pytest.approx(-math.log(1 / (1 + math.exp(-1))))
-        assert relativistic_d_loss(batch) == pytest.approx(0.3133, abs=1e-4)
-
-    def test_g_loss_at_negative_diff(self):
-        batch = ScoredBatch((1.0,), (0.0,))
-        assert relativistic_g_loss(batch) == pytest.approx(1.3133, abs=1e-4)
-
-    def test_swap_symmetry(self):
-        batch = ScoredBatch((0.9, 0.1), (0.4, -0.2))
-        swapped = ScoredBatch(batch.fake_scores, batch.real_scores)
-        assert relativistic_g_loss(batch) == pytest.approx(relativistic_d_loss(swapped))
+        value = loss_of("relativistic_d", [1.0], [0.0])
+        assert value == pytest.approx(-math.log(1 / (1 + math.exp(-1))))
+        assert value == pytest.approx(0.3133, abs=1e-4)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            relativistic_d_loss(ScoredBatch((0.1, 0.2), (0.3,)))
+            loss_of("relativistic_d", [0.1, 0.2], [0.3])
 
 
 class TestLossGradient:
@@ -130,12 +86,8 @@ class TestLossGradient:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            loss_gradient("standard_g", np.ones((2, 3)), np.ones((2, 3)), np.zeros(2), 0.0)
-
-    def test_equal_score_batches_balance(self):
-        batch = ScoredBatch((0.0,), (0.0,))
-        assert relativistic_d_loss(batch) + relativistic_g_loss(batch) == pytest.approx(2 * LN2)
+            loss_gradient("standard_d_logistic", np.ones((2, 3)), np.ones((2, 3)), np.zeros(2), 0.0)
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(InvalidInputError):
-            loss_value("nope", np.zeros(1), np.zeros(1))
+            loss_gradient("nope", np.ones((1, 1)), np.ones((1, 1)), np.zeros(1), 0.0)
