@@ -21,6 +21,7 @@ from . import conformance, experiment, genmodel, logs, metrics, petri, sampling,
 from .errors import GenmineError
 
 JSON_KW = {"indent": 2, "sort_keys": True}
+TRAIN_DEFAULTS = genmodel.TrainConfig()
 
 
 def _dump(obj, path: str | None) -> str:
@@ -88,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--variants", help="variant TSV; a repeated line counts once")
     p.add_argument("--out", required=True, help="model checkpoint JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--smoothing", type=float, default=0.1)
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--holdout-fraction", type=float, default=0.9)
-    p.add_argument("--select-sample-size", type=int, default=10_000)
-    p.add_argument("--round-samples", type=int, default=2000)
+    p.add_argument("--order", type=int, default=TRAIN_DEFAULTS.order)
+    p.add_argument("--smoothing", type=float, default=TRAIN_DEFAULTS.smoothing)
+    p.add_argument("--rounds", type=int, default=TRAIN_DEFAULTS.rounds)
+    p.add_argument("--temperature", type=float, default=TRAIN_DEFAULTS.temperature)
+    p.add_argument("--holdout-fraction", type=float, default=TRAIN_DEFAULTS.holdout_fraction)
+    p.add_argument("--select-sample-size", type=int, default=TRAIN_DEFAULTS.select_sample_size)
+    p.add_argument("--round-samples", type=int, default=TRAIN_DEFAULTS.round_samples)
     _add_common(p)
 
     p = sub.add_parser("sample", help="estimate system variants from a trained model")
@@ -103,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=sampling.DEFAULT_NAIVE_DRAWS)
     p.add_argument("--kappa", type=int, default=sampling.DEFAULT_CHAIN_LENGTH)
     p.add_argument("--patience", type=int, default=sampling.DEFAULT_PATIENCE)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=None,
+                   help="draw temperature (default: the checkpoint's training temperature)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict-pseudocode", action="store_true")
     p.add_argument("--union-observed", action="store_true")
@@ -152,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=sampling.DEFAULT_NAIVE_DRAWS)
     p.add_argument("--kappa", type=int, default=sampling.DEFAULT_CHAIN_LENGTH)
     p.add_argument("--patience", type=int, default=sampling.DEFAULT_PATIENCE)
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--rounds", type=int, default=TRAIN_DEFAULTS.rounds)
+    p.add_argument("--temperature", type=float, default=TRAIN_DEFAULTS.temperature)
     p.add_argument("--strict-pseudocode", action="store_true")
     p.add_argument("--union-observed", action="store_true")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing")
@@ -232,8 +234,9 @@ def _cmd_train(args) -> dict:
 def _cmd_sample(args) -> dict:
     result = genmodel.load_checkpoint(args.model)
     lplus = logs.UniqueVariantLog(result.train.variants + result.holdout.variants)
+    temperature = result.config.temperature if args.temperature is None else args.temperature
     rng = np.random.default_rng(args.seed)
-    draw = lambda r: genmodel.sample_variant(result.generator, args.temperature, r)
+    draw = lambda r: genmodel.sample_variant(result.generator, temperature, r)
     if args.mode == "naive":
         sample = sampling.naive_sample(
             draw, lplus, args.k, rng, union_observed=args.union_observed
@@ -262,7 +265,7 @@ def _cmd_sample(args) -> dict:
         "kappa": args.kappa if args.mode == "mh" else None,
         "patience": args.patience if args.mode == "mh" else None,
         "k": args.k if args.mode == "naive" else None,
-        "temperature": args.temperature,
+        "temperature": temperature,
     }
     if args.meta:
         _dump(meta, args.meta)

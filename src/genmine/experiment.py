@@ -146,7 +146,6 @@ def _run_model_task(payload: tuple) -> dict:
             return {
                 "name": model.name,
                 "kind": "net",
-                "v_hat_s": sorted(v_hat),
                 "counts": report.counts_dict(),
                 "rates": report.rates_dict(),
                 "elapsed_s": time.perf_counter() - started,
@@ -242,7 +241,6 @@ def run_experiment(
         model_blocks = []
         for c in cells:
             block = dict(c)
-            v_hat = block.pop("v_hat_s", None)
             if not cfg.include_timing:
                 block.pop("elapsed_s", None)
             if block["kind"] == "net":
@@ -270,7 +268,6 @@ def run_experiment(
                         "per_sampler": per_sampler,
                         "mean": sum(gens) / len(gens),
                     }
-            del v_hat
             s_by_model[block["name"]].append(block["rates"]["s"])
             model_blocks.append(block)
         report_systems.append(

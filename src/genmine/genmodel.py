@@ -1,12 +1,12 @@
-"""Built-in trainable sequence model and discriminators.
+"""Built-in trainable sequence model and discriminator.
 
 The generator is a smoothed order-m n-gram model over the activity
 alphabet plus an end marker; sampling applies a temperature to the
 conditional distributions and never emits more than ``max_len`` visible
-symbols.  The discriminators are linear models over k-gram count features
-(k up to 3, with boundary markers) plus a normalized length feature; the
-probability output is the sigmoid of the raw score, clamped away from 0
-and 1 so downstream acceptance ratios stay finite.
+symbols.  The discriminator ``d_p`` is a linear model over k-gram count
+features (k up to 3, with boundary markers) plus a normalized length
+feature; the probability output is the sigmoid of the raw score, clamped
+away from 0 and 1 so downstream acceptance ratios stay finite.
 
 The n-gram/linear pair is a reference implementation of the sampling
 interface (draw a variant, score a variant); any stronger sequence model
@@ -23,8 +23,8 @@ sees the same variants again, as MH chains over a small support do.
 Every derived model (``with_added_counts``, ``dataclasses.replace``,
 training) starts with empty caches, and checkpoints never contain them.
 
-Adversarial refinement alternates discriminator updates against fresh
-generator samples with a reinforcement step that feeds high-scoring
+Adversarial refinement alternates logistic-loss updates of ``d_p`` against
+fresh generator samples with a reinforcement step that feeds high-scoring
 samples back into the generator's count tables.  Snapshots are ranked by
 holdout coverage (``tp_e``), ties broken toward smaller sampled sets.
 """
@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,8 @@ PROB_CLAMP = 1e-6
 # Distinct variants memoized per scorer; with smoothing every sequence up to
 # the length bound has positive probability, so the support can be huge.
 SCORE_MEMO_LIMIT = 100_000
+# A sample that clears reinforce_threshold adds this times its d_p score to the counts.
+REINFORCE_WEIGHT = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +378,11 @@ class TrainConfig:
     holdout_fraction: float = 0.9
     round_samples: int = 2000
     reinforce_threshold: float = 0.5
-    reinforce_weight: float = 0.5
 
     def __post_init__(self):
         positive = (
             self.pretrain_passes, self.batch_size, self.learning_rate,
-            self.select_sample_size, self.temperature, self.order,
-            self.round_samples, self.reinforce_weight,
+            self.select_sample_size, self.temperature, self.order, self.round_samples,
         )
         if any(x <= 0 for x in positive):
             raise InvalidInputError("all TrainConfig numeric fields must be positive")
@@ -397,10 +397,9 @@ def train_discriminator(
     positives: Sequence[Variant],
     negatives: Sequence[Variant],
     cfg: TrainConfig,
-    loss: str = "standard_d_logistic",
     rng: np.random.Generator | None = None,
 ) -> FeatureScorer:
-    """Minibatch gradient descent on the selected loss.
+    """Minibatch gradient descent on the logistic loss.
 
     Positives are variants considered real, negatives generated ones.  The
     vocabulary is extended (at weight zero) to cover unseen k-grams before
@@ -413,26 +412,31 @@ def train_discriminator(
     d = _extend_vocabulary(d, list(positives) + list(negatives))
     feats_pos = np.stack([d.featurize(v) for v in positives])
     feats_neg = np.stack([d.featurize(v) for v in negatives])
-    weights = d._weights
-    bias = d.bias
+    weights, bias = d._weights, d.bias
     history: list[float] = []
-    n_steps = max(1, math.ceil(max(len(positives), len(negatives)) / cfg.batch_size))
-    for _ in range(cfg.pretrain_passes):
-        for _ in range(n_steps):
-            bi_pos = rng.integers(0, len(positives), size=cfg.batch_size)
-            bi_neg = rng.integers(0, len(negatives), size=cfg.batch_size)
-            grad_w, grad_b, value = losses.loss_gradient(
-                loss, feats_pos[bi_pos], feats_neg[bi_neg], weights, bias
+    for bi_pos, bi_neg in _minibatches(len(positives), len(negatives), cfg, rng):
+        grad_w, grad_b, value = losses.loss_gradient(
+            feats_pos[bi_pos], feats_neg[bi_neg], weights, bias
+        )
+        if not math.isfinite(value):
+            raise TrainingDivergedError(
+                "loss became non-finite during discriminator training",
+                diagnostics={"loss": value, "history": history},
             )
-            if not math.isfinite(value):
-                raise TrainingDivergedError(
-                    "loss became non-finite during discriminator training",
-                    diagnostics={"loss": value, "history": history},
-                )
-            weights = weights - cfg.learning_rate * grad_w
-            bias = bias - cfg.learning_rate * grad_b
-            history.append(value)
+        weights = weights - cfg.learning_rate * grad_w
+        bias = bias - cfg.learning_rate * grad_b
+        history.append(value)
     return replace(d, weights=tuple(weights.tolist()), bias=float(bias))
+
+
+def _minibatches(
+    n_pos: int, n_neg: int, cfg: TrainConfig, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positive, negative) index batches: ``pretrain_passes`` passes over the larger side."""
+    size = cfg.batch_size
+    n_steps = max(1, math.ceil(max(n_pos, n_neg) / size))
+    for _ in range(cfg.pretrain_passes * n_steps):
+        yield rng.integers(0, n_pos, size=size), rng.integers(0, n_neg, size=size)
 
 
 def _refinement_step(
@@ -455,7 +459,7 @@ def _refinement_step(
     for v in samples:
         s = score(d_p, v)
         if s >= cfg.reinforce_threshold:
-            additions.append((v, cfg.reinforce_weight * s))
+            additions.append((v, REINFORCE_WEIGHT * s))
     if additions:
         gen = gen.with_added_counts(additions)
     return gen, d_p, samples
@@ -479,7 +483,6 @@ def select_model(evals: Sequence[CandidateEval]) -> int:
 class TrainResult:
     generator: NGramGenerator
     d_p: FeatureScorer
-    d_r: FeatureScorer
     train: UniqueVariantLog
     holdout: UniqueVariantLog
     candidates: tuple[CandidateEval, ...]
@@ -506,8 +509,7 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     gen = fit_mle(train, cfg.order, cfg.smoothing)
     d_p = init_scorer(train, gen.max_len)
-    d_r = d_p
-    snapshots: list[tuple[NGramGenerator, FeatureScorer, FeatureScorer]] = []
+    snapshots: list[tuple[NGramGenerator, FeatureScorer]] = []
     evals: list[CandidateEval] = []
 
     def evaluate(round_index: int) -> None:
@@ -517,23 +519,22 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
             for _ in range(cfg.select_sample_size)
         }
         hits = sum(1 for v in holdout if v in drawn)
-        snapshots.append((gen, d_p, d_r))
+        snapshots.append((gen, d_p))
         evals.append(CandidateEval(round_index, hits / len(holdout), len(drawn)))
 
     evaluate(0)
     train_list = list(train)
     for r in range(1, cfg.rounds + 1):
         gen, d_p, samples = _refinement_step(gen, d_p, train_list, cfg, rng)
-        d_r = train_discriminator(
-            d_r, train_list, samples, cfg, loss="relativistic_d", rng=rng
-        )
+        # Unused draws: seeded reports stay byte-identical until the ROADMAP item 2 stream break.
+        for _ in _minibatches(len(train_list), len(samples), cfg, rng):
+            pass
         evaluate(r)
     best_index = select_model(evals)
-    best_gen, best_dp, best_dr = snapshots[best_index]
+    best_gen, best_dp = snapshots[best_index]
     return TrainResult(
         generator=best_gen,
         d_p=best_dp,
-        d_r=best_dr,
         train=train,
         holdout=holdout,
         candidates=tuple(evals),
@@ -546,7 +547,7 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
 # Checkpoint format
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _scorer_to_dict(d: FeatureScorer) -> dict:
@@ -582,7 +583,6 @@ def save_checkpoint(result: TrainResult, path: str | Path) -> None:
             ],
         },
         "d_p": _scorer_to_dict(result.d_p),
-        "d_r": _scorer_to_dict(result.d_r),
         "train_variants": [list(v) for v in result.train],
         "holdout_variants": [list(v) for v in result.holdout],
         "candidates": [
@@ -618,7 +618,6 @@ def load_checkpoint(path: str | Path) -> TrainResult:
         return TrainResult(
             generator=gen,
             d_p=_scorer_from_dict(data["d_p"]),
-            d_r=_scorer_from_dict(data["d_r"]),
             train=UniqueVariantLog(tuple(tuple(v) for v in data["train_variants"])),
             holdout=UniqueVariantLog(tuple(tuple(v) for v in data["holdout_variants"])),
             candidates=tuple(

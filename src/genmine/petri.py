@@ -371,22 +371,32 @@ def net_to_dict(net: PetriNet) -> dict:
 def net_from_dict(data: Mapping) -> PetriNet:
     """Build a net from :func:`net_to_dict` output.
 
-    A missing or mistyped field raises :class:`InvalidInputError`.
+    A missing or mistyped field, including a token count that is not a
+    non-negative integer, raises :class:`InvalidInputError`.
     """
     try:
         return make_net(
             places=data["places"],
             transitions=[(t["id"], t.get("label")) for t in data["transitions"]],
             arcs=[(a["from"], a["to"]) for a in data["arcs"]],
-            initial_marking={p: int(c) for p, c in data["initial_marking"].items()},
-            final_markings=[
-                {p: int(c) for p, c in fm.items()} for fm in data.get("final_markings", [])
-            ],
+            initial_marking=_token_counts(data["initial_marking"]),
+            final_markings=[_token_counts(fm) for fm in data.get("final_markings", [])],
         )
     except InvalidInputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed net JSON: {exc!r}") from exc
+
+
+def _token_counts(marking: Mapping) -> dict[str, int]:
+    for p, c in marking.items():
+        # bool is a subclass of int, so the type is compared exactly
+        if type(c) is not int or c < 0:
+            raise InvalidInputError(
+                f"malformed net JSON: place {p!r} holds {c!r} tokens; "
+                "expected a non-negative integer"
+            )
+    return dict(marking)
 
 
 def save_net(net: PetriNet, path: str | Path) -> None:

@@ -2,8 +2,8 @@
 
 These deliberately share no code with the package: the playout oracle is a
 plain recursive path enumeration over dict markings, and the gradient
-oracle is central finite differences over its own closed forms of the two
-discriminator losses (``log sigmoid`` via ``np.logaddexp``).  The
+oracle is central finite differences over its own closed form of the
+discriminator loss (``log sigmoid`` via ``np.logaddexp``).  The
 sampling oracle draws every symbol with ``rng.choice`` from the generator's
 public next-symbol distribution, bypassing its compiled draw tables.  The
 token-replay and escaping-edges references are the searches the package
@@ -83,20 +83,16 @@ def _log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
 
 
-def loss_reference(loss_id, raw_real, raw_fake):
-    """Closed forms of the discriminator losses on raw scores."""
-    if loss_id == "standard_d_logistic":
-        return float(-np.mean(_log_sigmoid(raw_real)) - np.mean(_log_sigmoid(-raw_fake)))
-    if loss_id == "relativistic_d":
-        return float(-np.mean(_log_sigmoid(raw_real - raw_fake)))
-    raise ValueError(f"no reference for loss id {loss_id!r}")
+def loss_reference(raw_real, raw_fake):
+    """Closed form of the logistic discriminator loss on raw scores."""
+    return float(-np.mean(_log_sigmoid(raw_real)) - np.mean(_log_sigmoid(-raw_fake)))
 
 
-def finite_diff_gradient(loss_id, feats_pos, feats_neg, weights, bias, h=1e-5):
+def finite_diff_gradient(feats_pos, feats_neg, weights, bias, h=1e-5):
     """Central finite differences of the reference loss w.r.t. weights and bias."""
 
     def value(w, b):
-        return loss_reference(loss_id, feats_pos @ w + b, feats_neg @ w + b)
+        return loss_reference(feats_pos @ w + b, feats_neg @ w + b)
 
     grad = np.zeros_like(weights)
     for i in range(len(weights)):

@@ -39,7 +39,7 @@ from genmine import (
     wilcoxon_upper,
 )
 from genmine.cli import main as cli_main
-from genmine.losses import LOSS_IDS, loss_gradient
+from genmine.losses import loss_gradient
 
 from .oracles import brute_force_playout, finite_diff_gradient
 
@@ -217,15 +217,14 @@ def test_criterion_7_gradient_correctness():
         rng = np.random.default_rng(97)
         cases = 0
         while cases < 100:
-            loss = LOSS_IDS[cases % len(LOSS_IDS)]
             dim = 20
             n = int(rng.integers(2, 8))
             feats_pos = rng.poisson(1.0, size=(n, dim)).astype(float)
             feats_neg = rng.poisson(1.0, size=(n, dim)).astype(float)
             weights = rng.normal(0.0, 0.5, size=dim)
             bias = float(rng.normal(0.0, 0.2))
-            grad_w, grad_b, _ = loss_gradient(loss, feats_pos, feats_neg, weights, bias)
-            fd_w, fd_b = finite_diff_gradient(loss, feats_pos, feats_neg, weights, bias)
+            grad_w, grad_b, _ = loss_gradient(feats_pos, feats_neg, weights, bias)
+            fd_w, fd_b = finite_diff_gradient(feats_pos, feats_neg, weights, bias)
             denom = np.maximum(np.maximum(np.abs(grad_w), np.abs(fd_w)), 1.0)
             assert float(np.max(np.abs(grad_w - fd_w) / denom)) < 1e-5
             assert abs(grad_b - fd_b) / max(abs(grad_b), abs(fd_b), 1.0) < 1e-5

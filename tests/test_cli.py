@@ -66,8 +66,8 @@ class TestPlayoutCommand:
             main(["playout", "--max-len", "3"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("initial_marking", [{"p": "x"}, [["p", 1]], None],
-                             ids=["non_int_count", "list", "not_json"])
+    @pytest.mark.parametrize("initial_marking", [{"p": "x"}, {"p_start": 1.7}, [["p", 1]], None],
+                             ids=["non_int_count", "fractional_count", "list", "not_json"])
     def test_malformed_net_is_domain_error(self, tmp_path, tiny_net_file, capsys,
                                            initial_marking):
         net_path, _ = tiny_net_file
@@ -134,6 +134,20 @@ class TestTrainAndSample:
         meta = json.loads(meta_out.read_text())
         assert meta["draws"] == 300 and meta["mode"] == "naive"
 
+    def test_sample_defaults_to_trained_temperature(self, tmp_path, tiny_log_file, capsys):
+        log_path, _ = tiny_log_file
+        model_out = tmp_path / "model.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model_out),
+                     "--rounds", "1", "--round-samples", "100",
+                     "--select-sample-size", "200", "--temperature", "0.5"]) == 0
+        meta_out = tmp_path / "meta.json"
+        assert main(["sample", "--model", str(model_out), "--k", "50",
+                     "--out", str(tmp_path / "s.tsv"), "--meta", str(meta_out)]) == 0
+        assert json.loads(meta_out.read_text())["temperature"] == 0.5
+        assert main(["sample", "--model", str(model_out), "--k", "50", "--temperature", "2",
+                     "--out", str(tmp_path / "s.tsv"), "--meta", str(meta_out)]) == 0
+        assert json.loads(meta_out.read_text())["temperature"] == 2.0
+
     def test_mh_mode_uses_chain_params(self, tmp_path, tiny_log_file, capsys):
         log_path, _ = tiny_log_file
         model_out = tmp_path / "model.json"
@@ -168,14 +182,21 @@ class TestTrainAndSample:
         assert error["message"].startswith("malformed checkpoint")
         assert "Traceback" not in err
 
-    def test_version_1_checkpoint_rejected(self, tmp_path, tiny_log_file, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_version_rejected(self, tmp_path, tiny_log_file, capsys, version):
         log_path, _ = tiny_log_file
         model = tmp_path / "model.json"
         assert main(["train", "--log", str(log_path), "--out", str(model),
                      "--rounds", "0", "--select-sample-size", "50"]) == 0
         payload = json.loads(model.read_text())
-        payload["version"] = 1
-        payload["config"]["eval_interval"] = 1  # the TrainConfig field version 1 carried
+        payload["version"] = version
+        # what the older versions carried: version 2 a second scorer and a
+        # TrainConfig field for the reinforcement weight, version 1 also
+        # an evaluation interval
+        payload["d_r"] = payload["d_p"]
+        payload["config"]["reinforce_weight"] = 0.5
+        if version == 1:
+            payload["config"]["eval_interval"] = 1
         model.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["--error-json", "sample", "--model", str(model),
@@ -183,7 +204,7 @@ class TestTrainAndSample:
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "InvalidInputError",
-                         "message": "unsupported checkpoint version 1"}
+                         "message": f"unsupported checkpoint version {version}"}
 
     def test_train_deduplicates_variant_lines(self, tmp_path, capsys):
         lines = [("a", "b", "c"), ("b",), ("a", "c"), ("a", "b", "c"), ("c", "b"),

@@ -247,6 +247,18 @@ class TestNetJson:
         with pytest.raises(InvalidInputError):
             net_from_dict({"places": ["p"]})
 
+    @pytest.mark.parametrize("key, value, place", [
+        ("initial_marking", {"p0": 1.7}, "p0"),
+        ("initial_marking", {"p0": True}, "p0"),
+        ("initial_marking", {"p0": -1}, "p0"),
+        ("final_markings", [{"p2": -1}], "p2"),
+    ], ids=["fraction", "bool", "negative_initial", "negative_final"])
+    def test_bad_token_count_rejected(self, silent_skip_net, key, value, place):
+        data = net_to_dict(silent_skip_net)
+        data[key] = value
+        with pytest.raises(InvalidInputError, match=f"place '{place}' holds"):
+            net_from_dict(data)
+
 
 class TestValidation:
     def test_arc_to_unknown_node(self):
