@@ -43,6 +43,30 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretty", action="store_true", help="human-readable summary output")
 
 
+def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=sampling.DEFAULT_NAIVE_DRAWS)
+    p.add_argument("--kappa", type=int, default=sampling.DEFAULT_CHAIN_LENGTH)
+    p.add_argument("--patience", type=int, default=sampling.DEFAULT_PATIENCE)
+    p.add_argument("--strict-pseudocode", action="store_true")
+    p.add_argument("--union-observed", action="store_true")
+
+
+def _sampler_model(
+    args, mode: str, train_config: genmodel.TrainConfig
+) -> experiment.SamplerModel:
+    """The sampler the flags of `_add_sampler_flags` describe."""
+    return experiment.SamplerModel(
+        name=f"sampler_{mode}",
+        mode=mode,
+        train_config=train_config,
+        k=args.k,
+        kappa=args.kappa,
+        patience=args.patience,
+        strict_pseudocode=args.strict_pseudocode,
+        union_observed=args.union_observed,
+    )
+
+
 def _weights_arg(text: str) -> dict[str, float]:
     weights = {}
     for part in text.split(","):
@@ -101,14 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="estimate system variants from a trained model")
     p.add_argument("--model", required=True, help="model checkpoint JSON")
     p.add_argument("--mode", choices=("naive", "mh"), default="naive")
-    p.add_argument("--k", type=int, default=sampling.DEFAULT_NAIVE_DRAWS)
-    p.add_argument("--kappa", type=int, default=sampling.DEFAULT_CHAIN_LENGTH)
-    p.add_argument("--patience", type=int, default=sampling.DEFAULT_PATIENCE)
+    _add_sampler_flags(p)
     p.add_argument("--temperature", type=float, default=None,
                    help="draw temperature (default: the checkpoint's training temperature)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict-pseudocode", action="store_true")
-    p.add_argument("--union-observed", action="store_true")
     p.add_argument("--out", required=True, help="variant TSV output")
     p.add_argument("--meta", help="sampling metadata JSON output")
     _add_common(p)
@@ -151,13 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.7)
     p.add_argument("--token-cap", type=int, default=petri.DEFAULT_TOKEN_CAP)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--k", type=int, default=sampling.DEFAULT_NAIVE_DRAWS)
-    p.add_argument("--kappa", type=int, default=sampling.DEFAULT_CHAIN_LENGTH)
-    p.add_argument("--patience", type=int, default=sampling.DEFAULT_PATIENCE)
+    _add_sampler_flags(p)
     p.add_argument("--rounds", type=int, default=TRAIN_DEFAULTS.rounds)
     p.add_argument("--temperature", type=float, default=TRAIN_DEFAULTS.temperature)
-    p.add_argument("--strict-pseudocode", action="store_true")
-    p.add_argument("--union-observed", action="store_true")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing")
     p.add_argument("--out", required=True, help="report JSON output")
     _add_common(p)
@@ -235,36 +251,22 @@ def _cmd_sample(args) -> dict:
     result = genmodel.load_checkpoint(args.model)
     lplus = logs.UniqueVariantLog(result.train.variants + result.holdout.variants)
     temperature = result.config.temperature if args.temperature is None else args.temperature
+    model = _sampler_model(args, args.mode, result.config)
     rng = np.random.default_rng(args.seed)
-    draw = lambda r: genmodel.sample_variant(result.generator, temperature, r)
-    if args.mode == "naive":
-        sample = sampling.naive_sample(
-            draw, lplus, args.k, rng, union_observed=args.union_observed
-        )
-    else:
-        sample = sampling.mh_sample(
-            draw,
-            lambda v: genmodel.score(result.d_p, v),
-            lplus,
-            result.holdout,
-            patience=args.patience,
-            kappa=args.kappa,
-            rng=rng,
-            strict_pseudocode=args.strict_pseudocode,
-        )
+    sample = experiment.estimate(model, result, lplus, rng, temperature)
     logs.write_variants_tsv(sample.v_hat_s, args.out)
     meta = {
-        "mode": args.mode,
+        "mode": model.mode,
         "seed": args.seed,
         "draws": sample.draw_count,
         "acceptance_rate": sample.acceptance_rate,
         "estimated_variants": len(sample.v_hat_s),
         "estimated_unobserved": len(sample.v_hat_u),
-        "strict_pseudocode": args.strict_pseudocode,
-        "union_observed": args.union_observed,
-        "kappa": args.kappa if args.mode == "mh" else None,
-        "patience": args.patience if args.mode == "mh" else None,
-        "k": args.k if args.mode == "naive" else None,
+        "strict_pseudocode": model.strict_pseudocode,
+        "union_observed": model.union_observed,
+        "kappa": model.kappa if model.mode == "mh" else None,
+        "patience": model.patience if model.mode == "mh" else None,
+        "k": model.k if model.mode == "naive" else None,
         "temperature": temperature,
     }
     if args.meta:
@@ -316,6 +318,13 @@ def _cmd_gen_system(args) -> dict:
 
 
 def _cmd_experiment(args) -> dict:
+    cfg = experiment.ExperimentConfig(
+        seed=args.seed,
+        split_ratio=args.ratio,
+        token_cap=args.token_cap,
+        jobs=args.jobs,
+        include_timing=args.timing,
+    )
     sys_list: list[tuple[str, petri.PetriNet]] = []
     for path in args.system:
         sys_list.append((Path(path).stem, petri.load_net(path)))
@@ -326,26 +335,7 @@ def _cmd_experiment(args) -> dict:
     for kind in args.baseline:
         models.append(experiment.BaselineModel(name=kind, kind=kind))
     tcfg = genmodel.TrainConfig(rounds=args.rounds, temperature=args.temperature)
-    for mode in args.sampler:
-        models.append(
-            experiment.SamplerModel(
-                name=f"sampler_{mode}",
-                mode=mode,
-                train_config=tcfg,
-                k=args.k,
-                kappa=args.kappa,
-                patience=args.patience,
-                strict_pseudocode=args.strict_pseudocode,
-                union_observed=args.union_observed,
-            )
-        )
-    cfg = experiment.ExperimentConfig(
-        seed=args.seed,
-        split_ratio=args.ratio,
-        token_cap=args.token_cap,
-        jobs=args.jobs,
-        include_timing=args.timing,
-    )
+    models += [_sampler_model(args, mode, tcfg) for mode in args.sampler]
     report = experiment.run_experiment(sys_list, models, cfg)
     _dump(report, args.out)
     return {

@@ -2,11 +2,14 @@
 
 For each ground-truth system: play out its variant set (or accept a
 pre-split truth), hold out the unobserved share, and score every requested
-model against the truth.  Net models are played out up to the length of
-the longest observed variant; sampler models train the built-in
-generator on the observed variants and estimate the system set naively or
-via Metropolis-Hastings.  Each net model additionally receives a
-generalization score against every sampler's estimated variant set.
+model against the truth.  Each (system, model) cell does all of that
+model's work.  A sampler cell trains the built-in generator on the
+observed variants and estimates the system set naively or via
+Metropolis-Hastings (:func:`estimate`).  A net cell builds its net once,
+plays it out up to the length of the longest observed variant, and scores
+its generalization against every sampler's estimated variant set of the
+same system.  Sampler cells therefore run first and net cells second,
+both through the same executor.
 
 Reports are plain dicts ready for JSON: all randomness is derived from
 (seed, system index, model index), every set is serialized sorted, and
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, Union
 
@@ -25,9 +29,11 @@ import numpy as np
 
 from . import conformance, genmodel, metrics, petri, sampling, stats
 from .errors import DegenerateInputError, GenmineError, InvalidInputError
-from .genmodel import TrainConfig
+from .genmodel import TrainConfig, TrainResult
+from .logs import UniqueVariantLog, Variant
 from .metrics import SystemTruth
 from .petri import DEFAULT_BUDGET, PetriNet
+from .sampling import SampleResult
 
 SCHEMA_VERSION = 1
 
@@ -80,10 +86,12 @@ class ExperimentConfig:
     seed: int = 0
     split_ratio: float = 0.7
     token_cap: int = 3
-    playout_budget: int = DEFAULT_BUDGET
-    system_max_len: int | None = None
     jobs: int = 1
     include_timing: bool = False
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise InvalidInputError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _task_seed(seed: int, system_index: int, model_index: int) -> int:
@@ -107,99 +115,123 @@ def _prepare_system(
     if isinstance(system, SystemTruth):
         truth = system
     else:
-        v_s = petri.playout_enumerate(
-            system,
-            max_len=cfg.system_max_len,
-            token_cap=cfg.token_cap,
-            budget=cfg.playout_budget,
-        )
+        v_s = petri.playout_enumerate(system, max_len=None, token_cap=cfg.token_cap)
         truth = metrics.split_system(v_s, cfg.split_ratio, _task_seed(cfg.seed, system_index, 0))
     mu = max(len(v) for v in truth.lplus)
     alphabet = tuple(sorted({a for v in truth.v_s for a in v}))
     return _SystemContext(name=name, truth=truth, mu=mu, alphabet=alphabet)
 
 
-def _materialize_net(model: ModelSpec, ctx: _SystemContext) -> PetriNet | None:
-    if isinstance(model, NetModel):
-        return model.net
-    if isinstance(model, BaselineModel):
-        if model.kind == "trace":
-            return petri.trace_model(ctx.truth.lplus)
-        if model.kind == "flower":
-            return petri.flower_model(ctx.alphabet)
-        return petri.dfg_discover(ctx.truth.lplus)
-    return None
+def estimate(
+    model: SamplerModel,
+    result: TrainResult,
+    lplus: UniqueVariantLog,
+    rng: np.random.Generator,
+    temperature: float,
+) -> SampleResult:
+    """Estimate a system's variants from a trained model, naively or by MH.
+
+    ``lplus`` is the observed log ``result`` was trained on; MH chains
+    start from its holdout slice, ``result.holdout``.
+    """
+    draw = lambda r: genmodel.sample_variant(result.generator, temperature, r)
+    if model.mode == "naive":
+        return sampling.naive_sample(
+            draw, lplus, model.k, rng, union_observed=model.union_observed
+        )
+    return sampling.mh_sample(
+        draw,
+        lambda v: genmodel.score(result.d_p, v),
+        lplus,
+        result.holdout,
+        patience=model.patience,
+        kappa=model.kappa,
+        rng=rng,
+        strict_pseudocode=model.strict_pseudocode,
+    )
 
 
-def _run_model_task(payload: tuple) -> dict:
-    """Evaluate one (system, model) cell; pure function of its payload."""
-    ctx, model, cfg, si, mi = payload
+def _run_cell(payload: tuple) -> tuple[dict, frozenset[Variant] | None]:
+    """Evaluate one (system, model) cell; a pure function of its payload.
+
+    A sampler cell returns its report block and its estimated variant set.
+    A net cell scores its net's generalization against each of its system's
+    sampler sets (by sampler name) and returns its block and no set.
+    """
+    ctx, model, cfg, si, mi, sampler_sets = payload
     truth = ctx.truth
     started = time.perf_counter()
     try:
-        net = _materialize_net(model, ctx)
-        if net is not None:
-            v_hat = petri.playout_enumerate(
-                net, max_len=ctx.mu, token_cap=cfg.token_cap, budget=cfg.playout_budget
+        if isinstance(model, SamplerModel):
+            tcfg = replace(model.train_config, seed=_task_seed(cfg.seed, si, mi))
+            result = genmodel.train_and_select(truth.lplus, tcfg)
+            rng = np.random.default_rng([cfg.seed, si, mi, 2])
+            sample = estimate(model, result, truth.lplus, rng, tcfg.temperature)
+            report = metrics.compute_rates(
+                sample.v_hat_s,
+                truth.v_s,
+                truth.lplus.as_set(),
+                truth.v_u,
+                lplus_e=result.holdout.as_set(),
             )
-            report = metrics.compute_rates(v_hat, truth.v_s, truth.lplus.as_set(), truth.v_u)
-            return {
+            block = {
                 "name": model.name,
-                "kind": "net",
+                "kind": "sampler",
                 "counts": report.counts_dict(),
                 "rates": report.rates_dict(),
+                "sampler_meta": {
+                    "mode": model.mode,
+                    "draws": sample.draw_count,
+                    "acceptance_rate": sample.acceptance_rate,
+                    "selected_round": result.selected_round,
+                    "candidates": [
+                        {"round": c.round_index, "tp_e": c.tp_e, "sample_count": c.sample_count}
+                        for c in result.candidates
+                    ],
+                    "train_seed": tcfg.seed,
+                },
                 "elapsed_s": time.perf_counter() - started,
             }
-        assert isinstance(model, SamplerModel)
-        tcfg = replace(model.train_config, seed=_task_seed(cfg.seed, si, mi))
-        result = genmodel.train_and_select(truth.lplus, tcfg)
-        draw = lambda r: genmodel.sample_variant(result.generator, tcfg.temperature, r)
-        rng = np.random.default_rng([cfg.seed, si, mi, 2])
-        if model.mode == "naive":
-            sample = sampling.naive_sample(
-                draw, truth.lplus, model.k, rng, union_observed=model.union_observed
-            )
+            return block, sample.v_hat_s
+        if isinstance(model, NetModel):
+            net = model.net
+        elif model.kind == "trace":
+            net = petri.trace_model(truth.lplus)
+        elif model.kind == "flower":
+            net = petri.flower_model(ctx.alphabet)
         else:
-            sample = sampling.mh_sample(
-                draw,
-                lambda v: genmodel.score(result.d_p, v),
-                truth.lplus,
-                result.holdout,
-                patience=model.patience,
-                kappa=model.kappa,
-                rng=rng,
-                strict_pseudocode=model.strict_pseudocode,
-            )
-        report = metrics.compute_rates(
-            sample.v_hat_s,
-            truth.v_s,
-            truth.lplus.as_set(),
-            truth.v_u,
-            lplus_e=result.holdout.as_set(),
-        )
-        return {
+            net = petri.dfg_discover(truth.lplus)
+        v_hat = petri.playout_enumerate(net, max_len=ctx.mu, token_cap=cfg.token_cap)
+        report = metrics.compute_rates(v_hat, truth.v_s, truth.lplus.as_set(), truth.v_u)
+        block = {
             "name": model.name,
-            "kind": "sampler",
-            "v_hat_s": sorted(sample.v_hat_s),
+            "kind": "net",
             "counts": report.counts_dict(),
             "rates": report.rates_dict(),
-            "sampler_meta": {
-                "mode": model.mode,
-                "draws": sample.draw_count,
-                "acceptance_rate": sample.acceptance_rate,
-                "selected_round": result.selected_round,
-                "candidates": [
-                    {"round": c.round_index, "tp_e": c.tp_e, "sample_count": c.sample_count}
-                    for c in result.candidates
-                ],
-                "train_seed": tcfg.seed,
-            },
-            "elapsed_s": time.perf_counter() - started,
         }
+        per_sampler = {}
+        for sampler_name, variants in sorted(sampler_sets.items()):
+            if variants:
+                res = conformance.model_generalization(net, variants)
+                per_sampler[sampler_name] = {
+                    "generalization": res.generalization,
+                    "fitness": res.scores.fitness,
+                    "precision": res.scores.precision,
+                }
+            else:
+                per_sampler[sampler_name] = {
+                    "generalization": 0.0,
+                    "fitness": 0.0,
+                    "precision": 0.0,
+                    "note": "empty estimated variant set",
+                }
+        if per_sampler:
+            gens = [v["generalization"] for v in per_sampler.values()]
+            block["generalization"] = {"per_sampler": per_sampler, "mean": sum(gens) / len(gens)}
+        block["elapsed_s"] = time.perf_counter() - started
+        return block, None
     except GenmineError as exc:
-        raise GenmineError(
-            f"system {ctx.name!r}, model {model.name!r}: {exc}"
-        ) from exc
+        raise GenmineError(f"system {ctx.name!r}, model {model.name!r}: {exc}") from exc
 
 
 def run_experiment(
@@ -219,57 +251,33 @@ def run_experiment(
     contexts = [
         _prepare_system(name, system, cfg, si) for si, (name, system) in enumerate(systems)
     ]
-    payloads = [
-        (ctx, model, cfg, si, mi)
-        for si, ctx in enumerate(contexts)
-        for mi, model in enumerate(models)
+    # Sampler cells run first: each net cell needs its system's sampler sets.
+    cells = [(si, mi) for si in range(len(contexts)) for mi in range(len(models))]
+    phases = [
+        [(si, mi) for si, mi in cells if isinstance(models[mi], SamplerModel)],
+        [(si, mi) for si, mi in cells if not isinstance(models[mi], SamplerModel)],
     ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            cell_results = list(pool.map(_run_model_task, payloads))
-    else:
-        cell_results = [_run_model_task(p) for p in payloads]
+    sampler_sets: list[dict[str, frozenset[Variant]]] = [{} for _ in contexts]
+    blocks: dict[tuple[int, int], dict] = {}
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for phase in phases:
+            payloads = [
+                (contexts[si], models[mi], cfg, si, mi, sampler_sets[si]) for si, mi in phase
+            ]
+            for (si, mi), (block, v_hat_s) in zip(phase, run(_run_cell, payloads)):
+                blocks[si, mi] = block
+                if v_hat_s is not None:
+                    sampler_sets[si][models[mi].name] = v_hat_s
 
-    n_models = len(models)
     report_systems = []
-    s_by_model: dict[str, list[float]] = {m.name: [] for m in models}
+    s_by_model: dict[str, list[float]] = {name: [] for name in names}
     for si, ctx in enumerate(contexts):
-        cells = cell_results[si * n_models : (si + 1) * n_models]
-        sampler_sets = {
-            c["name"]: c.pop("v_hat_s") for c in cells if c["kind"] == "sampler"
-        }
-        model_blocks = []
-        for c in cells:
-            block = dict(c)
+        model_blocks = [blocks[si, mi] for mi in range(len(models))]
+        for block in model_blocks:
             if not cfg.include_timing:
-                block.pop("elapsed_s", None)
-            if block["kind"] == "net":
-                per_sampler = {}
-                if any(sampler_sets.values()):
-                    net = _materialize_net(models[names.index(block["name"])], ctx)
-                for sampler_name, variants in sorted(sampler_sets.items()):
-                    if variants:
-                        res = conformance.model_generalization(net, [tuple(v) for v in variants])
-                        per_sampler[sampler_name] = {
-                            "generalization": res.generalization,
-                            "fitness": res.scores.fitness,
-                            "precision": res.scores.precision,
-                        }
-                    else:
-                        per_sampler[sampler_name] = {
-                            "generalization": 0.0,
-                            "fitness": 0.0,
-                            "precision": 0.0,
-                            "note": "empty estimated variant set",
-                        }
-                if per_sampler:
-                    gens = [v["generalization"] for v in per_sampler.values()]
-                    block["generalization"] = {
-                        "per_sampler": per_sampler,
-                        "mean": sum(gens) / len(gens),
-                    }
+                del block["elapsed_s"]
             s_by_model[block["name"]].append(block["rates"]["s"])
-            model_blocks.append(block)
         report_systems.append(
             {
                 "name": ctx.name,
@@ -284,8 +292,7 @@ def run_experiment(
             }
         )
 
-    paired = _paired_tests(models, s_by_model)
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
         # jobs is execution machinery, not semantics: reports must be
@@ -293,13 +300,12 @@ def run_experiment(
         "config": {
             "split_ratio": cfg.split_ratio,
             "token_cap": cfg.token_cap,
-            "playout_budget": cfg.playout_budget,
-            "system_max_len": cfg.system_max_len,
+            "playout_budget": DEFAULT_BUDGET,
+            "system_max_len": None,
         },
         "systems": report_systems,
-        "paired_tests": paired,
+        "paired_tests": _paired_tests(models, s_by_model),
     }
-    return report
 
 
 def _paired_tests(models: Sequence[ModelSpec], s_by_model: Mapping[str, list[float]]) -> list:

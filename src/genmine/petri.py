@@ -109,7 +109,10 @@ def make_net(
     initial_marking: Mapping[str, int],
     final_markings: Iterable[Mapping[str, int]] = (),
 ) -> PetriNet:
-    """Convenience constructor from plain containers."""
+    """Convenience constructor from plain containers.
+
+    A token count must be a non-negative ``int``; zero counts are dropped.
+    """
     return PetriNet(
         places=frozenset(places),
         transitions=tuple(Transition(tid, label) for tid, label in transitions),
@@ -120,6 +123,12 @@ def make_net(
 
 
 def _freeze_marking(m: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
+    for p, c in m.items():
+        # bool is a subclass of int, so the type is compared exactly
+        if type(c) is not int or c < 0:
+            raise InvalidInputError(
+                f"place {p!r} holds {c!r} tokens; expected a non-negative integer"
+            )
     return tuple(sorted((p, c) for p, c in m.items() if c > 0))
 
 
@@ -379,24 +388,13 @@ def net_from_dict(data: Mapping) -> PetriNet:
             places=data["places"],
             transitions=[(t["id"], t.get("label")) for t in data["transitions"]],
             arcs=[(a["from"], a["to"]) for a in data["arcs"]],
-            initial_marking=_token_counts(data["initial_marking"]),
-            final_markings=[_token_counts(fm) for fm in data.get("final_markings", [])],
+            initial_marking=data["initial_marking"],
+            final_markings=data.get("final_markings", []),
         )
-    except InvalidInputError:
-        raise
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"malformed net JSON: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed net JSON: {exc!r}") from exc
-
-
-def _token_counts(marking: Mapping) -> dict[str, int]:
-    for p, c in marking.items():
-        # bool is a subclass of int, so the type is compared exactly
-        if type(c) is not int or c < 0:
-            raise InvalidInputError(
-                f"malformed net JSON: place {p!r} holds {c!r} tokens; "
-                "expected a non-negative integer"
-            )
-    return dict(marking)
 
 
 def save_net(net: PetriNet, path: str | Path) -> None:

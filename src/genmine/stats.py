@@ -29,6 +29,8 @@ from .errors import DegenerateInputError, InvalidInputError
 
 # scipy's documented limit for Shapiro-Wilk; it warns above it.
 SHAPIRO_MAX_N = 5000
+# Shapiro-Wilk p-value at or above which the gate takes the paired t-test.
+NORMALITY_ALPHA = 0.05
 _WILCOXON_EXACT_MAX_N = 20
 
 
@@ -115,10 +117,10 @@ class GateResult:
     shapiro_p: float
 
 
-def normality_gate(differences: Sequence[float], alpha: float = 0.05) -> GateResult:
+def normality_gate(differences: Sequence[float]) -> GateResult:
     """Shapiro-Wilk gate: paired t when normality is plausible, else Wilcoxon."""
     w, sp = shapiro_wilk(differences)
-    if sp >= alpha:
+    if sp >= NORMALITY_ALPHA:
         stat, p = paired_t_upper(differences)
         return GateResult("paired_t", stat, p, w, sp)
     stat, p = wilcoxon_upper(differences)

@@ -274,6 +274,16 @@ class TestExperimentCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_domain_error(self, tmp_path, capsys, jobs):
+        code = main(["--error-json", *self.ARGS, "--jobs", jobs,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == {"type": "InvalidInputError",
+                                            "message": f"jobs must be >= 1, got {jobs}"}
+        assert "Traceback" not in err
+
     def test_report_schema(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         main(self.ARGS + ["--out", str(out)])

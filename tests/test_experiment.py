@@ -6,17 +6,22 @@ import pytest
 
 from genmine import (
     BaselineModel,
+    BudgetExceededError,
     ExperimentConfig,
+    GenmineError,
     InvalidInputError,
     NetModel,
     SamplerModel,
     SystemSpec,
     TrainConfig,
     build_system,
+    conformance,
+    experiment,
     flower_model,
     petri,
     run_experiment,
 )
+from genmine.sampling import SampleResult
 
 FAST_TRAIN = TrainConfig(rounds=1, round_samples=150, select_sample_size=300,
                          pretrain_passes=1)
@@ -73,7 +78,10 @@ class TestRunExperiment:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_jobs_do_not_change_results(self):
-        systems, models = small_systems(2), standard_models()
+        systems = small_systems(2)
+        models = standard_models() + [
+            SamplerModel(name="mh", mode="mh", train_config=FAST_TRAIN, kappa=20, patience=5)
+        ]
         seq = run_experiment(systems, models, ExperimentConfig(seed=6, jobs=1))
         par = run_experiment(systems, models, ExperimentConfig(seed=6, jobs=3))
         assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
@@ -114,7 +122,7 @@ class TestRunExperiment:
         assert report["systems"][0]["models"][0]["name"] == "external"
 
     def test_net_built_once_per_block(self, monkeypatch):
-        # One trace net for the cell's playout, one shared by both samplers'
+        # The net cell's one trace net serves its playout and both samplers'
         # generalization scores.
         built = []
         trace_model = petri.trace_model
@@ -126,7 +134,28 @@ class TestRunExperiment:
         report = run_experiment(small_systems(1), models, ExperimentConfig(seed=4))
         per_sampler = report["systems"][0]["models"][0]["generalization"]["per_sampler"]
         assert sorted(per_sampler) == ["naive1", "naive2"]
-        assert len(built) == 2
+        assert len(built) == 1
+
+    def test_scoring_error_names_the_net_cell(self, monkeypatch):
+        monkeypatch.setattr(conformance, "_REPLAY_POP_LIMIT", 1)
+        models = [BaselineModel(name="trace", kind="trace"),
+                  SamplerModel(name="naive", mode="naive", train_config=FAST_TRAIN, k=50)]
+        with pytest.raises(GenmineError, match="system 'sys0', model 'trace'") as info:
+            run_experiment(small_systems(1), models, ExperimentConfig(seed=4, jobs=1))
+        assert isinstance(info.value.__cause__, BudgetExceededError)
+
+    def test_empty_estimate_is_noted(self, monkeypatch):
+        empty = SampleResult(v_hat_s=frozenset(), v_hat_u=frozenset(), draw_count=0)
+        monkeypatch.setattr(experiment, "estimate", lambda *args: empty)
+        models = [BaselineModel(name="dfg", kind="dfg"),
+                  SamplerModel(name="naive", mode="naive", train_config=FAST_TRAIN, k=50)]
+        report = run_experiment(small_systems(1), models, ExperimentConfig(seed=4))
+        generalization = report["systems"][0]["models"][0]["generalization"]
+        assert generalization == {
+            "per_sampler": {"naive": {"generalization": 0.0, "fitness": 0.0, "precision": 0.0,
+                                      "note": "empty estimated variant set"}},
+            "mean": 0.0,
+        }
 
     def test_timing_opt_in(self):
         systems = small_systems(1)

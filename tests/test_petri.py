@@ -273,6 +273,17 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             make_net(["p"], [("t", "a")], [("p", "t")], {"p": 0})
 
+    @pytest.mark.parametrize("initial, final, held", [
+        ({"p0": 1, "p2": 1.5}, {"p2": 1}, "place 'p2' holds 1.5 tokens"),
+        ({"p0": True}, {"p2": 1}, "place 'p0' holds True tokens"),
+        ({"p0": -1}, {"p2": 1}, "place 'p0' holds -1 tokens"),
+        ({"p0": 1}, {"p2": -1}, "place 'p2' holds -1 tokens"),
+    ], ids=["fraction", "bool", "negative_initial", "negative_final"])
+    def test_bad_token_count_rejected(self, initial, final, held):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{held}; expected a non-negative integer$"):
+            make_net(["p0", "p2"], [("t", "a")], [("p0", "t"), ("t", "p2")], initial, [final])
+
 
 class TestOracleAgreement:
     def test_sequence(self, sequence_net_ab):
