@@ -22,6 +22,8 @@ from .errors import GenmineError
 
 JSON_KW = {"indent": 2, "sort_keys": True}
 TRAIN_DEFAULTS = genmodel.TrainConfig()
+EXPERIMENT_DEFAULTS = experiment.ExperimentConfig()
+SYSTEM_DEFAULTS = systems.SystemSpec(seed=0)  # the seed has no default and is not read
 
 
 def _dump(obj, path: str | None) -> str:
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--log", help="event log CSV")
     src.add_argument("--variants", help="variant TSV; a repeated line counts once")
     p.add_argument("--out", required=True, help="model checkpoint JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS.seed)
     p.add_argument("--order", type=int, default=TRAIN_DEFAULTS.order)
     p.add_argument("--smoothing", type=float, default=TRAIN_DEFAULTS.smoothing)
     p.add_argument("--rounds", type=int, default=TRAIN_DEFAULTS.rounds)
@@ -144,11 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-system", help="build a seeded block-structured ground truth")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--alphabet-budget", type=int, default=24)
-    p.add_argument("--loop-unroll", type=int, default=2)
-    p.add_argument("--fanout-min", type=int, default=2)
-    p.add_argument("--fanout-max", type=int, default=3)
+    p.add_argument("--depth", type=int, default=SYSTEM_DEFAULTS.depth)
+    p.add_argument("--alphabet-budget", type=int, default=SYSTEM_DEFAULTS.alphabet_budget)
+    p.add_argument("--loop-unroll", type=int, default=SYSTEM_DEFAULTS.loop_unroll)
+    p.add_argument("--fanout-min", type=int, default=SYSTEM_DEFAULTS.fanout_min)
+    p.add_argument("--fanout-max", type=int, default=SYSTEM_DEFAULTS.fanout_max)
     p.add_argument("--weights", type=_weights_arg, default=None,
                    help="e.g. seq=1,xor=1,and=0.4,loop=0.2")
     p.add_argument("--silent-skip", action="store_true")
@@ -162,15 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", action="append", default=[], help="system net JSON (repeatable)")
     p.add_argument("--gen-system-seed", action="append", type=int, default=[],
                    help="build a ground truth from this seed (repeatable)")
-    p.add_argument("--gen-system-depth", type=int, default=3)
+    p.add_argument("--gen-system-depth", type=int, default=SYSTEM_DEFAULTS.depth)
     p.add_argument("--baseline", action="append", choices=experiment.BASELINE_KINDS,
                    default=[], help="per-system baseline net (repeatable)")
     p.add_argument("--sampler", action="append", choices=("naive", "mh"), default=[],
                    help="built-in sampler mode (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratio", type=float, default=0.7)
-    p.add_argument("--token-cap", type=int, default=petri.DEFAULT_TOKEN_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=int, default=EXPERIMENT_DEFAULTS.seed)
+    p.add_argument("--ratio", type=float, default=EXPERIMENT_DEFAULTS.split_ratio)
+    p.add_argument("--token-cap", type=int, default=EXPERIMENT_DEFAULTS.token_cap)
+    p.add_argument("--jobs", type=int, default=EXPERIMENT_DEFAULTS.jobs)
     _add_sampler_flags(p)
     p.add_argument("--rounds", type=int, default=TRAIN_DEFAULTS.rounds)
     p.add_argument("--temperature", type=float, default=TRAIN_DEFAULTS.temperature)
@@ -249,11 +251,10 @@ def _cmd_train(args) -> dict:
 
 def _cmd_sample(args) -> dict:
     result = genmodel.load_checkpoint(args.model)
-    lplus = logs.UniqueVariantLog(result.train.variants + result.holdout.variants)
     temperature = result.config.temperature if args.temperature is None else args.temperature
     model = _sampler_model(args, args.mode, result.config)
     rng = np.random.default_rng(args.seed)
-    sample = experiment.estimate(model, result, lplus, rng, temperature)
+    sample = experiment.estimate(model, result, rng, temperature)
     logs.write_variants_tsv(sample.v_hat_s, args.out)
     meta = {
         "mode": model.mode,

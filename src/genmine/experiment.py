@@ -32,7 +32,7 @@ from .errors import DegenerateInputError, GenmineError, InvalidInputError
 from .genmodel import TrainConfig, TrainResult
 from .logs import UniqueVariantLog, Variant
 from .metrics import SystemTruth
-from .petri import DEFAULT_BUDGET, PetriNet
+from .petri import DEFAULT_BUDGET, DEFAULT_TOKEN_CAP, PetriNet
 from .sampling import SampleResult
 
 SCHEMA_VERSION = 1
@@ -76,6 +76,9 @@ class SamplerModel:
     def __post_init__(self):
         if self.mode not in ("naive", "mh"):
             raise InvalidInputError(f"sampler mode must be naive or mh, got {self.mode!r}")
+        for name in ("k", "kappa", "patience"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1")
 
 
 ModelSpec = Union[NetModel, BaselineModel, SamplerModel]
@@ -85,7 +88,7 @@ ModelSpec = Union[NetModel, BaselineModel, SamplerModel]
 class ExperimentConfig:
     seed: int = 0
     split_ratio: float = 0.7
-    token_cap: int = 3
+    token_cap: int = DEFAULT_TOKEN_CAP
     jobs: int = 1
     include_timing: bool = False
 
@@ -125,30 +128,29 @@ def _prepare_system(
 def estimate(
     model: SamplerModel,
     result: TrainResult,
-    lplus: UniqueVariantLog,
     rng: np.random.Generator,
     temperature: float,
 ) -> SampleResult:
     """Estimate a system's variants from a trained model, naively or by MH.
 
-    ``lplus`` is the observed log ``result`` was trained on; MH chains
-    start from its holdout slice, ``result.holdout``.
+    The observed log is the one ``result`` was trained on, its train and
+    holdout slices together; MH chains start from the holdout slice.  With
+    ``model.union_observed`` the observed variants join the estimate in
+    either mode.
     """
+    lplus = UniqueVariantLog(result.train.variants + result.holdout.variants)
     draw = lambda r: genmodel.sample_variant(result.generator, temperature, r)
     if model.mode == "naive":
-        return sampling.naive_sample(
-            draw, lplus, model.k, rng, union_observed=model.union_observed
+        sample = sampling.naive_sample(draw, lplus, model.k, rng)
+    else:
+        sample = sampling.mh_sample(
+            draw, lambda v: genmodel.score(result.d_p, v), lplus, result.holdout,
+            patience=model.patience, kappa=model.kappa, rng=rng,
+            strict_pseudocode=model.strict_pseudocode,
         )
-    return sampling.mh_sample(
-        draw,
-        lambda v: genmodel.score(result.d_p, v),
-        lplus,
-        result.holdout,
-        patience=model.patience,
-        kappa=model.kappa,
-        rng=rng,
-        strict_pseudocode=model.strict_pseudocode,
-    )
+    if model.union_observed:
+        sample = replace(sample, v_hat_s=sample.v_hat_s | lplus.as_set())
+    return sample
 
 
 def _run_cell(payload: tuple) -> tuple[dict, frozenset[Variant] | None]:
@@ -166,7 +168,7 @@ def _run_cell(payload: tuple) -> tuple[dict, frozenset[Variant] | None]:
             tcfg = replace(model.train_config, seed=_task_seed(cfg.seed, si, mi))
             result = genmodel.train_and_select(truth.lplus, tcfg)
             rng = np.random.default_rng([cfg.seed, si, mi, 2])
-            sample = estimate(model, result, truth.lplus, rng, tcfg.temperature)
+            sample = estimate(model, result, rng, tcfg.temperature)
             report = metrics.compute_rates(
                 sample.v_hat_s,
                 truth.v_s,

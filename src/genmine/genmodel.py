@@ -51,7 +51,12 @@ PROB_CLAMP = 1e-6
 # Distinct variants memoized per scorer; with smoothing every sequence up to
 # the length bound has positive probability, so the support can be huge.
 SCORE_MEMO_LIMIT = 100_000
-# A sample that clears reinforce_threshold adds this times its d_p score to the counts.
+# Discriminator training: passes over the larger side, minibatch size, step size.
+PRETRAIN_PASSES = 2
+BATCH_SIZE = 32
+LEARNING_RATE = 0.5
+# A sample scoring at least the threshold adds the weight times its score to the counts.
+REINFORCE_THRESHOLD = 0.5
 REINFORCE_WEIGHT = 0.5
 
 
@@ -99,11 +104,7 @@ class NGramGenerator:
         return self.alphabet + (END,)
 
     def context_of(self, emitted: Sequence[str]) -> tuple[str, ...]:
-        ctx_len = self.order - 1
-        if ctx_len == 0:
-            return ()
-        padded = (START,) * ctx_len + tuple(emitted)
-        return padded[-ctx_len:]
+        return _context(self.order, emitted)
 
     def next_distribution(self, context: tuple[str, ...], mask_end: bool = False) -> np.ndarray:
         """Smoothed next-symbol probabilities, aligned with :meth:`symbols`.
@@ -115,16 +116,13 @@ class NGramGenerator:
         syms = self.symbols()
         row = self.counts.get(context)
         lam = self.smoothing
-        if row is None and lam == 0.0:
-            # Unreachable via the model's own sampling paths; uniform fallback.
+        raw = np.array([0.0 if row is None else row.get(s, 0.0) for s in syms])
+        total = raw.sum() + lam * len(syms)
+        if total == 0.0:
+            # Only an unseen context at zero smoothing: uniform fallback.
             probs = np.full(len(syms), 1.0 / len(syms))
         else:
-            raw = np.array([0.0 if row is None else row.get(s, 0.0) for s in syms])
-            total = raw.sum() + lam * len(syms)
-            if total == 0.0:
-                probs = np.full(len(syms), 1.0 / len(syms))
-            else:
-                probs = (raw + lam) / total
+            probs = (raw + lam) / total
         if mask_end:
             probs = probs.copy()
             probs[-1] = 0.0
@@ -201,6 +199,11 @@ def _compile_cdf(probs: np.ndarray, temperature: float) -> list[float]:
     return cdf.tolist()
 
 
+def _context(order: int, emitted: Sequence[str]) -> tuple[str, ...]:
+    """The last ``order - 1`` symbols of ``emitted``, left-padded with START."""
+    return ((START,) * (order - 1) + tuple(emitted))[len(emitted):]
+
+
 def _accumulate(
     counts: dict[tuple[str, ...], dict[str, float]],
     v: Variant,
@@ -208,19 +211,13 @@ def _accumulate(
     weight: float,
 ) -> None:
     emitted: list[str] = []
-    ctx_len = order - 1
     for label in tuple(v) + (END,):
-        if ctx_len == 0:
-            ctx: tuple[str, ...] = ()
-        else:
-            padded = (START,) * ctx_len + tuple(emitted)
-            ctx = padded[-ctx_len:]
-        row = counts.setdefault(ctx, {})
+        row = counts.setdefault(_context(order, emitted), {})
         row[label] = row.get(label, 0.0) + weight
         emitted.append(label)
 
 
-def fit_mle(train: UniqueVariantLog, order: int = 3, smoothing: float = 0.1) -> NGramGenerator:
+def fit_mle(train: UniqueVariantLog, order: int, smoothing: float) -> NGramGenerator:
     """Maximum-likelihood n-gram fit over the training variants.
 
     With zero smoothing the conditional probabilities equal the empirical
@@ -253,7 +250,7 @@ def sample_variant(
     end_index = len(syms) - 1
     emitted: list[str] = []
     while True:
-        cdf = gen._cdf(gen.context_of(emitted), not emitted, temperature)
+        cdf = gen._cdf(_context(gen.order, emitted), not emitted, temperature)
         idx = bisect_right(cdf, rng.random())
         if idx == end_index:
             break
@@ -364,12 +361,12 @@ def score(d: FeatureScorer, v: Variant) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for discriminator fitting and generator refinement."""
+    """Settings of the n-gram fit, the refinement rounds and snapshot selection.
 
-    pretrain_passes: int = 2
+    The discriminator's optimizer and the reinforcement rule are module constants.
+    """
+
     rounds: int = 5
-    batch_size: int = 32
-    learning_rate: float = 0.5
     select_sample_size: int = 10_000
     temperature: float = 1.0
     seed: int = 0
@@ -377,11 +374,9 @@ class TrainConfig:
     smoothing: float = 0.1
     holdout_fraction: float = 0.9
     round_samples: int = 2000
-    reinforce_threshold: float = 0.5
 
     def __post_init__(self):
         positive = (
-            self.pretrain_passes, self.batch_size, self.learning_rate,
             self.select_sample_size, self.temperature, self.order, self.round_samples,
         )
         if any(x <= 0 for x in positive):
@@ -396,25 +391,24 @@ def train_discriminator(
     d: FeatureScorer,
     positives: Sequence[Variant],
     negatives: Sequence[Variant],
-    cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> FeatureScorer:
     """Minibatch gradient descent on the logistic loss.
 
     Positives are variants considered real, negatives generated ones.  The
     vocabulary is extended (at weight zero) to cover unseen k-grams before
-    training so novel negatives are not invisible to the model.
+    training so novel negatives are not invisible to the model.  Step size
+    and batching are the module constants ``LEARNING_RATE``, ``BATCH_SIZE``
+    and ``PRETRAIN_PASSES``.
     """
     if not positives or not negatives:
         raise InvalidInputError("both batch sources must be non-empty")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     d = _extend_vocabulary(d, list(positives) + list(negatives))
     feats_pos = np.stack([d.featurize(v) for v in positives])
     feats_neg = np.stack([d.featurize(v) for v in negatives])
     weights, bias = d._weights, d.bias
     history: list[float] = []
-    for bi_pos, bi_neg in _minibatches(len(positives), len(negatives), cfg, rng):
+    for bi_pos, bi_neg in _minibatches(len(positives), len(negatives), rng):
         grad_w, grad_b, value = losses.loss_gradient(
             feats_pos[bi_pos], feats_neg[bi_neg], weights, bias
         )
@@ -423,20 +417,19 @@ def train_discriminator(
                 "loss became non-finite during discriminator training",
                 diagnostics={"loss": value, "history": history},
             )
-        weights = weights - cfg.learning_rate * grad_w
-        bias = bias - cfg.learning_rate * grad_b
+        weights = weights - LEARNING_RATE * grad_w
+        bias = bias - LEARNING_RATE * grad_b
         history.append(value)
     return replace(d, weights=tuple(weights.tolist()), bias=float(bias))
 
 
 def _minibatches(
-    n_pos: int, n_neg: int, cfg: TrainConfig, rng: np.random.Generator
+    n_pos: int, n_neg: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positive, negative) index batches: ``pretrain_passes`` passes over the larger side."""
-    size = cfg.batch_size
-    n_steps = max(1, math.ceil(max(n_pos, n_neg) / size))
-    for _ in range(cfg.pretrain_passes * n_steps):
-        yield rng.integers(0, n_pos, size=size), rng.integers(0, n_neg, size=size)
+    """(positive, negative) index batches: ``PRETRAIN_PASSES`` passes over the larger side."""
+    n_steps = max(1, math.ceil(max(n_pos, n_neg) / BATCH_SIZE))
+    for _ in range(PRETRAIN_PASSES * n_steps):
+        yield rng.integers(0, n_pos, size=BATCH_SIZE), rng.integers(0, n_neg, size=BATCH_SIZE)
 
 
 def _refinement_step(
@@ -454,11 +447,11 @@ def _refinement_step(
     training variants keep nonzero probability.
     """
     samples = [sample_variant(gen, cfg.temperature, rng) for _ in range(cfg.round_samples)]
-    d_p = train_discriminator(d_p, train_list, samples, cfg, rng=rng)
+    d_p = train_discriminator(d_p, train_list, samples, rng=rng)
     additions = []
     for v in samples:
         s = score(d_p, v)
-        if s >= cfg.reinforce_threshold:
+        if s >= REINFORCE_THRESHOLD:
             additions.append((v, REINFORCE_WEIGHT * s))
     if additions:
         gen = gen.with_added_counts(additions)
@@ -527,7 +520,7 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
     for r in range(1, cfg.rounds + 1):
         gen, d_p, samples = _refinement_step(gen, d_p, train_list, cfg, rng)
         # Unused draws: seeded reports stay byte-identical until the ROADMAP item 2 stream break.
-        for _ in _minibatches(len(train_list), len(samples), cfg, rng):
+        for _ in _minibatches(len(train_list), len(samples), rng):
             pass
         evaluate(r)
     best_index = select_model(evals)
@@ -547,7 +540,7 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
 # Checkpoint format
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def _scorer_to_dict(d: FeatureScorer) -> dict:

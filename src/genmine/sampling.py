@@ -52,26 +52,21 @@ def naive_sample(
     lplus: UniqueVariantLog,
     k: int,
     rng: np.random.Generator,
-    union_observed: bool = False,
 ) -> SampleResult:
     """Draw ``k`` variants and keep the distinct ones.
 
-    The observed variants are NOT merged into the estimate by default,
-    matching the published sampling procedure; ``union_observed=True``
-    adds them, matching the surrounding prose instead.
+    The observed variants are not merged into the estimate, matching the
+    published sampling procedure.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
-    observed = lplus.as_set()
     v_hat_s: set[Variant] = set()
     for _ in range(k):
         v_hat_s.add(g(rng))
-    if union_observed:
-        v_hat_s |= observed
     v_hat_s_frozen = frozenset(v_hat_s)
     return SampleResult(
         v_hat_s=v_hat_s_frozen,
-        v_hat_u=v_hat_s_frozen - observed,
+        v_hat_u=v_hat_s_frozen - lplus.as_set(),
         draw_count=k,
     )
 
@@ -122,7 +117,8 @@ def mh_sample(
     lplus_e: UniqueVariantLog,
     patience: int = DEFAULT_PATIENCE,
     kappa: int = DEFAULT_CHAIN_LENGTH,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     strict_pseudocode: bool = False,
 ) -> SampleResult:
     """Collect novel variants from repeated MH chains until patience runs out.
@@ -139,8 +135,6 @@ def mh_sample(
         raise InvalidInputError("patience must be >= 1")
     if kappa < 1:
         raise InvalidInputError("kappa must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     observed = lplus.as_set()
     inits = list(lplus_e)
     v_hat_s: set[Variant] = set()

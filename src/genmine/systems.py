@@ -183,14 +183,14 @@ class ComplexityProfile:
     variant_count: int
 
 
-def complexity_profile(
-    net: PetriNet,
-    token_cap: int | None = DEFAULT_TOKEN_CAP,
-    max_len: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> ComplexityProfile:
-    """Alphabet size, maximal variant length, and playout cardinality."""
-    variants = playout_enumerate(net, max_len=max_len, token_cap=token_cap, budget=budget)
+def complexity_profile(net: PetriNet) -> ComplexityProfile:
+    """Alphabet size, maximal variant length, and playout cardinality.
+
+    Unbounded playout at the default token cap and budget, as for a system.
+    """
+    variants = playout_enumerate(
+        net, max_len=None, token_cap=DEFAULT_TOKEN_CAP, budget=DEFAULT_BUDGET
+    )
     if not variants:
         return ComplexityProfile(len(net.labels()), 0, 0)
     return ComplexityProfile(

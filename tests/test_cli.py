@@ -7,6 +7,7 @@ import pytest
 from genmine import (
     SystemSpec,
     build_system,
+    genmodel,
     playout_enumerate,
     read_variants_tsv,
     save_net,
@@ -163,6 +164,18 @@ class TestTrainAndSample:
         meta = json.loads(meta_out.read_text())
         assert meta["kappa"] == 20 and meta["acceptance_rate"] is not None
 
+    def test_mh_union_observed_writes_the_observed_log(self, tmp_path, tiny_log_file, capsys):
+        log_path, variants = tiny_log_file
+        model_out = tmp_path / "model.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model_out),
+                     "--rounds", "1", "--round-samples", "100",
+                     "--select-sample-size", "200", "--seed", "3"]) == 0
+        v_out = tmp_path / "mh.tsv"
+        assert main(["sample", "--model", str(model_out), "--mode", "mh",
+                     "--kappa", "20", "--patience", "10", "--seed", "3",
+                     "--union-observed", "--out", str(v_out)]) == 0
+        assert set(variants) <= set(read_variants_tsv(v_out))
+
     @pytest.mark.parametrize("text", [
         json.dumps({"version": CHECKPOINT_VERSION}),
         json.dumps({"version": CHECKPOINT_VERSION, "generator": {"order": "three"}}),
@@ -182,7 +195,7 @@ class TestTrainAndSample:
         assert error["message"].startswith("malformed checkpoint")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_checkpoint_version_rejected(self, tmp_path, tiny_log_file, capsys, version):
         log_path, _ = tiny_log_file
         model = tmp_path / "model.json"
@@ -190,11 +203,14 @@ class TestTrainAndSample:
                      "--rounds", "0", "--select-sample-size", "50"]) == 0
         payload = json.loads(model.read_text())
         payload["version"] = version
-        # what the older versions carried: version 2 a second scorer and a
-        # TrainConfig field for the reinforcement weight, version 1 also
-        # an evaluation interval
-        payload["d_r"] = payload["d_p"]
-        payload["config"]["reinforce_weight"] = 0.5
+        # what the older versions carried: version 3 four TrainConfig fields
+        # that are now constants, version 2 also a second scorer and a field
+        # for the reinforcement weight, version 1 also an evaluation interval
+        payload["config"].update(pretrain_passes=2, batch_size=32, learning_rate=0.5,
+                                 reinforce_threshold=0.5)
+        if version <= 2:
+            payload["d_r"] = payload["d_p"]
+            payload["config"]["reinforce_weight"] = 0.5
         if version == 1:
             payload["config"]["eval_interval"] = 1
         model.write_text(json.dumps(payload))
@@ -283,6 +299,17 @@ class TestExperimentCommand:
         assert json.loads(err)["error"] == {"type": "InvalidInputError",
                                             "message": f"jobs must be >= 1, got {jobs}"}
         assert "Traceback" not in err
+
+    def test_sampler_setting_below_one_fails_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def train_and_select(*args):
+            raise AssertionError("train_and_select must not run")
+
+        monkeypatch.setattr(genmodel, "train_and_select", train_and_select)
+        code = main(["--error-json", *self.ARGS, "--k", "0", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "InvalidInputError", "message": "k must be >= 1"}
 
     def test_report_schema(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from genmine import (
@@ -14,17 +15,19 @@ from genmine import (
     SamplerModel,
     SystemSpec,
     TrainConfig,
+    UniqueVariantLog,
     build_system,
     conformance,
     experiment,
+    fit_mle,
     flower_model,
     petri,
     run_experiment,
 )
+from genmine.genmodel import TrainResult, init_scorer
 from genmine.sampling import SampleResult
 
-FAST_TRAIN = TrainConfig(rounds=1, round_samples=150, select_sample_size=300,
-                         pretrain_passes=1)
+FAST_TRAIN = TrainConfig(rounds=1, round_samples=150, select_sample_size=300)
 
 
 SMALL_SEEDS = (78, 14, 84)  # validated desk scale: flower playout stays tiny
@@ -207,3 +210,36 @@ class TestRunExperiment:
         dup = [BaselineModel(name="x", kind="trace"), BaselineModel(name="x", kind="dfg")]
         with pytest.raises(InvalidInputError):
             run_experiment(small_systems(1), dup, ExperimentConfig())
+
+
+VA, VB, VC = ("a",), ("b",), ("c",)
+
+
+class TestEstimate:
+    @staticmethod
+    def trained_on_a_b_drawing_c():
+        """A model observed on {a, b} (train a, holdout b) that only draws c."""
+        return TrainResult(
+            generator=fit_mle(UniqueVariantLog((VC,)), order=1, smoothing=0.0),
+            d_p=init_scorer([VA, VB, VC], max_len_ref=1),
+            train=UniqueVariantLog((VA,)),
+            holdout=UniqueVariantLog((VB,)),
+            candidates=(),
+            selected_round=0,
+            config=TrainConfig(),
+        )
+
+    @pytest.mark.parametrize("mode", ["naive", "mh"])
+    def test_union_observed_flag(self, mode):
+        result = self.trained_on_a_b_drawing_c()
+        for union, expected in [(False, {VC}), (True, {VA, VB, VC})]:
+            model = SamplerModel(name="s", mode=mode, k=3, kappa=2, patience=3,
+                                 union_observed=union)
+            sample = experiment.estimate(model, result, np.random.default_rng(0), 1.0)
+            assert sample.v_hat_s == expected
+            assert sample.v_hat_u == {VC}
+
+    @pytest.mark.parametrize("field", ["k", "kappa", "patience"])
+    def test_sampler_settings_below_one_rejected(self, field):
+        with pytest.raises(InvalidInputError, match=f"{field} must be >= 1"):
+            SamplerModel(name="s", **{field: 0})

@@ -18,6 +18,7 @@ from genmine import (
     UniqueVariantLog,
     build_system,
     fit_mle,
+    genmodel,
     load_checkpoint,
     playout_enumerate,
     sample_variant,
@@ -54,6 +55,12 @@ class TestFitMle:
         assert after_a[syms.index("b")] == 1.0
         after_b = gen.next_distribution(gen.context_of(["a", "b"]))
         assert after_b[syms.index(END)] == 1.0
+
+    def test_unseen_context_without_smoothing_is_uniform(self):
+        gen = fit_mle(lplus(["a", "b"]), order=2, smoothing=0.0)
+        assert ("z",) not in gen.counts
+        assert gen.next_distribution(("z",)).tolist() == [1 / 3] * 3
+        assert gen.next_distribution(("z",), mask_end=True).tolist() == [0.5, 0.5, 0.0]
 
     def test_uniform_start(self):
         gen = fit_mle(lplus(["a"], ["b"]), order=1, smoothing=0.0)
@@ -249,7 +256,7 @@ class TestTrainDiscriminator:
         positives, negatives = [("a", "b")], [("b", "a")]
         d = init_scorer(positives + negatives, max_len_ref=2)
         assert score(d, ("a", "b")) == 0.5
-        trained = train_discriminator(d, positives, negatives, TrainConfig(seed=1))
+        trained = train_discriminator(d, positives, negatives, rng=np.random.default_rng(1))
         assert score(trained, ("a", "b")) == sigmoid_clamped(trained.raw_score(("a", "b")))
         assert score(trained, ("a", "b")) > 0.5
         assert score(d, ("a", "b")) == 0.5
@@ -257,8 +264,7 @@ class TestTrainDiscriminator:
     def test_identical_classes_stay_near_half(self):
         variants = [("a", "b"), ("b", "a"), ("a",), ("b",)]
         d = init_scorer(variants, max_len_ref=2)
-        cfg = TrainConfig(pretrain_passes=5, batch_size=8, learning_rate=0.2, seed=3)
-        d = train_discriminator(d, variants, variants, cfg)
+        d = train_discriminator(d, variants, variants, rng=np.random.default_rng(3))
         mean_score = np.mean([score(d, v) for v in variants])
         assert abs(mean_score - 0.5) < 0.1
 
@@ -266,8 +272,7 @@ class TestTrainDiscriminator:
         pos = [("a", "b"), ("b", "a"), ("a", "a"), ("b",)]
         neg = [("x", "y"), ("y", "x"), ("x",), ("y", "y")]
         d = init_scorer(pos + neg, max_len_ref=2)
-        cfg = TrainConfig(pretrain_passes=30, batch_size=8, learning_rate=0.5, seed=4)
-        d = train_discriminator(d, pos, neg, cfg)
+        d = train_discriminator(d, pos, neg, rng=np.random.default_rng(4))
         correct = sum(score(d, v) > 0.5 for v in pos) + sum(score(d, v) < 0.5 for v in neg)
         assert correct / (len(pos) + len(neg)) > 0.95
 
@@ -276,8 +281,7 @@ class TestTrainDiscriminator:
         pos = [tuple(rng.choice(["a", "b"], size=3)) for _ in range(40)]
         neg = [tuple(rng.choice(["x", "y"], size=3)) for _ in range(40)]
         d = init_scorer(pos + neg, max_len_ref=3)
-        cfg = TrainConfig(pretrain_passes=10, batch_size=16, learning_rate=0.3, seed=5)
-        trained = train_discriminator(d, pos, neg, cfg)
+        trained = train_discriminator(d, pos, neg, rng=np.random.default_rng(5))
 
         def full_batch_loss(scorer):
             feats_pos = np.stack([scorer.featurize(v) for v in pos])
@@ -289,7 +293,7 @@ class TestTrainDiscriminator:
     def test_empty_batch_rejected(self):
         d = init_scorer([("a",)], max_len_ref=1)
         with pytest.raises(InvalidInputError):
-            train_discriminator(d, [], [("a",)], TrainConfig())
+            train_discriminator(d, [], [("a",)], rng=np.random.default_rng(0))
 
 
 class TestRefineGenerator:
@@ -299,17 +303,16 @@ class TestRefineGenerator:
         assert result.generator.counts == fit_mle(result.train, 2, cfg.smoothing).counts
         assert [c.round_index for c in result.candidates] == [0]
 
-    def test_unreachable_threshold_keeps_generator(self):
+    def test_unreachable_threshold_keeps_generator(self, monkeypatch):
         train = lplus(["a", "b"], ["a", "c"])
         gen = fit_mle(train, 2, 0.1)
         d = init_scorer(list(train), max_len_ref=2)
-        # zero-weight scorer scores exactly 0.5 < threshold, nothing reinforced
-        cfg = TrainConfig(
-            rounds=1, round_samples=50, reinforce_threshold=1.0 - 1e-6,
-            pretrain_passes=1, learning_rate=1e-9,
-        )
-        gen2, _, samples = _refinement_step(gen, d, list(train), cfg, np.random.default_rng(0))
+        # no sample's score reaches the threshold, so nothing is reinforced
+        monkeypatch.setattr(genmodel, "REINFORCE_THRESHOLD", 1.0 - 1e-6)
+        cfg = TrainConfig(rounds=1, round_samples=50)
+        gen2, d2, samples = _refinement_step(gen, d, list(train), cfg, np.random.default_rng(0))
         assert len(samples) == 50
+        assert max(score(d2, v) for v in samples) < genmodel.REINFORCE_THRESHOLD
         assert gen2.counts == gen.counts
 
     def test_reinforcing_a_variant_raises_its_probability(self):
@@ -357,9 +360,7 @@ class TestSelectModel:
 class TestTrainAndSelect:
     def test_pipeline_runs_and_snapshots(self):
         variants = [("a", "b", "c"), ("a", "c"), ("b", "c"), ("a", "b"), ("c",), ("b",)]
-        cfg = TrainConfig(
-            rounds=2, round_samples=100, select_sample_size=200, seed=11, pretrain_passes=1
-        )
+        cfg = TrainConfig(rounds=2, round_samples=100, select_sample_size=200, seed=11)
         result = train_and_select(UniqueVariantLog(tuple(variants)), cfg)
         assert len(result.candidates) == 3  # round 0 plus two refinements
         assert len(result.train) + len(result.holdout) == len(variants)
@@ -384,6 +385,16 @@ class TestTrainAndSelect:
         assert hashlib.sha256(state.encode()).hexdigest() == (
             "ff3e795f00762e8889cea601647440d0030a85f0d0ddd93d83298ae2597c57ac"
         )
+
+    def test_settings_and_checkpoint_config_are_pinned(self, tmp_path):
+        # A new training setting must be added here on purpose.
+        fields = ["rounds", "select_sample_size", "temperature", "seed", "order",
+                  "smoothing", "holdout_fraction", "round_samples"]
+        assert list(TrainConfig.__dataclass_fields__) == fields
+        cfg = TrainConfig(rounds=0, select_sample_size=20)
+        path = tmp_path / "model.json"
+        save_checkpoint(train_and_select(lplus(["a", "b"], ["b"], ["a"]), cfg), path)
+        assert sorted(json.loads(path.read_text())["config"]) == sorted(fields)
 
     def test_checkpoint_round_trip(self, tmp_path):
         variants = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]

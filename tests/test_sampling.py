@@ -47,14 +47,6 @@ class TestNaiveSample:
         assert len(result.v_hat_s) == 1
         assert result.v_hat_u == {VB}
 
-    def test_union_observed_flag(self):
-        lp = UniqueVariantLog((VA, VB))
-        result = naive_sample(
-            constant_draw(VC), lp, k=3, rng=np.random.default_rng(0), union_observed=True
-        )
-        assert result.v_hat_s == {VA, VB, VC}
-        assert result.v_hat_u == {VC}
-
     def test_invalid_k(self):
         with pytest.raises(InvalidInputError):
             naive_sample(constant_draw(VA), UniqueVariantLog((VA,)), 0, np.random.default_rng(0))

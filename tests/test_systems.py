@@ -118,11 +118,12 @@ class TestComplexityProfile:
         assert profile.alphabet_size <= 11
         assert profile.variant_count >= 1
 
-    def test_budget_error_propagates(self):
-        from genmine import BudgetExceededError, flower_model
+    def test_budget_error_propagates(self, monkeypatch):
+        from genmine import BudgetExceededError, flower_model, systems
 
+        monkeypatch.setattr(systems, "DEFAULT_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            complexity_profile(flower_model(list("abcdef")), max_len=10, budget=100)
+            complexity_profile(flower_model(list("abcdef")))
 
 
 class TestOracleEquivalence:
