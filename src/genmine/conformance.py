@@ -14,8 +14,9 @@ each of those variants once.  Both conformance functions are parameters so
 stronger metrics can be swapped in without touching the pipeline.
 
 Replay and precision search markings on the net's compiled form
-(``PetriNet.compiled``), which both share; what they memoize per marking
-lives for one call only.
+(``PetriNet.compiled``) and read enabling and firing from its successor
+table, which lives as long as the net; their own memos (replay moves,
+silent closures) live for one call only.
 """
 
 from __future__ import annotations
@@ -49,21 +50,16 @@ class ConformanceScores:
 # Silent-transition closure
 # ---------------------------------------------------------------------------
 
-def _enabled_silent(cn: CompiledNet, marking: TokenMarking) -> list[int]:
-    if not cn.silent:
-        return []
-    return [ti for ti in cn.enabled_indices(marking) if cn.transitions[ti].label is None]
-
-
 def _silent_closure(cn: CompiledNet, marking: TokenMarking) -> set[TokenMarking]:
     """All markings reachable from ``marking`` by firing only silent transitions."""
     seen = {marking}
+    if not cn.has_silent:
+        return seen
     frontier = [marking]
     while frontier:
         cur = frontier.pop()
-        for si in _enabled_silent(cn, cur):
-            nxt = cn.fire(cur, si)
-            if nxt in seen:
+        for si, nxt in cn.successors(cur):
+            if cn.labels[si] is not None or nxt in seen:
                 continue
             seen.add(nxt)
             if len(seen) > _CLOSURE_LIMIT:
@@ -141,8 +137,10 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
         if disabled is not None:
             deficit, ti = disabled
             moves.append((deficit, 1, cn.fire(marking, ti), len(cn.pre[ti]), len(cn.post[ti])))
-    for si in _enabled_silent(cn, marking):
-        moves.append((0, 0, cn.fire(marking, si), len(cn.pre[si]), len(cn.post[si])))
+    if cn.has_silent:
+        for si, nxt in cn.successors(marking):
+            if cn.labels[si] is None:
+                moves.append((0, 0, nxt, len(cn.pre[si]), len(cn.post[si])))
     return tuple(moves)
 
 
@@ -270,15 +268,14 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     set of continuations A(s), computed over every marking reachable by
     replaying s including silent closure; labels enabled but never observed
     escape.  Prefixes the net cannot replay are truncated at the first
-    failure and counted up to it.  The silent closure and the visible steps
-    of each marking are computed once per call.
+    failure and counted up to it.  Each marking's silent closure is computed
+    once per call; its visible steps come from the net's successor table.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
     cn = net.compiled
     root = _build_prefix_trie(lstar)
     closures: dict[TokenMarking, set[TokenMarking]] = {}
-    steps: dict[TokenMarking, dict[str, list[TokenMarking]]] = {}
     escaping = 0
     allowed = 0
     queue: deque[tuple[_TrieNode, set[TokenMarking]]] = deque([(root, {cn.initial})])
@@ -295,22 +292,17 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
                     partial_count=len(closure),
                 )
         # Visible continuations: label -> markings after firing it.
-        successors: dict[str, set[TokenMarking]] = {}
+        continuations: dict[str, set[TokenMarking]] = {}
         for m in closure:
-            if m not in steps:
-                by_label: dict[str, list[TokenMarking]] = {}
-                for ti in cn.enabled_indices(m):
-                    label = cn.transitions[ti].label
-                    if label is not None:
-                        by_label.setdefault(label, []).append(cn.fire(m, ti))
-                steps[m] = by_label
-            for label, nxts in steps[m].items():
-                successors.setdefault(label, set()).update(nxts)
-        allowed += node.count * len(successors)
-        escaping += node.count * len(successors.keys() - node.children.keys())
+            for ti, nxt in cn.successors(m):
+                label = cn.labels[ti]
+                if label is not None:
+                    continuations.setdefault(label, set()).add(nxt)
+        allowed += node.count * len(continuations)
+        escaping += node.count * len(continuations.keys() - node.children.keys())
         for label, child in node.children.items():
-            if label in successors:
-                queue.append((child, successors[label]))
+            if label in continuations:
+                queue.append((child, continuations[label]))
     if allowed == 0:
         return 1.0
     return 1.0 - escaping / allowed

@@ -95,6 +95,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise InvalidInputError(f"jobs must be >= 1, got {self.jobs}")
+        if self.token_cap < 1:
+            raise InvalidInputError(f"token_cap must be >= 1, got {self.token_cap}")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise InvalidInputError(f"split_ratio must be in (0,1), got {self.split_ratio}")
 
 
 def _task_seed(seed: int, system_index: int, model_index: int) -> int:

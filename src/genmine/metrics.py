@@ -16,7 +16,7 @@ hold exactly by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Collection
 
 import numpy as np
@@ -143,17 +143,7 @@ class MetricsReport:
         }
 
     def counts_dict(self) -> dict[str, int]:
-        return {
-            "n_sampled": self.n_sampled,
-            "n_system": self.n_system,
-            "n_observed": self.n_observed,
-            "n_unobserved": self.n_unobserved,
-            "n_holdout": self.n_holdout,
-            "hits_system": self.hits_system,
-            "hits_observed": self.hits_observed,
-            "hits_unobserved": self.hits_unobserved,
-            "hits_holdout": self.hits_holdout,
-        }
+        return asdict(self)
 
 
 def compute_rates(

@@ -12,7 +12,9 @@ through one compiled form, :class:`CompiledNet`, built once per net
 (``PetriNet.compiled``).  It stores a marking sparsely, as the sorted
 tuple of the indices of the places that hold tokens, one entry per token,
 so firing, enabling checks and hashing cost time in the number of tokens,
-not in the number of places.
+not in the number of places.  Its successor table, filled per marking on
+first visit and kept with the net, is the one enabling-and-firing relation
+all three searches read.
 
 State explosion is kept in check three ways: a per-place token cap, a cap
 on the visible sequence length, and a global expansion budget that raises
@@ -171,12 +173,14 @@ class CompiledNet:
         self.unconditional = tuple(ti for ti, ps in enumerate(self.pre) if not ps)
         self.initial = self.encode(net.initial())
         self.finals = tuple(self.encode(fm) for fm in net.finals())
-        self.silent = tuple(i for i, t in enumerate(self.transitions) if t.label is None)
+        self.labels = tuple(t.label for t in self.transitions)
+        self.has_silent = None in self.labels
         self.by_label: dict[str, tuple[int, ...]] = {}
         for i, t in enumerate(self.transitions):
             if t.label is not None:
                 self.by_label.setdefault(t.label, ())
                 self.by_label[t.label] += (i,)
+        self._successors: dict[TokenMarking, tuple[tuple[int, TokenMarking], ...]] = {}
 
     def encode(self, marking: Mapping[str, int]) -> TokenMarking:
         """The sorted token tuple of a ``{place: count}`` marking."""
@@ -203,14 +207,20 @@ class CompiledNet:
         out.sort()
         return tuple(out)
 
-    def enabled_indices(self, marking: TokenMarking) -> list[int]:
-        """Transitions enabled in ``marking``, in ascending index order."""
-        held = set(marking)
-        cands = set(self.unconditional)
-        for p in held:
-            cands.update(self.consumers[p])
-        pre = self.pre
-        return sorted(ti for ti in cands if pre[ti] <= held)
+    def successors(self, marking: TokenMarking) -> tuple[tuple[int, TokenMarking], ...]:
+        """``(transition index, next marking)`` per enabled transition, in
+        ascending index order; worked out once per marking and kept."""
+        row = self._successors.get(marking)
+        if row is None:
+            held = set(marking)
+            cands = set(self.unconditional)
+            for p in held:
+                cands.update(self.consumers[p])
+            pre = self.pre
+            row = self._successors[marking] = tuple(
+                (ti, self.fire(marking, ti)) for ti in sorted(cands) if pre[ti] <= held
+            )
+        return row
 
 
 def _exceeds_cap(marking: TokenMarking, cap: int) -> bool:
@@ -238,7 +248,6 @@ def playout_enumerate(
     if token_cap is not None and token_cap < 1:
         raise InvalidInputError("token_cap must be positive")
     cn = net.compiled
-    labels = [t.label for t in cn.transitions]
     results: set[Variant] = set()
     start = (cn.initial, ())
     stack = [start]
@@ -255,12 +264,11 @@ def playout_enumerate(
             )
         if finals and marking in finals and prefix:
             results.add(prefix)
-        enabled = cn.enabled_indices(marking)
-        for ti in enabled:
-            nxt_marking = cn.fire(marking, ti)
+        row = cn.successors(marking)
+        for ti, nxt_marking in row:
             if token_cap is not None and _exceeds_cap(nxt_marking, token_cap):
                 continue
-            label = labels[ti]
+            label = cn.labels[ti]
             if label is None:
                 nxt = (nxt_marking, prefix)
             else:
@@ -270,7 +278,7 @@ def playout_enumerate(
             if nxt not in visited:
                 visited.add(nxt)
                 stack.append(nxt)
-        if not enabled and not finals and prefix:
+        if not row and not finals and prefix:
             results.add(prefix)
     return frozenset(results)
 

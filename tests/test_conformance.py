@@ -191,6 +191,32 @@ class TestModelGeneralization:
         assert built == [xor_net_abc]
 
 
+class TestSuccessorTable:
+    def test_force_fired_markings_get_true_rows(self):
+        # Replay force-fires disabled transitions and then reads the silent
+        # moves out of the markings it reaches; each row it leaves in the
+        # net's table must be the enabled relation of a fresh compiled net.
+        net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
+                                      weights=SILENT_WEIGHTS, silent_skip=True,
+                                      duplicate_label=True))
+        labels = sorted(net.labels())
+        lstar = VariantLog((tuple(reversed(labels)) * 2, tuple(labels), tuple(labels[:1])))
+        assert token_replay_fitness(net, lstar) < 1.0
+        fresh = petri.CompiledNet(net)
+        reachable = {fresh.initial}
+        frontier = [fresh.initial]
+        while frontier:
+            for _, nxt in fresh.successors(frontier.pop()):
+                if nxt not in reachable:
+                    reachable.add(nxt)
+                    frontier.append(nxt)
+        table = net.compiled._successors
+        assert table.keys() - reachable, "replay touched no force-fired marking"
+        for m, row in table.items():
+            assert row == tuple((ti, fresh.fire(m, ti)) for ti in range(len(fresh.transitions))
+                                if fresh.pre[ti] <= set(m))
+
+
 class TestPropositions:
     """Measures against a built system's own complete playout.
 

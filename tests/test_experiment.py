@@ -113,6 +113,25 @@ class TestRunExperiment:
         assert counts["n_observed"] == len(truth.lplus)
         assert counts["n_unobserved"] == len(truth.v_u)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("token_cap", 0, "token_cap must be >= 1, got 0"),
+        ("split_ratio", 1.5, r"split_ratio must be in \(0,1\), got 1.5"),
+        ("split_ratio", 0.0, r"split_ratio must be in \(0,1\), got 0.0"),
+    ])
+    def test_bad_config_fails_before_training(self, monkeypatch, field, value, message):
+        from genmine import genmodel, playout_enumerate, split_system
+
+        def train_and_select(*args):
+            raise AssertionError("train_and_select must not run")
+
+        monkeypatch.setattr(genmodel, "train_and_select", train_and_select)
+        _, net = small_systems(1)[0]
+        truth = split_system(playout_enumerate(net, max_len=None, token_cap=3), 0.7, seed=4)
+        models = [SamplerModel(name="naive", mode="naive", train_config=FAST_TRAIN),
+                  BaselineModel(name="trace", kind="trace")]
+        with pytest.raises(InvalidInputError, match=message):
+            run_experiment([("presplit", truth)], models, ExperimentConfig(**{field: value}))
+
     def test_external_net_model(self):
         systems = small_systems(1)
         alphabet = {a for v in systems[0][1].labels() for a in [v]}

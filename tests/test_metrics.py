@@ -102,6 +102,16 @@ class TestComputeRates:
         r = compute_rates(holdout, v_s, truth.lplus.as_set(), truth.v_u, lplus_e=holdout)
         assert r.tp_e == 1.0
 
+    def test_counts_dict_holds_every_count(self):
+        v_s = variants("v", 10)
+        truth = split_system(v_s, 0.7, seed=0)
+        r = compute_rates(v_s, v_s, truth.lplus.as_set(), truth.v_u)
+        assert sorted(r.counts_dict()) == [
+            "hits_holdout", "hits_observed", "hits_system", "hits_unobserved",
+            "n_holdout", "n_observed", "n_sampled", "n_system", "n_unobserved",
+        ]
+        assert r.counts_dict()["n_observed"] == len(truth.lplus)
+
     def test_bad_partition_rejected(self):
         with pytest.raises(InvalidInputError):
             compute_rates(set(), variants("v", 4), variants("v", 4), variants("v", 2))

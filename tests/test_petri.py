@@ -26,7 +26,7 @@ from .oracles import brute_force_playout
 
 def enabled(net, marking):
     cn = CompiledNet(net)
-    return {cn.transitions[i].tid for i in cn.enabled_indices(cn.encode(marking))}
+    return {cn.transitions[i].tid for i, _ in cn.successors(cn.encode(marking))}
 
 
 def fire(net, marking, tid):
@@ -88,14 +88,28 @@ class TestEnabledFire:
             {"p1": 1},
         )
         cn = CompiledNet(net)
-        assert cn.enabled_indices(cn.encode({"p1": 1, "p2": 1})) == [0, 1, 2, 3]
-        assert cn.enabled_indices(cn.encode({"p1": 2})) == [2, 3]
+        assert [ti for ti, _ in cn.successors(cn.encode({"p1": 1, "p2": 1}))] == [0, 1, 2, 3]
+        assert cn.successors(cn.encode({"p1": 2})) == ((2, (0, 0)), (3, (0,)))
 
     def test_compiled_once_per_net(self, sequence_net_ab):
         assert sequence_net_ab.compiled is sequence_net_ab.compiled
 
 
 class TestPlayout:
+    def test_each_marking_fires_once(self, monkeypatch):
+        # The flower's one marking is expanded for every prefix, but its three
+        # firings are worked out once and read from the successor table after.
+        fired = []
+        fire = CompiledNet.fire
+
+        def counting_fire(self, marking, ti):
+            fired.append(ti)
+            return fire(self, marking, ti)
+
+        monkeypatch.setattr(CompiledNet, "fire", counting_fire)
+        assert len(playout_enumerate(flower_model(["a", "b", "c"]), max_len=4)) == 120
+        assert fired == [0, 1, 2]
+
     def test_sequence(self, sequence_net_ab):
         assert playout_enumerate(sequence_net_ab, max_len=5) == {("a", "b")}
 
