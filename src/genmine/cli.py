@@ -13,17 +13,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from . import conformance, experiment, genmodel, logs, metrics, petri, sampling, systems
+from . import conformance, experiment, genmodel, logs, metrics, petri, systems
 from .errors import GenmineError
 
 JSON_KW = {"indent": 2, "sort_keys": True}
-TRAIN_DEFAULTS = genmodel.TrainConfig()
 EXPERIMENT_DEFAULTS = experiment.ExperimentConfig()
 SYSTEM_DEFAULTS = systems.SystemSpec(seed=0)  # the seed has no default and is not read
+
+# The dataclass fields each command exposes as ``--field-name`` flags.
+TRAIN_FIELDS = tuple(f.name for f in fields(genmodel.TrainConfig))
+SAMPLER_FIELDS = ("k", "kappa", "patience", "strict_pseudocode", "union_observed")
+SYSTEM_FIELDS = ("depth", "alphabet_budget", "loop_unroll", "fanout_min", "fanout_max",
+                 "silent_skip", "duplicate_label")
 
 
 def _dump(obj, path: str | None) -> str:
@@ -45,27 +52,32 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretty", action="store_true", help="human-readable summary output")
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=sampling.DEFAULT_NAIVE_DRAWS)
-    p.add_argument("--kappa", type=int, default=sampling.DEFAULT_CHAIN_LENGTH)
-    p.add_argument("--patience", type=int, default=sampling.DEFAULT_PATIENCE)
-    p.add_argument("--strict-pseudocode", action="store_true")
-    p.add_argument("--union-observed", action="store_true")
+def _add_fields(p: argparse.ArgumentParser, cls: type, names: tuple[str, ...]) -> None:
+    """One ``--field-name`` flag per named field of ``cls``, in field order.
+
+    The flag takes its type and default from the dataclass; a boolean field
+    (every exposed one defaults to False) becomes a ``store_true`` switch.
+    """
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in names:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if hints[f.name] is bool:
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=hints[f.name], default=f.default)
 
 
-def _sampler_model(
-    args, mode: str, train_config: genmodel.TrainConfig
-) -> experiment.SamplerModel:
-    """The sampler the flags of `_add_sampler_flags` describe."""
+def _field_kwargs(args, names: tuple[str, ...]) -> dict:
+    """The parsed values of the flags `_add_fields` added, as constructor kwargs."""
+    return {name: getattr(args, name) for name in names}
+
+
+def _sampler_model(args, mode: str, train_config: genmodel.TrainConfig) -> experiment.SamplerModel:
     return experiment.SamplerModel(
-        name=f"sampler_{mode}",
-        mode=mode,
-        train_config=train_config,
-        k=args.k,
-        kappa=args.kappa,
-        patience=args.patience,
-        strict_pseudocode=args.strict_pseudocode,
-        union_observed=args.union_observed,
+        name=f"sampler_{mode}", mode=mode, train_config=train_config,
+        **_field_kwargs(args, SAMPLER_FIELDS),
     )
 
 
@@ -114,20 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--log", help="event log CSV")
     src.add_argument("--variants", help="variant TSV; a repeated line counts once")
     p.add_argument("--out", required=True, help="model checkpoint JSON")
-    p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS.seed)
-    p.add_argument("--order", type=int, default=TRAIN_DEFAULTS.order)
-    p.add_argument("--smoothing", type=float, default=TRAIN_DEFAULTS.smoothing)
-    p.add_argument("--rounds", type=int, default=TRAIN_DEFAULTS.rounds)
-    p.add_argument("--temperature", type=float, default=TRAIN_DEFAULTS.temperature)
-    p.add_argument("--holdout-fraction", type=float, default=TRAIN_DEFAULTS.holdout_fraction)
-    p.add_argument("--select-sample-size", type=int, default=TRAIN_DEFAULTS.select_sample_size)
-    p.add_argument("--round-samples", type=int, default=TRAIN_DEFAULTS.round_samples)
+    _add_fields(p, genmodel.TrainConfig, TRAIN_FIELDS)
     _add_common(p)
 
     p = sub.add_parser("sample", help="estimate system variants from a trained model")
     p.add_argument("--model", required=True, help="model checkpoint JSON")
     p.add_argument("--mode", choices=("naive", "mh"), default="naive")
-    _add_sampler_flags(p)
+    _add_fields(p, experiment.SamplerModel, SAMPLER_FIELDS)
     p.add_argument("--temperature", type=float, default=None,
                    help="draw temperature (default: the checkpoint's training temperature)")
     p.add_argument("--seed", type=int, default=0)
@@ -146,15 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-system", help="build a seeded block-structured ground truth")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--depth", type=int, default=SYSTEM_DEFAULTS.depth)
-    p.add_argument("--alphabet-budget", type=int, default=SYSTEM_DEFAULTS.alphabet_budget)
-    p.add_argument("--loop-unroll", type=int, default=SYSTEM_DEFAULTS.loop_unroll)
-    p.add_argument("--fanout-min", type=int, default=SYSTEM_DEFAULTS.fanout_min)
-    p.add_argument("--fanout-max", type=int, default=SYSTEM_DEFAULTS.fanout_max)
+    _add_fields(p, systems.SystemSpec, SYSTEM_FIELDS)
     p.add_argument("--weights", type=_weights_arg, default=None,
                    help="e.g. seq=1,xor=1,and=0.4,loop=0.2")
-    p.add_argument("--silent-skip", action="store_true")
-    p.add_argument("--duplicate-label", action="store_true")
     p.add_argument("--out", required=True, help="net JSON output")
     p.add_argument("--profile", action="store_true",
                    help="also print alphabet size, max length, variant count")
@@ -173,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=EXPERIMENT_DEFAULTS.split_ratio)
     p.add_argument("--token-cap", type=int, default=EXPERIMENT_DEFAULTS.token_cap)
     p.add_argument("--jobs", type=int, default=EXPERIMENT_DEFAULTS.jobs)
-    _add_sampler_flags(p)
-    p.add_argument("--rounds", type=int, default=TRAIN_DEFAULTS.rounds)
-    p.add_argument("--temperature", type=float, default=TRAIN_DEFAULTS.temperature)
+    _add_fields(p, experiment.SamplerModel, SAMPLER_FIELDS)
+    _add_fields(p, genmodel.TrainConfig, ("rounds", "temperature"))
     p.add_argument("--timing", action="store_true", help="include wall-clock timing")
     p.add_argument("--out", required=True, help="report JSON output")
     _add_common(p)
@@ -228,16 +226,7 @@ def _load_lplus(args) -> logs.UniqueVariantLog:
 
 def _cmd_train(args) -> dict:
     lplus = _load_lplus(args)
-    cfg = genmodel.TrainConfig(
-        seed=args.seed,
-        order=args.order,
-        smoothing=args.smoothing,
-        rounds=args.rounds,
-        temperature=args.temperature,
-        holdout_fraction=args.holdout_fraction,
-        select_sample_size=args.select_sample_size,
-        round_samples=args.round_samples,
-    )
+    cfg = genmodel.TrainConfig(**_field_kwargs(args, TRAIN_FIELDS))
     result = genmodel.train_and_select(lplus, cfg)
     genmodel.save_checkpoint(result, args.out)
     best = max(c.tp_e for c in result.candidates)
@@ -290,19 +279,10 @@ def _cmd_metrics(args) -> dict:
 
 
 def _cmd_gen_system(args) -> dict:
-    kwargs = dict(
-        seed=args.seed,
-        depth=args.depth,
-        alphabet_budget=args.alphabet_budget,
-        loop_unroll=args.loop_unroll,
-        fanout_min=args.fanout_min,
-        fanout_max=args.fanout_max,
-        silent_skip=args.silent_skip,
-        duplicate_label=args.duplicate_label,
-    )
+    kwargs = _field_kwargs(args, SYSTEM_FIELDS)
     if args.weights is not None:
         kwargs["weights"] = args.weights
-    spec = systems.SystemSpec(**kwargs)
+    spec = systems.SystemSpec(seed=args.seed, **kwargs)
     net = systems.build_system(spec)
     petri.save_net(net, args.out)
     summary = {"places": len(net.places), "transitions": len(net.transitions), "out": args.out}

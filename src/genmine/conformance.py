@@ -37,8 +37,6 @@ _CLOSURE_LIMIT = 20_000
 class ConformanceScores:
     fitness: float
     precision: float
-    fitness_method: str = "token_replay"
-    precision_method: str = "escaping_edges"
 
     def __post_init__(self):
         for name, value in (("fitness", self.fitness), ("precision", self.precision)):
@@ -349,10 +347,4 @@ def model_generalization(
         raise InvalidInputError("variants must be non-empty")
     fit = fitness_fn(net, lstar)
     prec = precision_fn(net, lstar)
-    scores = ConformanceScores(
-        fitness=fit,
-        precision=prec,
-        fitness_method=getattr(fitness_fn, "__name__", "custom"),
-        precision_method=getattr(precision_fn, "__name__", "custom"),
-    )
-    return GeneralizationResult(generalization_score(fit, prec), scores)
+    return GeneralizationResult(generalization_score(fit, prec), ConformanceScores(fit, prec))

@@ -110,7 +110,7 @@ class _SystemContext:
     name: str
     truth: SystemTruth
     mu: int
-    alphabet: tuple[str, ...]
+    alphabet_size: int
 
 
 def _prepare_system(
@@ -125,8 +125,8 @@ def _prepare_system(
         v_s = petri.playout_enumerate(system, max_len=None, token_cap=cfg.token_cap)
         truth = metrics.split_system(v_s, cfg.split_ratio, _task_seed(cfg.seed, system_index, 0))
     mu = max(len(v) for v in truth.lplus)
-    alphabet = tuple(sorted({a for v in truth.v_s for a in v}))
-    return _SystemContext(name=name, truth=truth, mu=mu, alphabet=alphabet)
+    alphabet_size = len({a for v in truth.v_s for a in v})
+    return _SystemContext(name=name, truth=truth, mu=mu, alphabet_size=alphabet_size)
 
 
 def estimate(
@@ -204,7 +204,7 @@ def _run_cell(payload: tuple) -> tuple[dict, frozenset[Variant] | None]:
         elif model.kind == "trace":
             net = petri.trace_model(truth.lplus)
         elif model.kind == "flower":
-            net = petri.flower_model(ctx.alphabet)
+            net = petri.flower_model({a for v in truth.lplus for a in v})
         else:
             net = petri.dfg_discover(truth.lplus)
         v_hat = petri.playout_enumerate(net, max_len=ctx.mu, token_cap=cfg.token_cap)
@@ -291,7 +291,7 @@ def run_experiment(
                     "n_system": len(ctx.truth.v_s),
                     "n_observed": len(ctx.truth.lplus),
                     "n_unobserved": len(ctx.truth.v_u),
-                    "alphabet_size": len(ctx.alphabet),
+                    "alphabet_size": ctx.alphabet_size,
                     "max_len": ctx.mu,
                 },
                 "models": model_blocks,

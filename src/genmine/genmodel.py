@@ -244,8 +244,8 @@ def sample_variant(
     and generation stops at the end marker or at the length bound.  Each
     symbol consumes one ``rng.random()`` (see :meth:`NGramGenerator._cdf`).
     """
-    if temperature <= 0:
-        raise InvalidInputError("temperature must be > 0")
+    if not 0 < temperature < math.inf:
+        raise InvalidInputError(f"temperature must be finite and > 0, got {temperature}")
     syms = gen.symbols()
     end_index = len(syms) - 1
     emitted: list[str] = []
@@ -376,11 +376,11 @@ class TrainConfig:
     round_samples: int = 2000
 
     def __post_init__(self):
-        positive = (
-            self.select_sample_size, self.temperature, self.order, self.round_samples,
-        )
+        positive = (self.select_sample_size, self.order, self.round_samples)
         if any(x <= 0 for x in positive):
             raise InvalidInputError("all TrainConfig numeric fields must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise InvalidInputError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.rounds < 0:
             raise InvalidInputError("rounds must be >= 0")
         if not 0.0 < self.holdout_fraction < 1.0:

@@ -254,10 +254,15 @@ def playout_enumerate(
     visited = {start}
     finals = set(cn.finals)
     expansions = 0
+    rows_at_entry = len(cn._successors)
     while stack:
         marking, prefix = stack.pop()
         expansions += 1
         if expansions > budget:
+            # Rows are only ever appended, so the newest ones are this search's:
+            # a failed search leaves the net's table as it found it.
+            while len(cn._successors) > rows_at_entry:
+                cn._successors.popitem()
             raise BudgetExceededError(
                 f"playout exceeded budget of {budget} expansions",
                 partial_count=len(results),

@@ -13,6 +13,7 @@ nets, labels included.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -57,8 +58,8 @@ class SystemSpec:
         if unknown:
             raise InvalidInputError(f"unknown operators in weights: {sorted(unknown)}")
         values = [float(self.weights.get(op, 0.0)) for op in OPERATORS]
-        if any(v < 0 for v in values) or sum(values) <= 0:
-            raise InvalidInputError("weights must be non-negative with a positive sum")
+        if any(v < 0 for v in values) or not 0 < sum(values) < math.inf:
+            raise InvalidInputError("weights must be non-negative with a positive finite sum")
 
 
 class _Builder:

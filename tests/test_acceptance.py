@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 
@@ -108,10 +109,13 @@ def test_criterion_3_mh_distribution_recovery():
         target = {va: 0.7, vb: 0.2, vc: 0.1}
         proposal = {va: 1 / 3, vb: 1 / 3, vc: 1 / 3}
         items = list(target)
-        probs = [proposal[v] for v in items]
+        # rng.choice(len(items), p=probs), one rng.random() per draw, without
+        # its per-call normalization
+        cdf = np.cumsum([proposal[v] for v in items])
+        cdf = (cdf / cdf[-1]).tolist()
 
         def draw(rng):
-            return items[int(rng.choice(len(items), p=probs))]
+            return items[bisect_right(cdf, rng.random())]
 
         def oracle_d(v):
             return target[v] / (target[v] + proposal[v])

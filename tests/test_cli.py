@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
 from genmine import (
+    SamplerModel,
     SystemSpec,
+    TrainConfig,
     build_system,
     genmodel,
     playout_enumerate,
@@ -15,8 +19,31 @@ from genmine import (
     write_event_log_csv,
     write_variants_tsv,
 )
-from genmine.cli import main
+from genmine.cli import build_parser, main
 from genmine.genmodel import CHECKPOINT_VERSION
+
+SAMPLER_FLAGS = ("k", "kappa", "patience", "strict_pseudocode", "union_observed")
+
+# (command line with its required flags, dataclass, the fields it exposes as flags)
+EXPOSED_FIELDS = {
+    "train": (["train", "--log", "l.csv", "--out", "m.json"], TrainConfig,
+              ("rounds", "select_sample_size", "temperature", "seed", "order", "smoothing",
+               "holdout_fraction", "round_samples")),
+    "sample": (["sample", "--model", "m.json", "--out", "o.tsv"], SamplerModel, SAMPLER_FLAGS),
+    "experiment-sampler": (["experiment", "--out", "r.json"], SamplerModel, SAMPLER_FLAGS),
+    "experiment-train": (["experiment", "--out", "r.json"], TrainConfig,
+                         ("rounds", "temperature")),
+    "gen-system": (["gen-system", "--seed", "1", "--out", "n.json"], SystemSpec,
+                   ("depth", "alphabet_budget", "loop_unroll", "fanout_min", "fanout_max",
+                    "silent_skip", "duplicate_label")),
+}
+
+
+def assert_domain_error(capsys, code, message):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == {"type": "InvalidInputError", "message": message}
+    assert "Traceback" not in err
 
 
 @pytest.fixture
@@ -36,6 +63,56 @@ def tiny_log_file(tmp_path):
     path = tmp_path / "log.csv"
     write_event_log_csv(log, path)
     return path, variants
+
+
+class TestSettingFlags:
+    @pytest.mark.parametrize("case", list(EXPOSED_FIELDS))
+    def test_flags_follow_their_dataclass(self, case):
+        argv, cls, names = EXPOSED_FIELDS[case]
+        parser = build_parser()
+        hints = get_type_hints(cls)
+        defaults = {f.name: f.default for f in fields(cls)}
+        parsed = vars(parser.parse_args(argv))
+        for name in names:
+            flag = "--" + name.replace("_", "-")
+            assert parsed[name] == defaults[name], flag
+            assert type(parsed[name]) is hints[name], flag
+            if hints[name] is bool:
+                assert defaults[name] is False
+                assert getattr(parser.parse_args(argv + [flag]), name) is True
+                with pytest.raises(SystemExit):  # a switch takes no value
+                    parser.parse_args(argv + [flag, "1"])
+            else:
+                value = getattr(parser.parse_args(argv + [flag, "2"]), name)
+                assert type(value) is hints[name] and value == 2, flag
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_train_temperature(self, tmp_path, tiny_log_file, capsys, value):
+        log_path, _ = tiny_log_file
+        code = main(["--error-json", "train", "--log", str(log_path),
+                     "--out", str(tmp_path / "m.json"), "--temperature", value])
+        assert_domain_error(capsys, code, f"temperature must be finite and > 0, got {value}")
+
+    @pytest.mark.parametrize("mode", ["naive", "mh"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_sample_temperature(self, tmp_path, tiny_log_file, capsys, mode, value):
+        log_path, _ = tiny_log_file
+        model = tmp_path / "m.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model),
+                     "--rounds", "0", "--select-sample-size", "50"]) == 0
+        capsys.readouterr()
+        code = main(["--error-json", "sample", "--model", str(model), "--mode", mode,
+                     "--temperature", value, "--out", str(tmp_path / "o.tsv")])
+        assert_domain_error(capsys, code, f"temperature must be finite and > 0, got {value}")
+
+    @pytest.mark.parametrize("weights", ["seq=nan", "seq=inf,xor=1", "seq=1e308,xor=1e308"])
+    def test_gen_system_weights(self, tmp_path, capsys, weights):
+        code = main(["--error-json", "gen-system", "--seed", "1", "--weights", weights,
+                     "--out", str(tmp_path / "n.json")])
+        assert_domain_error(
+            capsys, code, "weights must be non-negative with a positive finite sum")
 
 
 class TestPlayoutCommand:

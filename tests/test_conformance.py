@@ -171,7 +171,6 @@ class TestModelGeneralization:
             precision_fn=lambda net, lstar: 1.0,
         )
         assert result.generalization == pytest.approx(2 / 3)
-        assert result.scores.fitness_method == "<lambda>"
 
     @pytest.mark.parametrize("variants", [set(), {("a",), ()}])
     def test_empty_set_or_variant_rejected(self, sequence_net_ab, variants):

@@ -14,6 +14,7 @@ from genmine import (
     NetModel,
     SamplerModel,
     SystemSpec,
+    SystemTruth,
     TrainConfig,
     UniqueVariantLog,
     build_system,
@@ -112,6 +113,20 @@ class TestRunExperiment:
         counts = report["systems"][0]["counts"]
         assert counts["n_observed"] == len(truth.lplus)
         assert counts["n_unobserved"] == len(truth.v_u)
+
+    def test_flower_baseline_reads_only_observed_labels(self):
+        # "c" occurs only in an unobserved variant, so no baseline may see it.
+        truth = SystemTruth(
+            v_s=frozenset({("a", "b"), ("b", "a"), ("a", "c")}),
+            lplus=UniqueVariantLog((("a", "b"), ("b", "a"))),
+            v_u=frozenset({("a", "c")}),
+        )
+        report = run_experiment([("sys", truth)], [BaselineModel(name="flower", kind="flower")])
+        system = report["systems"][0]
+        counts = system["models"][0]["counts"]
+        assert counts["n_sampled"] == 6  # a, b and the four words of two of them
+        assert counts["hits_unobserved"] == 0
+        assert system["counts"]["alphabet_size"] == 3  # still the system's own
 
     @pytest.mark.parametrize("field, value, message", [
         ("token_cap", 0, "token_cap must be >= 1, got 0"),

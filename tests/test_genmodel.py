@@ -112,6 +112,12 @@ class TestSampleVariant:
             assert sample_variant(gen, 1.0, rng) == ("a", "b")
         assert sample_variant(gen, 0.3, rng) == ("a", "b")
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        gen = fit_mle(lplus(["a", "b"]), order=2, smoothing=0.0)
+        with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
+            sample_variant(gen, temperature, np.random.default_rng(0))
+
     def test_low_temperature_is_greedy(self):
         gen = fit_mle(lplus(["a", "b"], ["a", "c"]), order=2, smoothing=0.0)
         gen = gen.with_added_counts([(("a", "b"), 8.0)])
@@ -395,6 +401,11 @@ class TestTrainAndSelect:
         path = tmp_path / "model.json"
         save_checkpoint(train_and_select(lplus(["a", "b"], ["b"], ["a"]), cfg), path)
         assert sorted(json.loads(path.read_text())["config"]) == sorted(fields)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
+            TrainConfig(temperature=temperature)
 
     def test_checkpoint_round_trip(self, tmp_path):
         variants = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]

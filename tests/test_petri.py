@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +127,30 @@ class TestPlayout:
         with pytest.raises(BudgetExceededError) as err:
             playout_enumerate(net, max_len=20, budget=50)
         assert err.value.partial_count >= 0
+
+    def test_budget_error_leaves_the_successor_table_as_it_found_it(self):
+        # An empty-preset generator and no token cap: every expansion reaches
+        # a new marking, so each one adds a successor row.
+        net = make_net({"p0", "p1"}, [("t_gen", "a"), ("t_b", "b")],
+                       [("t_gen", "p0"), ("p0", "t_b"), ("t_b", "p1")], {"p1": 1}, [])
+        cn = net.compiled
+        playout_enumerate(net, max_len=2, token_cap=None)
+        kept = dict(cn._successors)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                playout_enumerate(net, max_len=None, token_cap=None, budget=1_000)
+            except BudgetExceededError:
+                pass
+            else:
+                pytest.fail("the uncapped playout must exceed its budget")
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cn._successors == kept
+        assert retained < 2**20  # 1,000 rows kept about 8 MiB
 
     @pytest.mark.parametrize(
         "kind, budget, partial",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -24,11 +25,14 @@ def constant_draw(variant):
 
 
 def categorical_draw(variants, probs):
+    """Draws as ``rng.choice(len(variants), p=probs)`` does, stream included:
+    one ``rng.random()`` bisected into the normalized cumulative sum."""
     variants = list(variants)
-    probs = np.asarray(probs, dtype=float)
+    cdf = np.cumsum(probs, dtype=float)
+    cdf = (cdf / cdf[-1]).tolist()
 
     def draw(rng):
-        return variants[int(rng.choice(len(variants), p=probs))]
+        return variants[bisect_right(cdf, rng.random())]
 
     return draw
 

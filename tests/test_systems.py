@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from genmine import (
@@ -93,6 +95,15 @@ class TestSpecValidation:
     def test_weights_need_positive_sum(self):
         with pytest.raises(InvalidInputError):
             spec_with(weights={"seq": 0.0})
+
+    @pytest.mark.parametrize("weights", [
+        {"seq": math.nan},
+        {"seq": math.inf, "xor": 1.0},
+        {"seq": 1e308, "xor": 1e308},
+    ])
+    def test_weights_need_finite_sum(self, weights):
+        with pytest.raises(InvalidInputError, match="positive finite sum"):
+            spec_with(weights=weights)
 
     def test_loop_unroll_bound(self):
         with pytest.raises(InvalidInputError):
