@@ -2,12 +2,18 @@
 """Walkthrough: the full controlled experiment over several ground-truth
 systems, with paired statistical tests on the balanced score s.
 
-Equivalent CLI:
+A similar run from the CLI, with the same seeds, depth, rounds and draw
+count:
 
     genmine experiment \
-        --gen-system-seed 14 --gen-system-seed 78 --gen-system-seed 133 \
+        --gen-system-seed 14 --gen-system-seed 57 --gen-system-seed 78 \
+        --gen-system-depth 2 \
         --baseline trace --baseline flower --baseline dfg \
-        --sampler naive --seed 7 --out report.json
+        --sampler naive --rounds 3 --k 5000 --seed 7 --out report.json
+
+It is not the same experiment.  The CLI builds its systems with the default
+operator weights, alphabet budget and fan-out, so they differ from the
+ones below.  Its sampler keeps the default round and selection sample sizes.
 """
 
 import json

@@ -227,10 +227,11 @@ def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
     total = _TokenCounts()
     cache: dict[Variant, _TokenCounts] = {}
     memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]] = {}
-    for v in lstar:
-        if v not in cache:
-            cache[v] = _replay_variant(cn, v, memo)
-        total.add(cache[v])
+    with cn.search():
+        for v in lstar:
+            if v not in cache:
+                cache[v] = _replay_variant(cn, v, memo)
+            total.add(cache[v])
     miss_term = 1.0 if total.consumed == 0 else 1.0 - total.missing / total.consumed
     rem_term = 1.0 if total.produced == 0 else 1.0 - total.remaining / total.produced
     return 0.5 * miss_term + 0.5 * rem_term
@@ -277,30 +278,31 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     escaping = 0
     allowed = 0
     queue: deque[tuple[_TrieNode, set[TokenMarking]]] = deque([(root, {cn.initial})])
-    while queue:
-        node, markings = queue.popleft()
-        closure: set[TokenMarking] = set()
-        for m in markings:
-            if m not in closures:
-                closures[m] = _silent_closure(cn, m)
-            closure.update(closures[m])
-            if len(closure) > _CLOSURE_LIMIT:
-                raise BudgetExceededError(
-                    "escaping-edges replay exceeded marking limit",
-                    partial_count=len(closure),
-                )
-        # Visible continuations: label -> markings after firing it.
-        continuations: dict[str, set[TokenMarking]] = {}
-        for m in closure:
-            for ti, nxt in cn.successors(m):
-                label = cn.labels[ti]
-                if label is not None:
-                    continuations.setdefault(label, set()).add(nxt)
-        allowed += node.count * len(continuations)
-        escaping += node.count * len(continuations.keys() - node.children.keys())
-        for label, child in node.children.items():
-            if label in continuations:
-                queue.append((child, continuations[label]))
+    with cn.search():
+        while queue:
+            node, markings = queue.popleft()
+            closure: set[TokenMarking] = set()
+            for m in markings:
+                if m not in closures:
+                    closures[m] = _silent_closure(cn, m)
+                closure.update(closures[m])
+                if len(closure) > _CLOSURE_LIMIT:
+                    raise BudgetExceededError(
+                        "escaping-edges replay exceeded marking limit",
+                        partial_count=len(closure),
+                    )
+            # Visible continuations: label -> markings after firing it.
+            continuations: dict[str, set[TokenMarking]] = {}
+            for m in closure:
+                for ti, nxt in cn.successors(m):
+                    label = cn.labels[ti]
+                    if label is not None:
+                        continuations.setdefault(label, set()).add(nxt)
+            allowed += node.count * len(continuations)
+            escaping += node.count * len(continuations.keys() - node.children.keys())
+            for label, child in node.children.items():
+                if label in continuations:
+                    queue.append((child, continuations[label]))
     if allowed == 0:
         return 1.0
     return 1.0 - escaping / allowed

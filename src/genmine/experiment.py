@@ -3,13 +3,13 @@
 For each ground-truth system: play out its variant set (or accept a
 pre-split truth), hold out the unobserved share, and score every requested
 model against the truth.  Each (system, model) cell does all of that
-model's work.  A sampler cell trains the built-in generator on the
-observed variants and estimates the system set naively or via
-Metropolis-Hastings (:func:`estimate`).  A net cell builds its net once,
-plays it out up to the length of the longest observed variant, and scores
-its generalization against every sampler's estimated variant set of the
-same system.  Sampler cells therefore run first and net cells second,
-both through the same executor.
+model's work and returns its finished report block.  A sampler cell
+trains the built-in generator on the observed variants and estimates the
+system set naively or via Metropolis-Hastings (:func:`estimate`).  A net
+cell builds its net once, plays it out up to the length of the longest
+observed variant, and scores its generalization against every sampler's
+estimated variant set of the same system.  Sampler cells therefore run
+first and net cells second, both through the same executor.
 
 Reports are plain dicts ready for JSON: all randomness is derived from
 (seed, system index, model index), every set is serialized sorted, and
@@ -105,28 +105,14 @@ def _task_seed(seed: int, system_index: int, model_index: int) -> int:
     return (seed * 1_000_003 + system_index * 10_007 + model_index * 101 + 13) % (2**31 - 1)
 
 
-@dataclass(frozen=True)
-class _SystemContext:
-    name: str
-    truth: SystemTruth
-    mu: int
-    alphabet_size: int
-
-
 def _prepare_system(
-    name: str,
-    system: PetriNet | SystemTruth,
-    cfg: ExperimentConfig,
-    system_index: int,
-) -> _SystemContext:
+    system: PetriNet | SystemTruth, cfg: ExperimentConfig, system_index: int
+) -> SystemTruth:
+    """Play out and split a net; a given truth passes through."""
     if isinstance(system, SystemTruth):
-        truth = system
-    else:
-        v_s = petri.playout_enumerate(system, max_len=None, token_cap=cfg.token_cap)
-        truth = metrics.split_system(v_s, cfg.split_ratio, _task_seed(cfg.seed, system_index, 0))
-    mu = max(len(v) for v in truth.lplus)
-    alphabet_size = len({a for v in truth.v_s for a in v})
-    return _SystemContext(name=name, truth=truth, mu=mu, alphabet_size=alphabet_size)
+        return system
+    v_s = petri.playout_enumerate(system, max_len=None, token_cap=cfg.token_cap)
+    return metrics.split_system(v_s, cfg.split_ratio, _task_seed(cfg.seed, system_index, 0))
 
 
 def estimate(
@@ -157,87 +143,83 @@ def estimate(
     return sample
 
 
+def _rates_block(name: str, kind: str, v_hat: frozenset[Variant], truth: SystemTruth,
+                 lplus_e: frozenset[Variant] | None = None) -> dict:
+    report = metrics.compute_rates(v_hat, truth.v_s, truth.lplus.as_set(), truth.v_u, lplus_e)
+    return {"name": name, "kind": kind, "counts": report.counts_dict(),
+            "rates": report.rates_dict()}
+
+
+def _sampler_block(truth: SystemTruth, model: SamplerModel, cfg: ExperimentConfig,
+                   si: int, mi: int) -> tuple[dict, frozenset[Variant]]:
+    tcfg = replace(model.train_config, seed=_task_seed(cfg.seed, si, mi))
+    result = genmodel.train_and_select(truth.lplus, tcfg)
+    rng = np.random.default_rng([cfg.seed, si, mi, 2])
+    sample = estimate(model, result, rng, tcfg.temperature)
+    block = _rates_block(model.name, "sampler", sample.v_hat_s, truth, result.holdout.as_set())
+    block["sampler_meta"] = {
+        "mode": model.mode,
+        "draws": sample.draw_count,
+        "acceptance_rate": sample.acceptance_rate,
+        "selected_round": result.selected_round,
+        "candidates": [
+            {"round": c.round_index, "tp_e": c.tp_e, "sample_count": c.sample_count}
+            for c in result.candidates
+        ],
+        "train_seed": tcfg.seed,
+    }
+    return block, sample.v_hat_s
+
+
+def _net_block(truth: SystemTruth, model: NetModel | BaselineModel, cfg: ExperimentConfig,
+               sampler_sets: Mapping[str, frozenset[Variant]]) -> dict:
+    if isinstance(model, NetModel):
+        net = model.net
+    elif model.kind == "trace":
+        net = petri.trace_model(truth.lplus)
+    elif model.kind == "flower":
+        net = petri.flower_model({a for v in truth.lplus for a in v})
+    else:
+        net = petri.dfg_discover(truth.lplus)
+    # A SystemTruth's longest observed variant is a longest one of V_S.
+    mu = max(len(v) for v in truth.lplus)
+    v_hat = petri.playout_enumerate(net, max_len=mu, token_cap=cfg.token_cap)
+    block = _rates_block(model.name, "net", v_hat, truth)
+    per_sampler = {}
+    for sampler_name, variants in sorted(sampler_sets.items()):
+        if not variants:
+            per_sampler[sampler_name] = {"generalization": 0.0, "fitness": 0.0, "precision": 0.0,
+                                         "note": "empty estimated variant set"}
+            continue
+        res = conformance.model_generalization(net, variants)
+        per_sampler[sampler_name] = {"generalization": res.generalization,
+                                     "fitness": res.scores.fitness,
+                                     "precision": res.scores.precision}
+    if per_sampler:
+        gens = [v["generalization"] for v in per_sampler.values()]
+        block["generalization"] = {"per_sampler": per_sampler, "mean": sum(gens) / len(gens)}
+    return block
+
+
 def _run_cell(payload: tuple) -> tuple[dict, frozenset[Variant] | None]:
     """Evaluate one (system, model) cell; a pure function of its payload.
 
-    A sampler cell returns its report block and its estimated variant set.
-    A net cell scores its net's generalization against each of its system's
-    sampler sets (by sampler name) and returns its block and no set.
+    Returns the cell's finished report block and, for a sampler cell, its
+    estimated variant set.  A net cell scores its net's generalization
+    against each of its system's sampler sets (by sampler name).
     """
-    ctx, model, cfg, si, mi, sampler_sets = payload
-    truth = ctx.truth
+    system_name, truth, model, cfg, si, mi, sampler_sets = payload
     started = time.perf_counter()
     try:
         if isinstance(model, SamplerModel):
-            tcfg = replace(model.train_config, seed=_task_seed(cfg.seed, si, mi))
-            result = genmodel.train_and_select(truth.lplus, tcfg)
-            rng = np.random.default_rng([cfg.seed, si, mi, 2])
-            sample = estimate(model, result, rng, tcfg.temperature)
-            report = metrics.compute_rates(
-                sample.v_hat_s,
-                truth.v_s,
-                truth.lplus.as_set(),
-                truth.v_u,
-                lplus_e=result.holdout.as_set(),
-            )
-            block = {
-                "name": model.name,
-                "kind": "sampler",
-                "counts": report.counts_dict(),
-                "rates": report.rates_dict(),
-                "sampler_meta": {
-                    "mode": model.mode,
-                    "draws": sample.draw_count,
-                    "acceptance_rate": sample.acceptance_rate,
-                    "selected_round": result.selected_round,
-                    "candidates": [
-                        {"round": c.round_index, "tp_e": c.tp_e, "sample_count": c.sample_count}
-                        for c in result.candidates
-                    ],
-                    "train_seed": tcfg.seed,
-                },
-                "elapsed_s": time.perf_counter() - started,
-            }
-            return block, sample.v_hat_s
-        if isinstance(model, NetModel):
-            net = model.net
-        elif model.kind == "trace":
-            net = petri.trace_model(truth.lplus)
-        elif model.kind == "flower":
-            net = petri.flower_model({a for v in truth.lplus for a in v})
+            block, v_hat_s = _sampler_block(truth, model, cfg, si, mi)
         else:
-            net = petri.dfg_discover(truth.lplus)
-        v_hat = petri.playout_enumerate(net, max_len=ctx.mu, token_cap=cfg.token_cap)
-        report = metrics.compute_rates(v_hat, truth.v_s, truth.lplus.as_set(), truth.v_u)
-        block = {
-            "name": model.name,
-            "kind": "net",
-            "counts": report.counts_dict(),
-            "rates": report.rates_dict(),
-        }
-        per_sampler = {}
-        for sampler_name, variants in sorted(sampler_sets.items()):
-            if variants:
-                res = conformance.model_generalization(net, variants)
-                per_sampler[sampler_name] = {
-                    "generalization": res.generalization,
-                    "fitness": res.scores.fitness,
-                    "precision": res.scores.precision,
-                }
-            else:
-                per_sampler[sampler_name] = {
-                    "generalization": 0.0,
-                    "fitness": 0.0,
-                    "precision": 0.0,
-                    "note": "empty estimated variant set",
-                }
-        if per_sampler:
-            gens = [v["generalization"] for v in per_sampler.values()]
-            block["generalization"] = {"per_sampler": per_sampler, "mean": sum(gens) / len(gens)}
-        block["elapsed_s"] = time.perf_counter() - started
-        return block, None
+            block, v_hat_s = _net_block(truth, model, cfg, sampler_sets), None
     except GenmineError as exc:
-        raise GenmineError(f"system {ctx.name!r}, model {model.name!r}: {exc}") from exc
+        raise GenmineError(f"system {system_name!r}, model {model.name!r}: {exc}") from exc
+    if cfg.include_timing:
+        block["elapsed_s"] = time.perf_counter() - started
+    return block, v_hat_s
 
 
 def run_experiment(
@@ -254,49 +236,28 @@ def run_experiment(
     if len(set(names)) != len(names):
         raise InvalidInputError("model names must be unique")
 
-    contexts = [
-        _prepare_system(name, system, cfg, si) for si, (name, system) in enumerate(systems)
-    ]
+    truths = [_prepare_system(system, cfg, si) for si, (_, system) in enumerate(systems)]
     # Sampler cells run first: each net cell needs its system's sampler sets.
-    cells = [(si, mi) for si in range(len(contexts)) for mi in range(len(models))]
     phases = [
-        [(si, mi) for si, mi in cells if isinstance(models[mi], SamplerModel)],
-        [(si, mi) for si, mi in cells if not isinstance(models[mi], SamplerModel)],
+        [mi for mi, m in enumerate(models) if isinstance(m, SamplerModel)],
+        [mi for mi, m in enumerate(models) if not isinstance(m, SamplerModel)],
     ]
-    sampler_sets: list[dict[str, frozenset[Variant]]] = [{} for _ in contexts]
-    blocks: dict[tuple[int, int], dict] = {}
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+    blocks: list[list] = [[None] * len(models) for _ in truths]  # per system, in model order
+    sampler_sets: list[dict[str, frozenset[Variant]]] = [{} for _ in truths]
+    # More workers than the larger phase has cells would only sit idle.
+    workers = min(cfg.jobs, len(truths) * max(map(len, phases)))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for phase in phases:
+            cells = [(si, mi) for si in range(len(truths)) for mi in phase]
             payloads = [
-                (contexts[si], models[mi], cfg, si, mi, sampler_sets[si]) for si, mi in phase
+                (systems[si][0], truths[si], models[mi], cfg, si, mi, sampler_sets[si])
+                for si, mi in cells
             ]
-            for (si, mi), (block, v_hat_s) in zip(phase, run(_run_cell, payloads)):
-                blocks[si, mi] = block
+            for (si, mi), (block, v_hat_s) in zip(cells, run(_run_cell, payloads)):
+                blocks[si][mi] = block
                 if v_hat_s is not None:
                     sampler_sets[si][models[mi].name] = v_hat_s
-
-    report_systems = []
-    s_by_model: dict[str, list[float]] = {name: [] for name in names}
-    for si, ctx in enumerate(contexts):
-        model_blocks = [blocks[si, mi] for mi in range(len(models))]
-        for block in model_blocks:
-            if not cfg.include_timing:
-                del block["elapsed_s"]
-            s_by_model[block["name"]].append(block["rates"]["s"])
-        report_systems.append(
-            {
-                "name": ctx.name,
-                "counts": {
-                    "n_system": len(ctx.truth.v_s),
-                    "n_observed": len(ctx.truth.lplus),
-                    "n_unobserved": len(ctx.truth.v_u),
-                    "alphabet_size": ctx.alphabet_size,
-                    "max_len": ctx.mu,
-                },
-                "models": model_blocks,
-            }
-        )
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -309,8 +270,23 @@ def run_experiment(
             "playout_budget": DEFAULT_BUDGET,
             "system_max_len": None,
         },
-        "systems": report_systems,
-        "paired_tests": _paired_tests(models, s_by_model),
+        "systems": [
+            {
+                "name": name,
+                "counts": {
+                    "n_system": len(truth.v_s),
+                    "n_observed": len(truth.lplus),
+                    "n_unobserved": len(truth.v_u),
+                    "alphabet_size": len({a for v in truth.v_s for a in v}),
+                    "max_len": max(len(v) for v in truth.v_s),
+                },
+                "models": model_blocks,
+            }
+            for (name, _), truth, model_blocks in zip(systems, truths, blocks)
+        ],
+        "paired_tests": _paired_tests(
+            models, {m.name: [b[mi]["rates"]["s"] for b in blocks] for mi, m in enumerate(models)}
+        ),
     }
 
 

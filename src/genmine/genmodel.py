@@ -58,6 +58,16 @@ LEARNING_RATE = 0.5
 # A sample scoring at least the threshold adds the weight times its score to the counts.
 REINFORCE_THRESHOLD = 0.5
 REINFORCE_WEIGHT = 0.5
+# log(p) >= -744.4 for every positive double p, so log(p) / temperature is
+# finite once the temperature is at least 745 / sys.float_info.max (4.2e-306).
+MIN_TEMPERATURE = 1e-300
+
+
+def _check_temperature(temperature: float) -> None:
+    if not 0 < temperature < math.inf:
+        raise InvalidInputError(f"temperature must be finite and > 0, got {temperature}")
+    if temperature < MIN_TEMPERATURE:
+        raise InvalidInputError(f"temperature must be >= {MIN_TEMPERATURE}, got {temperature}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +254,7 @@ def sample_variant(
     and generation stops at the end marker or at the length bound.  Each
     symbol consumes one ``rng.random()`` (see :meth:`NGramGenerator._cdf`).
     """
-    if not 0 < temperature < math.inf:
-        raise InvalidInputError(f"temperature must be finite and > 0, got {temperature}")
+    _check_temperature(temperature)
     syms = gen.symbols()
     end_index = len(syms) - 1
     emitted: list[str] = []
@@ -379,8 +388,7 @@ class TrainConfig:
         positive = (self.select_sample_size, self.order, self.round_samples)
         if any(x <= 0 for x in positive):
             raise InvalidInputError("all TrainConfig numeric fields must be positive")
-        if not 0 < self.temperature < math.inf:
-            raise InvalidInputError(f"temperature must be finite and > 0, got {self.temperature}")
+        _check_temperature(self.temperature)
         if self.rounds < 0:
             raise InvalidInputError("rounds must be >= 0")
         if not 0.0 < self.holdout_fraction < 1.0:

@@ -76,9 +76,6 @@ class EventLog:
     def __iter__(self) -> Iterator[Trace]:
         return iter(self.traces)
 
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(e.label for t in self.traces for e in t.events)
-
 
 @dataclass(frozen=True)
 class VariantLog:
@@ -206,6 +203,15 @@ def _parse_timestamp(raw: str) -> datetime:
         raise InvalidInputError(f"unparseable ISO-8601 timestamp: {raw!r}") from exc
 
 
+def _utf8_lines(path: str | Path, what: str, newline: str | None = None) -> Iterator[str]:
+    """The lines of a text file; bytes that are not UTF-8 are a domain error."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{what} {str(path)!r} is not UTF-8 text: {exc}") from exc
+
+
 def read_event_log_csv(path: str | Path) -> EventLog:
     """Read `case_id,activity,timestamp` rows; rows may arrive ungrouped.
 
@@ -214,20 +220,19 @@ def read_event_log_csv(path: str | Path) -> EventLog:
     silent data corruption is worse than rejection.
     """
     rows: list[tuple[str, str, datetime]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CSV_HEADER:
-            raise InvalidInputError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InvalidInputError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            case_id, activity, ts = row
-            rows.append((case_id, activity, _parse_timestamp(ts)))
+    reader = csv.reader(_utf8_lines(path, "event log", newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != CSV_HEADER:
+        raise InvalidInputError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {header!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise InvalidInputError(f"line {lineno}: expected 3 columns, got {len(row)}")
+        case_id, activity, ts = row
+        rows.append((case_id, activity, _parse_timestamp(ts)))
     if not rows:
         raise InvalidInputError(f"event log {path} contains no rows")
     if len({ts.tzinfo is None for _, _, ts in rows}) > 1:
@@ -258,15 +263,14 @@ def write_event_log_csv(log: EventLog, path: str | Path) -> None:
 def read_variants_tsv(path: str | Path) -> tuple[Variant, ...]:
     """One variant per line, labels separated by TAB."""
     variants: list[Variant] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            labels = tuple(line.split("\t"))
-            if any(not lbl for lbl in labels):
-                raise InvalidInputError(f"line {lineno}: empty label")
-            variants.append(labels)
+    for lineno, line in enumerate(_utf8_lines(path, "variant file"), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        labels = tuple(line.split("\t"))
+        if any(not lbl for lbl in labels):
+            raise InvalidInputError(f"line {lineno}: empty label")
+        variants.append(labels)
     if not variants:
         raise InvalidInputError(f"variant file {path} is empty")
     return tuple(variants)

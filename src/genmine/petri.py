@@ -14,7 +14,7 @@ tuple of the indices of the places that hold tokens, one entry per token,
 so firing, enabling checks and hashing cost time in the number of tokens,
 not in the number of places.  Its successor table, filled per marking on
 first visit and kept with the net, is the one enabling-and-firing relation
-all three searches read.
+all three searches read; a search that raises drops the rows it added.
 
 State explosion is kept in check three ways: a per-place token cap, a cap
 on the visible sequence length, and a global expansion budget that raises
@@ -24,6 +24,7 @@ on the visible sequence length, and a global expansion budget that raises
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -222,6 +223,18 @@ class CompiledNet:
             )
         return row
 
+    @contextmanager
+    def search(self):
+        """Scope one search: if it raises, the successor rows it added go.
+        Rows are only ever appended, so the newest ones are the search's."""
+        rows_at_entry = len(self._successors)
+        try:
+            yield
+        except BaseException:
+            while len(self._successors) > rows_at_entry:
+                self._successors.popitem()
+            raise
+
 
 def _exceeds_cap(marking: TokenMarking, cap: int) -> bool:
     """Whether some place holds more than ``cap`` tokens (runs are adjacent)."""
@@ -254,37 +267,33 @@ def playout_enumerate(
     visited = {start}
     finals = set(cn.finals)
     expansions = 0
-    rows_at_entry = len(cn._successors)
-    while stack:
-        marking, prefix = stack.pop()
-        expansions += 1
-        if expansions > budget:
-            # Rows are only ever appended, so the newest ones are this search's:
-            # a failed search leaves the net's table as it found it.
-            while len(cn._successors) > rows_at_entry:
-                cn._successors.popitem()
-            raise BudgetExceededError(
-                f"playout exceeded budget of {budget} expansions",
-                partial_count=len(results),
-            )
-        if finals and marking in finals and prefix:
-            results.add(prefix)
-        row = cn.successors(marking)
-        for ti, nxt_marking in row:
-            if token_cap is not None and _exceeds_cap(nxt_marking, token_cap):
-                continue
-            label = cn.labels[ti]
-            if label is None:
-                nxt = (nxt_marking, prefix)
-            else:
-                if max_len is not None and len(prefix) >= max_len:
+    with cn.search():
+        while stack:
+            marking, prefix = stack.pop()
+            expansions += 1
+            if expansions > budget:
+                raise BudgetExceededError(
+                    f"playout exceeded budget of {budget} expansions",
+                    partial_count=len(results),
+                )
+            if finals and marking in finals and prefix:
+                results.add(prefix)
+            row = cn.successors(marking)
+            for ti, nxt_marking in row:
+                if token_cap is not None and _exceeds_cap(nxt_marking, token_cap):
                     continue
-                nxt = (nxt_marking, prefix + (label,))
-            if nxt not in visited:
-                visited.add(nxt)
-                stack.append(nxt)
-        if not row and not finals and prefix:
-            results.add(prefix)
+                label = cn.labels[ti]
+                if label is None:
+                    nxt = (nxt_marking, prefix)
+                else:
+                    if max_len is not None and len(prefix) >= max_len:
+                        continue
+                    nxt = (nxt_marking, prefix + (label,))
+                if nxt not in visited:
+                    visited.add(nxt)
+                    stack.append(nxt)
+            if not row and not finals and prefix:
+                results.add(prefix)
     return frozenset(results)
 
 

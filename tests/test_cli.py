@@ -107,12 +107,40 @@ class TestNonFiniteSettings:
                      "--temperature", value, "--out", str(tmp_path / "o.tsv")])
         assert_domain_error(capsys, code, f"temperature must be finite and > 0, got {value}")
 
+    def test_subnormal_sample_temperature(self, tmp_path, tiny_log_file, capsys):
+        log_path, _ = tiny_log_file
+        model = tmp_path / "m.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model),
+                     "--rounds", "0", "--select-sample-size", "50"]) == 0
+        capsys.readouterr()
+        code = main(["--error-json", "sample", "--model", str(model),
+                     "--temperature", "1e-320", "--out", str(tmp_path / "o.tsv")])
+        assert_domain_error(capsys, code, "temperature must be >= 1e-300, got 1e-320")
+
     @pytest.mark.parametrize("weights", ["seq=nan", "seq=inf,xor=1", "seq=1e308,xor=1e308"])
     def test_gen_system_weights(self, tmp_path, capsys, weights):
         code = main(["--error-json", "gen-system", "--seed", "1", "--weights", weights,
                      "--out", str(tmp_path / "n.json")])
         assert_domain_error(
             capsys, code, "weights must be non-negative with a positive finite sum")
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("argv, what", [
+        (["discover-dfg", "--log", "{path}", "--out", "{out}"], "event log"),
+        (["train", "--variants", "{path}", "--out", "{out}"], "variant file"),
+    ])
+    def test_is_a_domain_error(self, tmp_path, capsys, argv, what):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xffcase_id,activity,timestamp\n")
+        out = tmp_path / "out.json"
+        code = main(["--error-json"] + [a.format(path=bad, out=out) for a in argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert error["message"].startswith(f"{what} {str(bad)!r} is not UTF-8 text: ")
+        assert "Traceback" not in err
 
 
 class TestPlayoutCommand:

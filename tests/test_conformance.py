@@ -425,3 +425,22 @@ class TestBudgetEdges:
         else:
             assert got[2] == raises
 
+
+    def test_replay_budget_error_leaves_the_successor_table_as_it_found_it(self, monkeypatch):
+        net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
+                                      weights=SILENT_WEIGHTS, silent_skip=True,
+                                      duplicate_label=True))
+        variant = tuple(sorted(net.labels(), reverse=True)) * 3 + ("z",)
+        monkeypatch.setattr(conformance, "_REPLAY_POP_LIMIT", 50)
+        with pytest.raises(BudgetExceededError):
+            token_replay_fitness(net, VariantLog((variant,)))
+        assert net.compiled._successors == {}
+
+    def test_etc_budget_error_leaves_the_successor_table_as_it_found_it(self, monkeypatch):
+        spec = SystemSpec(seed=3, depth=3, silent_skip=True, weights=SILENT_WEIGHTS)
+        lstar = VariantLog(tuple(sorted(playout_enumerate(build_system(spec), max_len=None))))
+        net = build_system(spec)
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", 3)
+        with pytest.raises(BudgetExceededError):
+            etc_precision(net, lstar)
+        assert net.compiled._successors == {}

@@ -173,6 +173,30 @@ class TestRunExperiment:
         assert sorted(per_sampler) == ["naive1", "naive2"]
         assert len(built) == 1
 
+    def test_pool_is_no_larger_than_the_larger_phase(self, monkeypatch):
+        # A process pool forks all its workers at the first submit, so a
+        # large --jobs must not outnumber the cells; this pool forks none.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        models = [BaselineModel(name="trace", kind="trace"), BaselineModel(name="dfg", kind="dfg"),
+                  SamplerModel(name="naive", mode="naive", train_config=FAST_TRAIN, k=50)]
+        report = run_experiment(small_systems(2), models, ExperimentConfig(seed=4, jobs=64))
+        assert sizes == [4]  # 2 systems x 2 net models
+        assert [len(s["models"]) for s in report["systems"]] == [3, 3]
+
     def test_scoring_error_names_the_net_cell(self, monkeypatch):
         monkeypatch.setattr(conformance, "_REPLAY_POP_LIMIT", 1)
         models = [BaselineModel(name="trace", kind="trace"),

@@ -118,6 +118,13 @@ class TestSampleVariant:
         with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
             sample_variant(gen, temperature, np.random.default_rng(0))
 
+    def test_subnormal_temperature_is_rejected(self):
+        # 1e-320 is finite and > 0, but log(p) / 1e-320 overflows.
+        gen = fit_mle(lplus(["a", "b"], ["a", "c"]), order=2, smoothing=0.1)
+        with pytest.raises(InvalidInputError, match="temperature must be >= 1e-300, got 1e-320"):
+            sample_variant(gen, 1e-320, np.random.default_rng(0))
+        assert sample_variant(gen, 1e-300, np.random.default_rng(0)) in {("a", "b"), ("a", "c")}
+
     def test_low_temperature_is_greedy(self):
         gen = fit_mle(lplus(["a", "b"], ["a", "c"]), order=2, smoothing=0.0)
         gen = gen.with_added_counts([(("a", "b"), 8.0)])
@@ -406,6 +413,11 @@ class TestTrainAndSelect:
     def test_temperature_must_be_finite_and_positive(self, temperature):
         with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
             TrainConfig(temperature=temperature)
+
+    def test_temperature_has_a_floor(self):
+        with pytest.raises(InvalidInputError, match="temperature must be >= 1e-300, got 1e-320"):
+            TrainConfig(temperature=1e-320)
+        assert TrainConfig(temperature=1e-300).temperature == 1e-300
 
     def test_checkpoint_round_trip(self, tmp_path):
         variants = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]
