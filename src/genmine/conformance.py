@@ -14,9 +14,11 @@ each of those variants once.  Both conformance functions are parameters so
 stronger metrics can be swapped in without touching the pipeline.
 
 Replay and precision search markings on the net's compiled form
-(``PetriNet.compiled``) and read enabling and firing from its successor
-table, which lives as long as the net; their own memos (replay moves,
-silent closures) live for one call only.
+(``PetriNet.compiled``).  Precision and replay's silent moves read enabling
+and firing from its successor table, which lives as long as the net;
+replay's visible moves come from its (preset place, label) index and fire
+directly, adding no rows.  Their own memos (replay moves, silent closures)
+live for one call only.
 """
 
 from __future__ import annotations
@@ -124,17 +126,28 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
         # Every enabled candidate is explored (keeps clean replays exact);
         # force-firing branches only through the cheapest disabled one.
         held = set(marking)
+        pre, post = cn.pre, cn.post
+        enabled = set(cn.unconditional_by_label.get(label, ()))
+        for p in held:
+            for ti in cn.by_place_label.get((p, label), ()):
+                if pre[ti] <= held:
+                    enabled.add(ti)
+        for ti in sorted(enabled):
+            moves.append((0, 1, cn.fire(marking, ti), len(pre[ti]), len(post[ti])))
+        # A deficit of 1 is the least a disabled candidate can have, so the
+        # scan stops at the first one; the earliest candidate wins ties.
         disabled: tuple[int, int] | None = None
         for ti in cands:
-            deficit = len(cn.pre[ti] - held)
-            if deficit:
-                if disabled is None or deficit < disabled[0]:
-                    disabled = (deficit, ti)
+            if ti in enabled:
                 continue
-            moves.append((0, 1, cn.fire(marking, ti), len(cn.pre[ti]), len(cn.post[ti])))
+            deficit = len(pre[ti] - held)
+            if disabled is None or deficit < disabled[0]:
+                disabled = (deficit, ti)
+                if deficit == 1:
+                    break
         if disabled is not None:
             deficit, ti = disabled
-            moves.append((deficit, 1, cn.fire(marking, ti), len(cn.pre[ti]), len(cn.post[ti])))
+            moves.append((deficit, 1, cn.fire(marking, ti), len(pre[ti]), len(post[ti])))
     if cn.has_silent:
         for si, nxt in cn.successors(marking):
             if cn.labels[si] is None:

@@ -13,9 +13,11 @@ interface (draw a variant, score a variant); any stronger sequence model
 can be plugged in behind the same two callables.
 
 Both callables are cached on the model instance.  A generator compiles,
-on first use, one cumulative-probability table per (context, first step)
-and temperature; a draw takes one ``rng.random()`` per symbol and bisects
-that table, the same single double and the same normalization that
+per temperature and as draws first reach them, the states of a draw
+automaton: one per (context, first step), holding that context's
+cumulative-probability table and the state each symbol leads to.  A draw
+walks the states, taking one ``rng.random()`` per symbol and bisecting
+the state's table, the same single double and the same normalization that
 ``Generator.choice(p=...)`` uses, so a seeded stream gives the same
 variants as sampling from :meth:`NGramGenerator.next_distribution`
 directly.  A scorer memoizes ``score`` per variant, which pays when it
@@ -74,6 +76,12 @@ def _check_temperature(temperature: float) -> None:
 # Generator
 # ---------------------------------------------------------------------------
 
+# One state of a generator's draw automaton: the CDF over symbols(), the
+# state after each alphabet symbol (None until a draw first takes it) and
+# the context the state stands for.
+_DrawState = tuple[list[float], list["_DrawState | None"], tuple[str, ...]]
+
+
 @dataclass(frozen=True, eq=False)
 class NGramGenerator:
     """Smoothed order-m sequence model; context length is ``order - 1``."""
@@ -83,13 +91,13 @@ class NGramGenerator:
     alphabet: tuple[str, ...]
     max_len: int
     counts: Mapping[tuple[str, ...], Mapping[str, float]]
-    # (context, first step, temperature) -> CDF over symbols(); see _cdf().
-    _cdfs: dict[tuple[tuple[str, ...], bool, float], list[float]] = field(
+    # temperature -> (context, first step) -> draw state; see _draw_state().
+    _draw_states: dict[float, dict[tuple[tuple[str, ...], bool], _DrawState]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "_cdfs", {})
+        object.__setattr__(self, "_draw_states", {})
         if self.order < 1:
             raise InvalidInputError("order must be >= 1")
         if not 0 <= self.smoothing < math.inf:
@@ -143,22 +151,22 @@ class NGramGenerator:
                 probs /= mass
         return probs
 
-    def _cdf(self, context: tuple[str, ...], first: bool, temperature: float) -> list[float]:
-        """Cumulative draw table for one context, built once and cached.
+    def _draw_state(self, context: tuple[str, ...], first: bool, temperature: float) -> _DrawState:
+        """The draw automaton's state for one context, built once and cached.
 
-        The probabilities are :meth:`next_distribution` (end marker masked
-        on the first step) raised to ``1/temperature`` and renormalized; the
-        cumulative sum is normalized exactly as ``Generator.choice`` does,
-        so ``bisect_right(cdf, rng.random())`` picks the index ``choice``
-        would pick from the same stream.
+        Its CDF is :meth:`next_distribution` (end marker masked on the first
+        step) raised to ``1/temperature`` and renormalized; the cumulative
+        sum is normalized exactly as ``Generator.choice`` does, so
+        ``bisect_right(cdf, rng.random())`` picks the index ``choice`` would
+        pick from the same stream.  Its next-state list, one slot per
+        alphabet symbol, fills in as draws pass through it.
         """
-        key = (context, first, temperature)
-        cdf = self._cdfs.get(key)
-        if cdf is None:
-            cdf = self._cdfs[key] = _compile_cdf(
-                self.next_distribution(context, mask_end=first), temperature
-            )
-        return cdf
+        states = self._draw_states.setdefault(temperature, {})
+        state = states.get((context, first))
+        if state is None:
+            cdf = _compile_cdf(self.next_distribution(context, mask_end=first), temperature)
+            state = states[(context, first)] = (cdf, [None] * len(self.alphabet), context)
+        return state
 
     def log_prob(self, v: Variant) -> float:
         """Log-probability of emitting exactly ``v`` (including termination)."""
@@ -252,20 +260,29 @@ def sample_variant(
 
     The end marker is masked at the first position (variants are non-empty)
     and generation stops at the end marker or at the length bound.  Each
-    symbol consumes one ``rng.random()`` (see :meth:`NGramGenerator._cdf`).
+    symbol consumes one ``rng.random()`` and moves one step through the
+    generator's draw automaton (see :meth:`NGramGenerator._draw_state`).
     """
     _check_temperature(temperature)
-    syms = gen.symbols()
-    end_index = len(syms) - 1
+    alphabet = gen.alphabet
+    end_index = len(alphabet)
+    max_len = gen.max_len
+    random = rng.random
+    cdf, nexts, context = gen._draw_state(gen.context_of(()), True, temperature)
     emitted: list[str] = []
     while True:
-        cdf = gen._cdf(_context(gen.order, emitted), not emitted, temperature)
-        idx = bisect_right(cdf, rng.random())
+        idx = bisect_right(cdf, random())
         if idx == end_index:
             break
-        emitted.append(syms[idx])
-        if len(emitted) >= gen.max_len:
+        emitted.append(alphabet[idx])
+        if len(emitted) >= max_len:
             break
+        state = nexts[idx]
+        if state is None:
+            state = nexts[idx] = gen._draw_state(
+                (context + (alphabet[idx],))[1:], False, temperature
+            )
+        cdf, nexts, context = state
     return tuple(emitted)
 
 

@@ -204,9 +204,12 @@ def _parse_timestamp(raw: str) -> datetime:
 
 
 def _utf8_lines(path: str | Path, what: str, newline: str | None = None) -> Iterator[str]:
-    """The lines of a text file; bytes that are not UTF-8 are a domain error."""
+    """The lines of a text file; bytes that are not UTF-8 are a domain error.
+
+    A leading UTF-8 byte-order mark is dropped, as spreadsheet exports write one.
+    """
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
             yield from fh
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{what} {str(path)!r} is not UTF-8 text: {exc}") from exc

@@ -15,6 +15,9 @@ so firing, enabling checks and hashing cost time in the number of tokens,
 not in the number of places.  Its successor table, filled per marking on
 first visit and kept with the net, is the one enabling-and-firing relation
 all three searches read; a search that raises drops the rows it added.
+Playout filters each marking's row by the token cap once per call, and
+token replay reaches a label's transitions through a (preset place, label)
+index instead of the table, so its visible moves add no rows.
 
 State explosion is kept in check three ways: a per-place token cap, a cap
 on the visible sequence length, and a global expansion budget that raises
@@ -176,11 +179,23 @@ class CompiledNet:
         self.finals = tuple(self.encode(fm) for fm in net.finals())
         self.labels = tuple(t.label for t in self.transitions)
         self.has_silent = None in self.labels
+        # Labeled transitions per label, and per (preset place, label) and
+        # per label among the empty-preset ones; token replay finds the
+        # enabled transitions of a label through the last two.
         self.by_label: dict[str, tuple[int, ...]] = {}
+        self.by_place_label: dict[tuple[int, str], tuple[int, ...]] = {}
+        self.unconditional_by_label: dict[str, tuple[int, ...]] = {}
         for i, t in enumerate(self.transitions):
-            if t.label is not None:
-                self.by_label.setdefault(t.label, ())
-                self.by_label[t.label] += (i,)
+            if t.label is None:
+                continue
+            self.by_label[t.label] = self.by_label.get(t.label, ()) + (i,)
+            for p in self.pre[i]:
+                key = (p, t.label)
+                self.by_place_label[key] = self.by_place_label.get(key, ()) + (i,)
+            if not self.pre[i]:
+                self.unconditional_by_label[t.label] = (
+                    self.unconditional_by_label.get(t.label, ()) + (i,)
+                )
         self._successors: dict[TokenMarking, tuple[tuple[int, TokenMarking], ...]] = {}
 
     def encode(self, marking: Mapping[str, int]) -> TokenMarking:
@@ -238,6 +253,8 @@ class CompiledNet:
 
 def _exceeds_cap(marking: TokenMarking, cap: int) -> bool:
     """Whether some place holds more than ``cap`` tokens (runs are adjacent)."""
+    if len(marking) <= cap:
+        return False
     return any(marking[i] == marking[i + cap] for i in range(len(marking) - cap))
 
 
@@ -254,18 +271,25 @@ def playout_enumerate(
     exceed ``max_len``.  Silent transitions advance the marking without
     emitting.  With declared final markings a variant is recorded exactly
     when one is reached; otherwise any deadlock with a non-empty prefix
-    records one (permissive mode).
+    records one (permissive mode).  A marking whose successors all exceed
+    the cap is not a deadlock.
+
+    Each marking's successor row is filtered by the cap and labeled once per
+    call, however many prefixes reach the marking.
     """
     if max_len is not None and max_len < 1:
         raise InvalidInputError("max_len must be positive")
     if token_cap is not None and token_cap < 1:
         raise InvalidInputError("token_cap must be positive")
     cn = net.compiled
+    labels = cn.labels
     results: set[Variant] = set()
     start = (cn.initial, ())
     stack = [start]
     visited = {start}
     finals = set(cn.finals)
+    # marking -> (label, next marking) per successor within the cap
+    steps: dict[TokenMarking, tuple[tuple[str | None, TokenMarking], ...]] = {}
     expansions = 0
     with cn.search():
         while stack:
@@ -278,21 +302,24 @@ def playout_enumerate(
                 )
             if finals and marking in finals and prefix:
                 results.add(prefix)
-            row = cn.successors(marking)
-            for ti, nxt_marking in row:
-                if token_cap is not None and _exceeds_cap(nxt_marking, token_cap):
-                    continue
-                label = cn.labels[ti]
+            row = steps.get(marking)
+            if row is None:
+                row = steps[marking] = tuple(
+                    (labels[ti], nxt) for ti, nxt in cn.successors(marking)
+                    if token_cap is None or not _exceeds_cap(nxt, token_cap)
+                )
+            at_max_len = max_len is not None and len(prefix) >= max_len
+            for label, nxt_marking in row:
                 if label is None:
                     nxt = (nxt_marking, prefix)
+                elif at_max_len:
+                    continue
                 else:
-                    if max_len is not None and len(prefix) >= max_len:
-                        continue
                     nxt = (nxt_marking, prefix + (label,))
                 if nxt not in visited:
                     visited.add(nxt)
                     stack.append(nxt)
-            if not row and not finals and prefix:
+            if not finals and prefix and not cn.successors(marking):
                 results.add(prefix)
     return frozenset(results)
 

@@ -23,6 +23,7 @@ from genmine import (
     model_generalization,
     petri,
     playout_enumerate,
+    split_system,
     token_replay_fitness,
     trace_model,
 )
@@ -359,6 +360,28 @@ class TestDenseReference:
     @settings(max_examples=80, deadline=None)
     def test_hand_made_nets(self, case):
         _assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("pop_limit", [None, 5, 50])
+    def test_bench_sized_trace_net(self, monkeypatch, pop_limit):
+        # A trace net on a desk-sized log: many transitions share each label,
+        # so a marking often enables several candidates of the next label.
+        spec = SystemSpec(seed=4, depth=2, alphabet_budget=8,
+                          weights={"seq": 1.0, "xor": 1.5, "loop": 0.5},
+                          fanout_min=2, fanout_max=3)
+        truth = split_system(playout_enumerate(build_system(spec), max_len=None, token_cap=3),
+                             0.7, 700)
+        net = trace_model(truth.lplus)
+        assert (len(truth.v_s), len(net.transitions)) == (39, 113)
+        variants = sorted(truth.v_s)
+        labels = sorted(net.labels())
+        variants += [("z",), (labels[0], "z", labels[-1]), ("z",) + variants[0]]
+        limit = {} if pop_limit is None else {"pop_limit": pop_limit}
+        if pop_limit is not None:
+            monkeypatch.setattr(conformance, "_REPLAY_POP_LIMIT", pop_limit)
+        memo: dict = {}
+        for v in variants:
+            got = _outcome(lambda: astuple(_replay_variant(net.compiled, v, memo)))
+            assert got == _outcome(replay_counts_reference, net, v, **limit), v
 
 
 class TestBudgetEdges:

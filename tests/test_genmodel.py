@@ -202,6 +202,24 @@ class TestCompiledSampler:
         self.assert_same_stream(derived, temperature, seed)
         self.assert_same_stream(replace(derived, smoothing=0.5), temperature, seed)
 
+    @pytest.mark.parametrize("derive", [False, True])
+    def test_two_temperatures_interleaved_on_one_stream(self, derive):
+        # Each temperature walks its own draw states, also on a generator
+        # drawn from at both temperatures before.
+        gen = fit_mle(lplus("abc", "abd", "acbd", "db", "dcca"), order=3, smoothing=0.1)
+        if derive:
+            self.assert_same_stream(gen, 1.0, 5)
+            self.assert_same_stream(gen, 0.5, 5)
+            gen = gen.with_added_counts([(("a", "d"), 2.0), (("c", "b", "a"), 0.5)])
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        drawn, expected = [], []
+        for i in range(60):
+            temperature = 1.0 if i % 2 == 0 else 0.5
+            drawn.append(sample_variant(gen, temperature, rng))
+            expected.append(sample_variant_reference(gen, temperature, ref_rng))
+        assert drawn == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_negative_counts_rejected(self):
         with pytest.raises(InvalidInputError):
             NGramGenerator(order=1, smoothing=0.0, alphabet=("a",), max_len=2,

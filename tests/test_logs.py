@@ -186,6 +186,12 @@ class TestCsvInterface:
         with pytest.raises(InvalidInputError):
             read_event_log_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"\xef\xbb\xbfcase_id,activity,timestamp\nc1,a,2021-01-01T00:00:00Z\n")
+        log = read_event_log_csv(path)
+        assert variant_of(log.traces[0]) == ("a",)
+
 
 class TestVariantTsv:
     def test_round_trip(self, tmp_path):
@@ -193,3 +199,8 @@ class TestVariantTsv:
         path = tmp_path / "v.tsv"
         write_variants_tsv(variants, path)
         assert set(read_variants_tsv(path)) == variants
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_bytes(b"\xef\xbb\xbfa\tb\nc\n")
+        assert read_variants_tsv(path) == (("a", "b"), ("c",))
