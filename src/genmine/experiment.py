@@ -77,8 +77,7 @@ class SamplerModel:
         if self.mode not in ("naive", "mh"):
             raise InvalidInputError(f"sampler mode must be naive or mh, got {self.mode!r}")
         for name in ("k", "kappa", "patience"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
+            sampling.check_count(name, getattr(self, name))
 
 
 ModelSpec = Union[NetModel, BaselineModel, SamplerModel]

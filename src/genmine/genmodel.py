@@ -45,6 +45,7 @@ import numpy as np
 from . import losses
 from .errors import InvalidInputError, TrainingDivergedError
 from .logs import UniqueVariantLog, Variant, split_holdout
+from .sampling import Uniforms
 
 START = "start"
 END = "end"
@@ -91,8 +92,9 @@ class NGramGenerator:
     alphabet: tuple[str, ...]
     max_len: int
     counts: Mapping[tuple[str, ...], Mapping[str, float]]
-    # temperature -> (context, first step) -> draw state; see _draw_state().
-    _draw_states: dict[float, dict[tuple[tuple[str, ...], bool], _DrawState]] = field(
+    # temperature -> (context, first step) -> draw state, plus the start
+    # state under None; see _draw_state() and _start_state().
+    _draw_states: dict[float, dict[tuple[tuple[str, ...], bool] | None, _DrawState]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -159,14 +161,28 @@ class NGramGenerator:
         sum is normalized exactly as ``Generator.choice`` does, so
         ``bisect_right(cdf, rng.random())`` picks the index ``choice`` would
         pick from the same stream.  Its next-state list, one slot per
-        alphabet symbol, fills in as draws pass through it.
+        alphabet symbol, fills in as draws pass through it.  The
+        temperature's table exists once :meth:`_start_state` has checked it.
         """
-        states = self._draw_states.setdefault(temperature, {})
+        states = self._draw_states[temperature]
         state = states.get((context, first))
         if state is None:
             cdf = _compile_cdf(self.next_distribution(context, mask_end=first), temperature)
             state = states[(context, first)] = (cdf, [None] * len(self.alphabet), context)
         return state
+
+    def _start_state(self, temperature: float) -> _DrawState:
+        """The draw automaton's first-step state at ``temperature``.
+
+        A temperature is checked when it first enters the cache, so an
+        invalid one is never cached and raises on every draw.
+        """
+        states = self._draw_states.get(temperature)
+        if states is None:
+            _check_temperature(temperature)
+            states = self._draw_states[temperature] = {}
+            states[None] = self._draw_state(self.context_of(()), True, temperature)
+        return states[None]
 
     def log_prob(self, v: Variant) -> float:
         """Log-probability of emitting exactly ``v`` (including termination)."""
@@ -253,9 +269,7 @@ def fit_mle(train: UniqueVariantLog, order: int, smoothing: float) -> NGramGener
     )
 
 
-def sample_variant(
-    gen: NGramGenerator, temperature: float, rng: np.random.Generator
-) -> Variant:
+def sample_variant(gen: NGramGenerator, temperature: float, rng: Uniforms) -> Variant:
     """Draw one variant; symbols come from p^(1/temperature), renormalized.
 
     The end marker is masked at the first position (variants are non-empty)
@@ -263,12 +277,11 @@ def sample_variant(
     symbol consumes one ``rng.random()`` and moves one step through the
     generator's draw automaton (see :meth:`NGramGenerator._draw_state`).
     """
-    _check_temperature(temperature)
     alphabet = gen.alphabet
     end_index = len(alphabet)
     max_len = gen.max_len
     random = rng.random
-    cdf, nexts, context = gen._draw_state(gen.context_of(()), True, temperature)
+    cdf, nexts, context = gen._start_state(temperature)
     emitted: list[str] = []
     while True:
         idx = bisect_right(cdf, random())

@@ -3,7 +3,11 @@
 Both procedures consume a generator through a single callable (draw one
 variant given an rng) and, for MH, a probability scorer mapping a variant
 to the chance it is realistic.  This keeps the built-in n-gram model and
-any future sequence model interchangeable.
+any future sequence model interchangeable.  A draw function takes its
+randomness only through ``rng.random()``: a numpy ``Generator`` qualifies,
+and so does the source each MH chain gets, which reads the doubles of the
+chain's own generator ``UNIFORM_BLOCK`` at a time (the same doubles, in
+the same order, as one scalar call each).
 
 The MH chain uses the independent-proposal acceptance ratio
 
@@ -18,19 +22,38 @@ reproduces that literal behavior for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
+from types import SimpleNamespace
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .logs import UniqueVariantLog, Variant
 
-DrawFn = Callable[[np.random.Generator], Variant]
+
+class Uniforms(Protocol):
+    """A source of uniform doubles in [0, 1), such as ``np.random.Generator``."""
+
+    def random(self) -> float: ...
+
+
+DrawFn = Callable[[Uniforms], Variant]
 ProbFn = Callable[[Variant], float]
 
 DEFAULT_CHAIN_LENGTH = 500
 DEFAULT_NAIVE_DRAWS = 10_000
 DEFAULT_PATIENCE = 1_000
+# Doubles an MH chain takes from its generator per call; 64 to 256 time alike.
+UNIFORM_BLOCK = 128
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a sampler count that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidInputError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,8 +81,7 @@ def naive_sample(
     The observed variants are not merged into the estimate, matching the
     published sampling procedure.
     """
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    check_count("k", k)
     v_hat_s: set[Variant] = set()
     for _ in range(k):
         v_hat_s.add(g(rng))
@@ -71,12 +93,16 @@ def naive_sample(
     )
 
 
+def _odds(name: str, p: float) -> float:
+    """The odds ``1/p - 1`` against a variant the discriminator scored ``p``."""
+    if not 0.0 < p < 1.0:
+        raise InvalidInputError(f"{name} must be strictly inside (0,1), got {p}")
+    return 1.0 / p - 1.0
+
+
 def mh_acceptance(p_current: float, p_proposal: float) -> float:
     """Acceptance probability driven by discriminator odds."""
-    for name, p in (("p_current", p_current), ("p_proposal", p_proposal)):
-        if not 0.0 < p < 1.0:
-            raise InvalidInputError(f"{name} must be strictly inside (0,1), got {p}")
-    return min(1.0, (1.0 / p_current - 1.0) / (1.0 / p_proposal - 1.0))
+    return min(1.0, _odds("p_current", p_current) / _odds("p_proposal", p_proposal))
 
 
 def mh_chain_candidate(
@@ -84,26 +110,27 @@ def mh_chain_candidate(
     d_p: ProbFn,
     v_init: Variant,
     kappa: int,
-    rng: np.random.Generator,
+    rng: Uniforms,
     strict_pseudocode: bool = False,
 ) -> tuple[Variant, int, int]:
     """Run one chain of ``kappa`` steps; returns (candidate, #accepted, #draws).
 
     The candidate is the final accepted state.  Strict mode emits instead a
     fresh, never-evaluated proposal drawn after the chain finished, exactly
-    as the literal pseudocode does.
+    as the literal pseudocode does.  Each step takes the proposal's draws
+    from ``rng`` and then one ``rng.random()`` for its acceptance test.
     """
-    if kappa < 1:
-        raise InvalidInputError("kappa must be >= 1")
+    check_count("kappa", kappa)
+    random = rng.random
     v_x = v_init
-    p_x = d_p(v_x)
+    odds_x = _odds("p_current", d_p(v_x))
     accepted = 0
     for _ in range(kappa):
         v_y = g(rng)
-        p_y = d_p(v_y)
-        alpha = mh_acceptance(p_x, p_y)
-        if alpha > rng.random():
-            v_x, p_x = v_y, p_y
+        odds_y = _odds("p_proposal", d_p(v_y))
+        # mh_acceptance's alpha without its min(1, .): u < 1 always.
+        if odds_x / odds_y > random():
+            v_x, odds_x = v_y, odds_y
             accepted += 1
     if strict_pseudocode:
         return g(rng), accepted, kappa + 1
@@ -131,10 +158,8 @@ def mh_sample(
     """
     if len(lplus_e) == 0:
         raise InvalidInputError("mh_sample requires a non-empty holdout set")
-    if patience < 1:
-        raise InvalidInputError("patience must be >= 1")
-    if kappa < 1:
-        raise InvalidInputError("kappa must be >= 1")
+    check_count("patience", patience)
+    check_count("kappa", kappa)
     observed = lplus.as_set()
     inits = list(lplus_e)
     v_hat_s: set[Variant] = set()
@@ -146,7 +171,8 @@ def mh_sample(
         v_ref = inits[int(rng.integers(len(inits)))]
         chain_rng = rng.spawn(1)[0]
         candidate, accepted, chain_draws = mh_chain_candidate(
-            g, d_p, v_ref, kappa, chain_rng, strict_pseudocode=strict_pseudocode
+            g, d_p, v_ref, kappa, _block_uniforms(chain_rng),
+            strict_pseudocode=strict_pseudocode,
         )
         draws += chain_draws
         accepted_total += accepted
@@ -163,3 +189,14 @@ def mh_sample(
         draw_count=draws,
         acceptance_rate=accepted_total / steps_total if steps_total else 0.0,
     )
+
+
+def _block_uniforms(rng: np.random.Generator) -> Uniforms:
+    """``rng``'s doubles, fetched ``UNIFORM_BLOCK`` at a time.
+
+    ``rng.random(n)`` yields exactly the doubles of ``n`` scalar calls, so
+    the stream is unchanged; the doubles left in the last block are never
+    observed because the chain is the generator's only reader.
+    """
+    blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
+    return SimpleNamespace(random=chain.from_iterable(blocks).__next__)

@@ -6,6 +6,9 @@ oracle is central finite differences over its own closed form of the
 discriminator loss (``log sigmoid`` via ``np.logaddexp``).  The
 sampling oracle draws every symbol with ``rng.choice`` from the generator's
 public next-symbol distribution, bypassing its compiled draw tables.  The
+MH reference runs its chains on scalar ``rng.random()`` calls and tests
+each step with ``mh_acceptance``, as the sampler did before its chains read
+their uniforms in blocks.  The
 token-replay and escaping-edges references are the searches the package
 ran before its sparse-marking core, kept on dense per-place count vectors
 (one entry per place) with a plain enabling scan over every transition.
@@ -19,6 +22,7 @@ from collections import deque
 import numpy as np
 
 from genmine.errors import BudgetExceededError
+from genmine.sampling import mh_acceptance
 
 
 def brute_force_playout(net, max_len, token_cap, budget=2_000_000):
@@ -125,6 +129,50 @@ def sample_variant_reference(gen, temperature, rng):
         if len(emitted) >= gen.max_len:
             break
     return tuple(emitted)
+
+
+def mh_chain_reference(g, d_p, v_init, kappa, rng, strict_pseudocode=False):
+    """One MH chain; returns (candidate, #accepted, #draws)."""
+    v_x = v_init
+    p_x = d_p(v_x)
+    accepted = 0
+    for _ in range(kappa):
+        v_y = g(rng)
+        p_y = d_p(v_y)
+        alpha = mh_acceptance(p_x, p_y)
+        if alpha > rng.random():
+            v_x, p_x = v_y, p_y
+            accepted += 1
+    if strict_pseudocode:
+        return g(rng), accepted, kappa + 1
+    return v_x, accepted, kappa
+
+
+def mh_sample_reference(g, d_p, lplus, lplus_e, patience, kappa, rng,
+                        strict_pseudocode=False):
+    """MH chains from random holdout starts until ``patience`` misses in a row.
+
+    Returns (v_hat_s, v_hat_u, draw_count, acceptance_rate).
+    """
+    inits = list(lplus_e)
+    v_hat_s = set()
+    misses = draws = accepted_total = steps_total = 0
+    while misses < patience:
+        v_ref = inits[int(rng.integers(len(inits)))]
+        chain_rng = rng.spawn(1)[0]
+        candidate, accepted, chain_draws = mh_chain_reference(
+            g, d_p, v_ref, kappa, chain_rng, strict_pseudocode
+        )
+        draws += chain_draws
+        accepted_total += accepted
+        steps_total += kappa
+        if candidate != v_ref and candidate not in v_hat_s:
+            v_hat_s.add(candidate)
+            misses = 0
+        else:
+            misses += 1
+    v_hat_s = frozenset(v_hat_s)
+    return v_hat_s, v_hat_s - lplus.as_set(), draws, accepted_total / steps_total
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -301,3 +302,10 @@ class TestEstimate:
     def test_sampler_settings_below_one_rejected(self, field):
         with pytest.raises(InvalidInputError, match=f"{field} must be >= 1"):
             SamplerModel(name="s", **{field: 0})
+
+    @pytest.mark.parametrize("value", [2.5, True, math.inf])
+    @pytest.mark.parametrize("field", ["k", "kappa", "patience"])
+    def test_sampler_settings_must_be_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            SamplerModel(name="s", **{field: value})
+        assert SamplerModel(name="s", **{field: np.int64(3)}).__dict__[field] == 3

@@ -5,6 +5,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,11 +113,24 @@ class TestSampleVariant:
             assert sample_variant(gen, 1.0, rng) == ("a", "b")
         assert sample_variant(gen, 0.3, rng) == ("a", "b")
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
-    def test_temperature_must_be_finite_and_positive(self, temperature):
-        gen = fit_mle(lplus(["a", "b"]), order=2, smoothing=0.0)
-        with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
+    @pytest.mark.parametrize("temperature, message", [
+        *(pytest.param(t, "temperature must be finite and > 0", id=str(t))
+          for t in (0.0, -1.0, math.inf, math.nan)),
+        pytest.param(1e-320, "temperature must be >= 1e-300, got 1e-320", id="1e-320"),
+    ])
+    def test_temperature_must_be_finite_and_positive(self, temperature, message):
+        gen = fit_mle(lplus(["a", "b"], ["b", "a", "c"]), order=2, smoothing=0.2)
+        with pytest.raises(InvalidInputError, match=message):
             sample_variant(gen, temperature, np.random.default_rng(0))
+        # A valid draw caches the start state at 1.0; anything with random()
+        # draws as the Generator does, and a bad temperature is never cached.
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        drawn = [sample_variant(gen, 1.0, rng) for _ in range(30)]
+        source = SimpleNamespace(random=twin.random)
+        assert [sample_variant(gen, 1.0, source) for _ in range(30)] == drawn
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match=message):
+                sample_variant(gen, temperature, rng)
 
     def test_subnormal_temperature_is_rejected(self):
         # 1e-320 is finite and > 0, but log(p) / 1e-320 overflows.

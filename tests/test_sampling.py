@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 
@@ -11,11 +12,15 @@ from hypothesis import strategies as st
 from genmine import (
     InvalidInputError,
     UniqueVariantLog,
+    fit_mle,
     mh_acceptance,
     mh_chain_candidate,
     mh_sample,
     naive_sample,
+    sample_variant,
 )
+
+from .oracles import mh_chain_reference, mh_sample_reference
 
 VA, VB, VC = ("a",), ("b",), ("c",)
 
@@ -37,6 +42,37 @@ def categorical_draw(variants, probs):
     return draw
 
 
+class DrawLimitReached(Exception):
+    pass
+
+
+def limited_draw(limit=1_000):
+    """A two-variant draw that raises after ``limit`` calls, so a sampler
+    that should have refused its settings fails instead of running on."""
+    calls = [0]
+
+    def draw(rng):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise DrawLimitReached
+        return VA if rng.random() < 0.5 else VB
+
+    draw.calls = calls
+    return draw
+
+
+NOT_COUNTS = [2.5, True, math.inf, 1.0]
+
+
+def ngram_chain_setup():
+    """A smoothed bigram generator and a scorer that accepts some proposals."""
+    gen = fit_mle(
+        UniqueVariantLog((("a", "b"), ("a", "c"), ("b", "a", "c"), ("c",))), order=2,
+        smoothing=0.1,
+    )
+    return gen, lambda v: (1 + len(v) % 3) / 4
+
+
 class TestNaiveSample:
     def test_deterministic_generator_yields_singleton(self):
         lp = UniqueVariantLog((("a", "b"),))
@@ -54,6 +90,13 @@ class TestNaiveSample:
     def test_invalid_k(self):
         with pytest.raises(InvalidInputError):
             naive_sample(constant_draw(VA), UniqueVariantLog((VA,)), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", NOT_COUNTS)
+    def test_non_integer_k_rejected_before_any_draw(self, k):
+        draw = limited_draw()
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            naive_sample(draw, UniqueVariantLog((VA,)), k, np.random.default_rng(0))
+        assert draw.calls == [0]
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=999))
     @settings(max_examples=50, deadline=None)
@@ -134,6 +177,25 @@ class TestMhChain:
         tv = 0.5 * sum(abs(freq[v] / n - p) for v, p in target.items())
         assert tv > 0.05  # fails the recovery bound, documenting the deviation
 
+    @pytest.mark.parametrize("kappa", NOT_COUNTS)
+    def test_non_integer_kappa_rejected_before_any_draw(self, kappa):
+        draw = limited_draw()
+        with pytest.raises(InvalidInputError, match="kappa must be an integer"):
+            mh_chain_candidate(draw, lambda v: 0.5, VA, kappa, np.random.default_rng(0))
+        assert draw.calls == [0]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("kappa", [1, 20, 500])
+    def test_direct_call_consumes_the_reference_stream(self, kappa, strict):
+        gen, d_p = ngram_chain_setup()
+        draw = lambda rng: sample_variant(gen, 1.0, rng)
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        for v_init in (("a", "b"), ("c",), ("a", "b"), ("b", "a", "c")):
+            assert mh_chain_candidate(draw, d_p, v_init, kappa, rng, strict) == (
+                mh_chain_reference(draw, d_p, v_init, kappa, ref_rng, strict)
+            )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestMhSample:
     def _setup(self):
@@ -174,3 +236,37 @@ class TestMhSample:
         result = mh_sample(draw, d_p, lp, lp_e, patience=4, kappa=6,
                            rng=np.random.default_rng(2))
         assert result.draw_count % 6 == 0
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    @pytest.mark.parametrize("name", ["kappa", "patience"])
+    def test_non_integer_settings_rejected_before_any_draw(self, name, value):
+        lp, lp_e, _, d_p = self._setup()
+        draw = limited_draw()
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            mh_sample(draw, d_p, lp, lp_e, **{name: value}, rng=np.random.default_rng(0))
+        assert draw.calls == [0]
+
+    def test_numpy_integer_settings_accepted(self):
+        lp, lp_e, draw, d_p = self._setup()
+        expected = mh_sample(draw, d_p, lp, lp_e, patience=3, kappa=4,
+                             rng=np.random.default_rng(5))
+        assert mh_sample(draw, d_p, lp, lp_e, patience=np.int64(3), kappa=np.int32(4),
+                         rng=np.random.default_rng(5)) == expected
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("kappa", [1, 20, 500])
+    def test_matches_the_scalar_stream_reference(self, kappa, strict):
+        # Chains of 500 steps read more doubles than one UNIFORM_BLOCK holds.
+        gen, d_p = ngram_chain_setup()
+        draw = lambda rng: sample_variant(gen, 1.0, rng)
+        lp = UniqueVariantLog((("a", "b"), ("c",)))
+        lp_e = UniqueVariantLog((("a", "c"), ("b", "a", "c")))
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        result = mh_sample(draw, d_p, lp, lp_e, patience=4, kappa=kappa, rng=rng,
+                           strict_pseudocode=strict)
+        assert (
+            result.v_hat_s, result.v_hat_u, result.draw_count, result.acceptance_rate
+        ) == mh_sample_reference(draw, d_p, lp, lp_e, 4, kappa, ref_rng, strict)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (rng.bit_generator.seed_seq.n_children_spawned
+                == ref_rng.bit_generator.seed_seq.n_children_spawned)
