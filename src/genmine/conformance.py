@@ -19,6 +19,14 @@ and firing from its successor table, which lives as long as the net;
 replay's visible moves come from its (preset place, label) index and fire
 directly, adding no rows.  Their own memos (replay moves, silent closures)
 live for one call only.
+
+Replay is an A* search.  On a one-token net (each transition moves one
+token from one place to one place and each final marking holds L tokens,
+``CompiledNet.token_goal``) its bound is the token surplus
+``len(marking) - L``; on any other net it is 0, which is Dijkstra's
+search.  The bound is consistent, so the settled optimum, and with it
+every count, is the same; only the pop order changes, and with it a
+replay ``BudgetExceededError``'s partial count (see ``_replay_variant``).
 """
 
 from __future__ import annotations
@@ -91,8 +99,9 @@ class _TokenCounts:
 
 _REPLAY_POP_LIMIT = 200_000
 
-# One replay move: (added cost, labels advanced, next marking, consumed, produced).
-_Move = tuple[int, int, TokenMarking, int, int]
+# One replay move: (added cost, added heap key, labels advanced, next marking,
+# consumed, produced).  The heap key is the cost plus the search's bound.
+_Move = tuple[int, int, int, TokenMarking, int, int]
 
 
 def _overlap(a: TokenMarking, b: TokenMarking) -> int:
@@ -116,13 +125,16 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
     ``label is None`` once the variant is consumed.  Order is push order:
     an unknown label's one missing-token event, then every enabled
     candidate, then the cheapest force-fired one, then silent transitions.
+    On a one-token net only a force-fire changes the token count, by one,
+    so it alone raises the bound as well as the cost.
     """
     moves: list[_Move] = []
+    bounded = cn.token_goal is not None
     if label is not None:
         cands = cn.by_label.get(label, ())
         if not cands:
             # Unknown label: one missing-token event by convention.
-            moves.append((1, 1, marking, 1, 0))
+            moves.append((1, 1, 1, marking, 1, 0))
         # Every enabled candidate is explored (keeps clean replays exact);
         # force-firing branches only through the cheapest disabled one.
         held = set(marking)
@@ -133,7 +145,7 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
                 if pre[ti] <= held:
                     enabled.add(ti)
         for ti in sorted(enabled):
-            moves.append((0, 1, cn.fire(marking, ti), len(pre[ti]), len(post[ti])))
+            moves.append((0, 0, 1, cn.fire(marking, ti), len(pre[ti]), len(post[ti])))
         # A deficit of 1 is the least a disabled candidate can have, so the
         # scan stops at the first one; the earliest candidate wins ties.
         disabled: tuple[int, int] | None = None
@@ -147,11 +159,13 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
                     break
         if disabled is not None:
             deficit, ti = disabled
-            moves.append((deficit, 1, cn.fire(marking, ti), len(pre[ti]), len(post[ti])))
+            nxt = cn.fire(marking, ti)
+            growth = len(nxt) - len(marking) if bounded else 0
+            moves.append((deficit, deficit + growth, 1, nxt, len(pre[ti]), len(post[ti])))
     if cn.has_silent:
         for si, nxt in cn.successors(marking):
             if cn.labels[si] is None:
-                moves.append((0, 0, nxt, len(cn.pre[si]), len(cn.post[si])))
+                moves.append((0, 0, 0, nxt, len(cn.pre[si]), len(cn.post[si])))
     return tuple(moves)
 
 
@@ -169,16 +183,34 @@ def _replay_variant(
     always replays with zero missing and zero remaining tokens.  ``memo``
     keeps the moves out of each (next label, marking) pair; variants of
     one log share it.
+
+    The heap is ordered by cost plus a lower bound on the cost still to
+    come (A*), then by firings, then by push order.  The bound is the token
+    surplus ``len(marking) - L`` on a one-token net (``cn.token_goal``
+    is L) and 0 on any other, where the search is plain Dijkstra.  It is
+    consistent: a labelled or silent move keeps the token count, a
+    force-fire adds one token at a cost of at least 1, and settling costs
+    ``missing + remaining >= len(marking) - L``.  So the search settles the
+    same least (cost, firings) pair, and on a one-token net the counts are
+    functions of that pair and of U, the variant's unknown labels:
+    ``consumed = firings + L``, ``produced = len(initial) + firings - U``
+    and ``missing - remaining = U + L - len(initial)``.  Which tied path
+    it settles cannot change them.  A ``BudgetExceededError`` follows the
+    pop order, so on a one-token net its ``partial_count`` (and, at a very
+    small limit, whether it fires) can differ from a Dijkstra search's.
     """
     init_produced = len(cn.initial)
-    # heap entries: (cost, firings, tiebreak, pos, marking, consumed, produced, settled)
+    goal = cn.token_goal
+    start_key = 0 if goal is None else len(cn.initial) - goal
+    # heap entries: (cost + bound, firings, tiebreak, cost, pos, marking, consumed,
+    # produced, settled)
     counter = 0
-    heap = [(0, 0, counter, 0, cn.initial, 0, init_produced, None)]
+    heap = [(start_key, 0, counter, 0, 0, cn.initial, 0, init_produced, None)]
     best: dict[tuple[int, TokenMarking], tuple[int, int]] = {(0, cn.initial): (0, 0)}
     pops = 0
     n = len(variant)
     while heap:
-        cost, firings, _, pos, marking, consumed, produced, settled = heappop(heap)
+        key, firings, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
         if settled is not None:
             rem_f, final = settled
             return _TokenCounts(
@@ -204,25 +236,26 @@ def _replay_variant(
                     common = _overlap(f, marking)
                     miss_f = len(f) - common
                     rem_f = len(marking) - common
+                    total = cost + miss_f + rem_f
                     counter += 1
-                    heappush(heap, (cost + miss_f + rem_f, firings, counter, pos, marking,
+                    heappush(heap, (total, firings, counter, total, pos, marking,
                                     consumed, produced, (rem_f, f)))
             else:
                 rem = len(marking)
-                heappush(heap, (cost + rem, firings, counter, pos, marking,
+                heappush(heap, (cost + rem, firings, counter, cost + rem, pos, marking,
                                 consumed, produced, (rem, ())))
         else:
             label = variant[pos]
         moves = memo.get((label, marking))
         if moves is None:
             moves = memo[(label, marking)] = _replay_moves(cn, label, marking)
-        for dcost, dpos, nxt, dconsumed, dproduced in moves:
-            cost2, firings2, key = cost + dcost, firings + 1, (pos + dpos, nxt)
-            seen = best.get(key)
+        for dcost, dkey, dpos, nxt, dconsumed, dproduced in moves:
+            cost2, firings2, state = cost + dcost, firings + 1, (pos + dpos, nxt)
+            seen = best.get(state)
             if seen is None or (cost2, firings2) < seen:
-                best[key] = (cost2, firings2)
+                best[state] = (cost2, firings2)
                 counter += 1
-                heappush(heap, (cost2, firings2, counter, pos + dpos, nxt,
+                heappush(heap, (key + dkey, firings2, counter, cost2, pos + dpos, nxt,
                                 consumed + dconsumed, produced + dproduced, None))
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 

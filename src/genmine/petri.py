@@ -179,23 +179,33 @@ class CompiledNet:
         self.finals = tuple(self.encode(fm) for fm in net.finals())
         self.labels = tuple(t.label for t in self.transitions)
         self.has_silent = None in self.labels
+        # A one-token net moves one token from one place to one place per
+        # firing, silent transitions included, and each of its final
+        # markings holds the same number L of tokens (L = 0 without finals).
+        # ``token_goal`` is L on such a net and None on any other; token
+        # replay bounds its search by the token surplus over L.
+        final_sizes = {len(f) for f in self.finals} or {0}
+        one_token = len(final_sizes) == 1 and all(
+            len(ps) == 1 for ps in self.pre + self.post
+        )
+        self.token_goal = final_sizes.pop() if one_token else None
         # Labeled transitions per label, and per (preset place, label) and
         # per label among the empty-preset ones; token replay finds the
         # enabled transitions of a label through the last two.
-        self.by_label: dict[str, tuple[int, ...]] = {}
-        self.by_place_label: dict[tuple[int, str], tuple[int, ...]] = {}
-        self.unconditional_by_label: dict[str, tuple[int, ...]] = {}
+        by_label: dict[str, list[int]] = {}
+        by_place_label: dict[tuple[int, str], list[int]] = {}
+        unconditional_by_label: dict[str, list[int]] = {}
         for i, t in enumerate(self.transitions):
             if t.label is None:
                 continue
-            self.by_label[t.label] = self.by_label.get(t.label, ()) + (i,)
+            by_label.setdefault(t.label, []).append(i)
             for p in self.pre[i]:
-                key = (p, t.label)
-                self.by_place_label[key] = self.by_place_label.get(key, ()) + (i,)
+                by_place_label.setdefault((p, t.label), []).append(i)
             if not self.pre[i]:
-                self.unconditional_by_label[t.label] = (
-                    self.unconditional_by_label.get(t.label, ()) + (i,)
-                )
+                unconditional_by_label.setdefault(t.label, []).append(i)
+        self.by_label = {k: tuple(v) for k, v in by_label.items()}
+        self.by_place_label = {k: tuple(v) for k, v in by_place_label.items()}
+        self.unconditional_by_label = {k: tuple(v) for k, v in unconditional_by_label.items()}
         self._successors: dict[TokenMarking, tuple[tuple[int, TokenMarking], ...]] = {}
 
     def encode(self, marking: Mapping[str, int]) -> TokenMarking:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +32,7 @@ from genmine import (
 )
 from genmine.conformance import _replay_variant, _silent_closure
 
+from . import oracles
 from .oracles import etc_precision_reference, replay_counts_reference
 
 SILENT_WEIGHTS = {"seq": 1, "xor": 1, "and": 1, "loop": 0.3}
@@ -217,31 +221,6 @@ class TestSuccessorTable:
                                 if fresh.pre[ti] <= set(m))
 
 
-class TestPropositions:
-    """Measures against a built system's own complete playout.
-
-    Built systems are sound workflow nets with budgeted loops: every reachable
-    marking can still reach the final marking, so the playout is finite and
-    complete.  Every variant then replays without missing or remaining tokens
-    (fitness 1.0), and every label a reachable marking enables after a logged
-    prefix continues some logged variant, so no edge escapes (precision 1.0).
-    Neither proposition holds for nets with dead ends (permissive playout) or
-    for a truncated playout; neither is drawn here.
-    """
-
-    @given(seed=st.integers(0, 10_000), depth=st.integers(0, 2),
-           weights=st.sampled_from([SILENT_WEIGHTS, SystemSpec(seed=0).weights]),
-           silent_skip=st.booleans(), duplicate_label=st.booleans())
-    @settings(max_examples=30, deadline=None)
-    def test_complete_playout_is_fit_and_precise(self, seed, depth, weights, silent_skip,
-                                                 duplicate_label):
-        net = build_system(SystemSpec(seed=seed, depth=depth, weights=weights,
-                                      silent_skip=silent_skip, duplicate_label=duplicate_label))
-        lstar = VariantLog(tuple(sorted(playout_enumerate(net, max_len=None))))
-        assert token_replay_fitness(net, lstar) == 1.0
-        assert etc_precision(net, lstar) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # Differential checks against the dense-vector references in tests/oracles.py
 # ---------------------------------------------------------------------------
@@ -330,6 +309,99 @@ def _hand_made_cases(draw):
     return net, draw(_logs_for(net))
 
 
+def _token_goal(net):
+    """L when every transition has one input and one output place and every
+    final marking holds L tokens (L = 0 without finals); None otherwise."""
+    inputs = Counter(dst for src, dst in net.arcs if src in net.places)
+    outputs = Counter(src for src, dst in net.arcs if src not in net.places)
+    sizes = {sum(f.values()) for f in net.finals()} or {0}
+    if len(sizes) > 1 or any(inputs[t.tid] != 1 or outputs[t.tid] != 1
+                             for t in net.transitions):
+        return None
+    return sizes.pop()
+
+
+@st.composite
+def _one_token_cases(draw):
+    """One-token nets: each transition moves a token between two places.
+
+    Arcs may run either way, so silent cycles occur.  The initial marking
+    may hold several tokens; the finals all hold the same number, 1 to 3,
+    or there are none.
+    """
+    n = draw(st.integers(2, 5))
+    places = [f"p{i}" for i in range(n)]
+    transitions, arcs = [], []
+    for k in range(draw(st.integers(1, 6))):
+        tid = f"t{k}"
+        pre, post = draw(st.sampled_from(places)), draw(st.sampled_from(places))
+        transitions.append((tid, draw(st.sampled_from(ALPHABET[:3] + (None,)))))
+        arcs += [(pre, tid), (tid, post)]
+    initial = draw(st.dictionaries(st.sampled_from(places), st.integers(1, 2),
+                                   min_size=1, max_size=3))
+    size = draw(st.integers(1, 3))
+    final = st.lists(st.sampled_from(places), min_size=size, max_size=size).map(Counter)
+    finals = draw(st.lists(final, max_size=3))
+    net = make_net(places, transitions, arcs, initial, finals)
+    return net, draw(_logs_for(net))
+
+
+class TestPropositions:
+    """Propositions the measures satisfy by construction.
+
+    Replay balances its tokens on any net.  Against a built system's own
+    complete playout both measures are 1.0.  Built systems are sound
+    workflow nets with budgeted loops: every reachable marking can still
+    reach the final marking, so the playout is finite and complete.  Every
+    variant then replays without missing or remaining tokens (fitness 1.0),
+    and every label a reachable marking enables after a logged prefix
+    continues some logged variant, so no edge escapes (precision 1.0).
+    Neither 1.0 holds for nets with dead ends (permissive playout) or for a
+    truncated playout; that test draws neither.
+    """
+
+    @given(seed=st.integers(0, 10_000), depth=st.integers(0, 2),
+           weights=st.sampled_from([SILENT_WEIGHTS, SystemSpec(seed=0).weights]),
+           silent_skip=st.booleans(), duplicate_label=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_complete_playout_is_fit_and_precise(self, seed, depth, weights, silent_skip,
+                                                 duplicate_label):
+        net = build_system(SystemSpec(seed=seed, depth=depth, weights=weights,
+                                      silent_skip=silent_skip, duplicate_label=duplicate_label))
+        lstar = VariantLog(tuple(sorted(playout_enumerate(net, max_len=None))))
+        assert token_replay_fitness(net, lstar) == 1.0
+        assert etc_precision(net, lstar) == 1.0
+
+    @given(st.one_of(_system_cases(), _baseline_cases(), _hand_made_cases(),
+                     _one_token_cases()))
+    @settings(max_examples=80, deadline=None)
+    def test_replay_balances_tokens(self, case):
+        # Every token produced or inserted as missing is consumed or left
+        # remaining.  On a one-token net every firing consumes and produces
+        # one token and an unknown label consumes one missing token, so
+        # missing - remaining is fixed by the variant alone: its U unknown
+        # labels, the L tokens of a final and the initial marking's size.
+        net, lstar = case
+        goal = _token_goal(net)
+        memo: dict = {}
+        for v in lstar:
+            c = _replay_variant(net.compiled, v, memo)
+            assert c.produced + c.missing == c.consumed + c.remaining, v
+            if goal is not None:
+                unknown = sum(1 for a in v if a not in net.labels())
+                initial = sum(net.initial().values())
+                assert c.missing - c.remaining == unknown + goal - initial, v
+
+    def test_unobserved_variant_gets_partial_credit_on_a_trace_net(self):
+        # The trace net plays out only its log, yet an unobserved variant of
+        # n known labels may replay with one force-fire: 1 missing and 1
+        # remaining token out of n + 1 consumed and produced.
+        net = trace_model(UniqueVariantLog((("a", "b", "c"), ("d", "e", "f"))))
+        counts = _replay_variant(net.compiled, ("a", "b", "f"), {})
+        assert astuple(counts) == (1, 1, 4, 4)
+        assert token_replay_fitness(net, VariantLog((("a", "b", "f"),))) == 0.75
+
+
 # Two paths replay "a" into the same state with the same cost and firings:
 # t_a then silent tau, or silent tau_s then t_a2, which also tests x.  They
 # consume 2 and 3 tokens, so the counts show which one the push order
@@ -342,6 +414,43 @@ _TIE_NET = make_net(
     {"p": 1, "x": 1},
     [{"r": 1, "x": 1}],
 )
+
+
+# Nets shaped like one-token nets that are not, so the bound must stay 0.
+# Replaying "b" costs 1 both by force-firing t_b into {p0, p2} and by tau
+# then t_b into {p2}; the first takes fewer firings but would rank behind
+# the second under a surplus bound measured against the one-token final.
+_UNEQUAL_FINALS_NET = make_net(
+    ["p0", "p1", "p2"],
+    [("tau", None), ("t_a", "a"), ("t_b", "b")],
+    [("p0", "tau"), ("tau", "p1"), ("p0", "t_a"), ("t_a", "p0"), ("p1", "t_b"), ("t_b", "p2")],
+    {"p0": 1},
+    [{"p0": 1}, {"p0": 1, "p2": 1}],
+)
+# The empty-preset "a" adds a token at no cost.
+_EMPTY_PRESET_NET = make_net(
+    ["p", "q", "r"],
+    [("t_a", "a"), ("t_b", "b"), ("t_c", "c")],
+    [("t_a", "q"), ("q", "t_b"), ("t_b", "r"), ("p", "t_c"), ("t_c", "q")],
+    {"p": 1},
+    [{"r": 1}],
+)
+_SHAPED_LOG = VariantLog((("b",), ("a", "a", "b"), ("b", "a"), ("c", "a", "b", "b"), ("z", "a"),
+                          ("a", "b", "a")))
+
+
+def _bench_sized_trace_case():
+    """The trace net and variants of ``test_bench_sized_trace_net``."""
+    spec = SystemSpec(seed=4, depth=2, alphabet_budget=8,
+                      weights={"seq": 1.0, "xor": 1.5, "loop": 0.5},
+                      fanout_min=2, fanout_max=3)
+    truth = split_system(playout_enumerate(build_system(spec), max_len=None, token_cap=3),
+                         0.7, 700)
+    net = trace_model(truth.lplus)
+    variants = sorted(truth.v_s)
+    labels = sorted(net.labels())
+    variants += [("z",), (labels[0], "z", labels[-1]), ("z",) + variants[0]]
+    return net, variants
 
 
 class TestDenseReference:
@@ -360,6 +469,37 @@ class TestDenseReference:
     @settings(max_examples=80, deadline=None)
     def test_hand_made_nets(self, case):
         _assert_matches_reference(*case)
+
+    @given(_one_token_cases())
+    @example(case=(_UNEQUAL_FINALS_NET, _SHAPED_LOG))
+    @example(case=(_EMPTY_PRESET_NET, _SHAPED_LOG))
+    @settings(max_examples=80, deadline=None)
+    def test_one_token_nets(self, case):
+        net, lstar = case
+        assert net.compiled.token_goal == _token_goal(net)
+        _assert_matches_reference(net, lstar)
+
+    def test_bound_pops_fewer_states_on_the_bench_sized_trace_net(self, monkeypatch):
+        # The reference is a Dijkstra search; the token-surplus bound skips
+        # the states it expands below the cost of an unfit variant's replay.
+        net, variants = _bench_sized_trace_case()
+        assert net.compiled.token_goal == 1
+        pops: Counter = Counter()
+
+        def counted(side):
+            def pop(heap):
+                pops[side] += 1
+                return heapq.heappop(heap)
+            return pop
+
+        monkeypatch.setattr(conformance, "heappop", counted("replay"))
+        monkeypatch.setattr(oracles, "heapq", SimpleNamespace(heappop=counted("reference"),
+                                                              heappush=heapq.heappush))
+        memo: dict = {}
+        for v in variants:
+            got = astuple(_replay_variant(net.compiled, v, memo))
+            assert got == replay_counts_reference(net, v), v
+        assert pops["replay"] < pops["reference"]
 
     @pytest.mark.parametrize("pop_limit", [None, 5, 50])
     def test_bench_sized_trace_net(self, monkeypatch, pop_limit):

@@ -98,6 +98,57 @@ class TestEnabledFire:
         assert sequence_net_ab.compiled is sequence_net_ab.compiled
 
 
+class TestCompiledIndexes:
+    """The per-label indexes and the one-token property of ``CompiledNet``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_label_indexes_list_transitions_in_index_order(self, seed):
+        net = build_system(SystemSpec(seed=seed, depth=2, duplicate_label=True,
+                                      silent_skip=True))
+        cn = CompiledNet(net)
+        by_label, by_place_label, unconditional = {}, {}, {}
+        for i, label in enumerate(cn.labels):
+            if label is None:
+                continue
+            by_label[label] = by_label.get(label, ()) + (i,)
+            for p in cn.pre[i]:
+                by_place_label[(p, label)] = by_place_label.get((p, label), ()) + (i,)
+            if not cn.pre[i]:
+                unconditional[label] = unconditional.get(label, ()) + (i,)
+        assert list(cn.by_label.items()) == list(by_label.items())
+        assert list(cn.by_place_label.items()) == list(by_place_label.items())
+        assert list(cn.unconditional_by_label.items()) == list(unconditional.items())
+
+    def test_baselines_are_one_token_nets(self):
+        variants = (("a", "b"), ("a", "c", "a"))
+        assert trace_model(UniqueVariantLog(variants)).compiled.token_goal == 1
+        assert dfg_discover(VariantLog(variants)).compiled.token_goal == 1
+        assert flower_model(["a", "b"]).compiled.token_goal == 1
+
+    def test_one_token_net_without_finals_aims_at_no_tokens(self):
+        net = make_net(["p", "q"], [("t", "a"), ("tau", None)],
+                       [("p", "t"), ("t", "q"), ("q", "tau"), ("tau", "p")], {"p": 2})
+        assert net.compiled.token_goal == 0
+
+    @pytest.mark.parametrize("arcs, finals", [
+        # an AND split
+        ([("p", "t"), ("t", "q"), ("t", "r")], [{"q": 1, "r": 1}]),
+        # an empty preset
+        ([("t", "q")], [{"q": 1}]),
+        # a silent transition with an empty postset
+        ([("p", "t"), ("t", "q"), ("q", "tau")], [{"q": 1}]),
+        # finals of different sizes
+        ([("p", "t"), ("t", "q")], [{"q": 1}, {"q": 1, "r": 1}]),
+    ])
+    def test_other_nets_are_not_one_token_nets(self, arcs, finals):
+        net = make_net(["p", "q", "r"], [("t", "a"), ("tau", None)], arcs, {"p": 1}, finals)
+        assert net.compiled.token_goal is None
+
+    def test_built_system_with_an_and_block_is_not_a_one_token_net(self):
+        net = build_system(SystemSpec(seed=0, depth=1, weights={"and": 1.0}))
+        assert net.compiled.token_goal is None
+
+
 class TestPlayout:
     def test_each_marking_fires_once(self, monkeypatch):
         # The flower's one marking is expanded for every prefix, but its three
