@@ -20,13 +20,22 @@ replay's visible moves come from its (preset place, label) index and fire
 directly, adding no rows.  Their own memos (replay moves, silent closures)
 live for one call only.
 
-Replay is an A* search.  On a one-token net (each transition moves one
-token from one place to one place and each final marking holds L tokens,
-``CompiledNet.token_goal``) its bound is the token surplus
-``len(marking) - L``; on any other net it is 0, which is Dijkstra's
-search.  The bound is consistent, so the settled optimum, and with it
-every count, is the same; only the pop order changes, and with it a
-replay ``BudgetExceededError``'s partial count (see ``_replay_variant``).
+Replay is an A* search over the pair (cost, firings).  On a one-token net
+(each transition moves one token from one place to one place and each
+final marking holds L tokens, ``CompiledNet.token_goal``) the cost's bound
+is the token surplus ``len(marking) - L`` and the firings' bound is the
+labels still to replay, and among ties the deepest state is expanded
+first, so a variant that replays cleanly follows one chain.  On any other
+net, a built system's among them, both bounds are 0 and ties go by push
+order: Dijkstra's search in the order (cost, firings, push order).  The
+pair bound is consistent: only a force-fire adds a token, at a cost of at
+least 1, and a labelled move, a force-fire and an unknown label each add
+one firing and advance one label, while a silent move adds one firing
+only.  So the settled optimum, and with it every count, is the same; only
+the pop order changes.  With it a replay ``BudgetExceededError`` on a
+one-token net fires at the same pop limit as a Dijkstra search's or at a
+lower one, never a higher one, and its partial count can differ (see
+``_replay_variant``).
 """
 
 from __future__ import annotations
@@ -99,9 +108,14 @@ class _TokenCounts:
 
 _REPLAY_POP_LIMIT = 200_000
 
-# One replay move: (added cost, added heap key, labels advanced, next marking,
-# consumed, produced).  The heap key is the cost plus the search's bound.
-_Move = tuple[int, int, int, TokenMarking, int, int]
+# One replay move: (added cost, added cost key, added firings key, added
+# depth key, labels advanced, next marking, consumed, produced).  On a
+# one-token net the cost key is the cost plus the token surplus, the firings
+# key is ``firings - pos`` (the firings plus the labels left, less the
+# variant's length) and the depth key is ``-pos``, so a move adds
+# ``1 - dpos`` and ``-dpos`` to the last two; on any other net the keys are
+# the cost, the firings and 0, so a move adds 1 and 0.
+_Move = tuple[int, int, int, int, int, TokenMarking, int, int]
 
 
 def _overlap(a: TokenMarking, b: TokenMarking) -> int:
@@ -126,15 +140,18 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
     an unknown label's one missing-token event, then every enabled
     candidate, then the cheapest force-fired one, then silent transitions.
     On a one-token net only a force-fire changes the token count, by one,
-    so it alone raises the bound as well as the cost.
+    so it alone raises the bound as well as the cost; a move that advances
+    a label keeps the firings key and lowers the depth key by one, and a
+    silent move raises the firings key by one.
     """
     moves: list[_Move] = []
     bounded = cn.token_goal is not None
+    dfir, ddepth = (0, -1) if bounded else (1, 0)
     if label is not None:
         cands = cn.by_label.get(label, ())
         if not cands:
             # Unknown label: one missing-token event by convention.
-            moves.append((1, 1, 1, marking, 1, 0))
+            moves.append((1, 1, dfir, ddepth, 1, marking, 1, 0))
         # Every enabled candidate is explored (keeps clean replays exact);
         # force-firing branches only through the cheapest disabled one.
         held = set(marking)
@@ -145,7 +162,8 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
                 if pre[ti] <= held:
                     enabled.add(ti)
         for ti in sorted(enabled):
-            moves.append((0, 0, 1, cn.fire(marking, ti), len(pre[ti]), len(post[ti])))
+            moves.append((0, 0, dfir, ddepth, 1, cn.fire(marking, ti), len(pre[ti]),
+                          len(post[ti])))
         # A deficit of 1 is the least a disabled candidate can have, so the
         # scan stops at the first one; the earliest candidate wins ties.
         disabled: tuple[int, int] | None = None
@@ -161,11 +179,12 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
             deficit, ti = disabled
             nxt = cn.fire(marking, ti)
             growth = len(nxt) - len(marking) if bounded else 0
-            moves.append((deficit, deficit + growth, 1, nxt, len(pre[ti]), len(post[ti])))
+            moves.append((deficit, deficit + growth, dfir, ddepth, 1, nxt, len(pre[ti]),
+                          len(post[ti])))
     if cn.has_silent:
         for si, nxt in cn.successors(marking):
             if cn.labels[si] is None:
-                moves.append((0, 0, 0, nxt, len(cn.pre[si]), len(cn.post[si])))
+                moves.append((0, 0, 1, 0, 0, nxt, len(cn.pre[si]), len(cn.post[si])))
     return tuple(moves)
 
 
@@ -184,33 +203,48 @@ def _replay_variant(
     keeps the moves out of each (next label, marking) pair; variants of
     one log share it.
 
-    The heap is ordered by cost plus a lower bound on the cost still to
-    come (A*), then by firings, then by push order.  The bound is the token
-    surplus ``len(marking) - L`` on a one-token net (``cn.token_goal``
-    is L) and 0 on any other, where the search is plain Dijkstra.  It is
-    consistent: a labelled or silent move keeps the token count, a
-    force-fire adds one token at a cost of at least 1, and settling costs
-    ``missing + remaining >= len(marking) - L``.  So the search settles the
-    same least (cost, firings) pair, and on a one-token net the counts are
-    functions of that pair and of U, the variant's unknown labels:
+    The heap is ordered lexicographically by two A* keys, then by a depth
+    key, then by push order.  The first key is the cost plus a lower bound
+    on the cost still to come: the token surplus ``len(marking) - L`` on a
+    one-token net (``cn.token_goal`` is L) and 0 on any other.  The second
+    is the firings plus a lower bound on the firings still to come: on a
+    one-token net the ``n - pos`` labels left, less the constant n, so
+    ``firings - pos``; on any other the bound is 0 and the key is the
+    firings.  The depth key is ``-pos`` on a one-token net, so the deepest
+    tied state is expanded first, and 0 on any other.  A net that is not a
+    one-token net (a built system) is therefore searched by Dijkstra in the
+    order (cost, firings, push order).
+
+    The pair bound is consistent: a labelled or silent move keeps the
+    token count, a force-fire adds one token at a cost of at least 1, and
+    settling costs ``missing + remaining >= len(marking) - L``; a labelled
+    move, a force-fire and an unknown label each add 1 to both firings and
+    pos, and a silent move adds 1 to firings only.  So the search settles
+    the same least (cost, firings) pair, and on a one-token net the counts
+    are functions of that pair and of U, the variant's unknown labels:
     ``consumed = firings + L``, ``produced = len(initial) + firings - U``
     and ``missing - remaining = U + L - len(initial)``.  Which tied path
     it settles cannot change them.  A ``BudgetExceededError`` follows the
-    pop order, so on a one-token net its ``partial_count`` (and, at a very
-    small limit, whether it fires) can differ from a Dijkstra search's.
+    pop order.  On a one-token net the search pops only the states a
+    Dijkstra search pops before settling, stale entries and ties at the
+    optimum aside, so the error fires at the same pop limit as a Dijkstra
+    search's or at a lower one, never a higher one, and its
+    ``partial_count`` can differ.  ``test_bench_sized_trace_net`` checks
+    this at limits 1-59, 80, 120 and 200 on a trace and a dfg net.
     """
     init_produced = len(cn.initial)
     goal = cn.token_goal
     start_key = 0 if goal is None else len(cn.initial) - goal
-    # heap entries: (cost + bound, firings, tiebreak, cost, pos, marking, consumed,
-    # produced, settled)
+    # heap entries: (cost key, firings key, depth key, tiebreak, cost, pos, marking,
+    # consumed, produced, settled).  On a fixed state the firings key differs
+    # from the firings by a constant, so ``best`` stores (cost, firings key).
     counter = 0
-    heap = [(start_key, 0, counter, 0, 0, cn.initial, 0, init_produced, None)]
+    heap = [(start_key, 0, 0, counter, 0, 0, cn.initial, 0, init_produced, None)]
     best: dict[tuple[int, TokenMarking], tuple[int, int]] = {(0, cn.initial): (0, 0)}
     pops = 0
     n = len(variant)
     while heap:
-        key, firings, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
+        key, fkey, depth, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
         if settled is not None:
             rem_f, final = settled
             return _TokenCounts(
@@ -225,7 +259,7 @@ def _replay_variant(
                 f"token replay exceeded {_REPLAY_POP_LIMIT} state expansions",
                 partial_count=pos,
             )
-        if best.get((pos, marking), (cost + 1, 0)) < (cost, firings):
+        if best.get((pos, marking), (cost + 1, 0)) < (cost, fkey):
             continue
         if pos == n:
             # Goal edges: settle against a final marking (or count leftovers).
@@ -238,25 +272,25 @@ def _replay_variant(
                     rem_f = len(marking) - common
                     total = cost + miss_f + rem_f
                     counter += 1
-                    heappush(heap, (total, firings, counter, total, pos, marking,
+                    heappush(heap, (total, fkey, depth, counter, total, pos, marking,
                                     consumed, produced, (rem_f, f)))
             else:
                 rem = len(marking)
-                heappush(heap, (cost + rem, firings, counter, cost + rem, pos, marking,
+                heappush(heap, (cost + rem, fkey, depth, counter, cost + rem, pos, marking,
                                 consumed, produced, (rem, ())))
         else:
             label = variant[pos]
         moves = memo.get((label, marking))
         if moves is None:
             moves = memo[(label, marking)] = _replay_moves(cn, label, marking)
-        for dcost, dkey, dpos, nxt, dconsumed, dproduced in moves:
-            cost2, firings2, state = cost + dcost, firings + 1, (pos + dpos, nxt)
+        for dcost, dkey, dfkey, ddepth, dpos, nxt, dconsumed, dproduced in moves:
+            cost2, fkey2, state = cost + dcost, fkey + dfkey, (pos + dpos, nxt)
             seen = best.get(state)
-            if seen is None or (cost2, firings2) < seen:
-                best[state] = (cost2, firings2)
+            if seen is None or (cost2, fkey2) < seen:
+                best[state] = (cost2, fkey2)
                 counter += 1
-                heappush(heap, (key + dkey, firings2, counter, cost2, pos + dpos, nxt,
-                                consumed + dconsumed, produced + dproduced, None))
+                heappush(heap, (key + dkey, fkey2, depth + ddepth, counter, cost2, pos + dpos,
+                                nxt, consumed + dconsumed, produced + dproduced, None))
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 
 

@@ -391,6 +391,9 @@ class TestPropositions:
                 unknown = sum(1 for a in v if a not in net.labels())
                 initial = sum(net.initial().values())
                 assert c.missing - c.remaining == unknown + goal - initial, v
+                # Both sides are the settled firing count, so any tie order
+                # that settles the least (cost, firings) pair gives these counts.
+                assert c.consumed - goal == c.produced - initial + unknown, v
 
     def test_unobserved_variant_gets_partial_credit_on_a_trace_net(self):
         # The trace net plays out only its log, yet an unobserved variant of
@@ -435,22 +438,40 @@ _EMPTY_PRESET_NET = make_net(
     {"p": 1},
     [{"r": 1}],
 )
+# Two clean replays of ("a", "b") on a one-token net: tau_0, a_q, b_r in
+# three firings, or a_p, two silent moves and b_u in four.  The second's
+# states go first among ties, as they are deeper, so a firings key that
+# overrated the labels left would settle it.
+_LATE_SILENT_NET = make_net(
+    ["p", "q", "r", "s", "t", "u", "e"],
+    [("tau_0", None), ("a_q", "a"), ("b_r", "b"), ("a_p", "a"), ("tau_1", None),
+     ("tau_2", None), ("b_u", "b")],
+    [("p", "tau_0"), ("tau_0", "q"), ("q", "a_q"), ("a_q", "r"), ("r", "b_r"), ("b_r", "e"),
+     ("p", "a_p"), ("a_p", "s"), ("s", "tau_1"), ("tau_1", "t"), ("t", "tau_2"),
+     ("tau_2", "u"), ("u", "b_u"), ("b_u", "e")],
+    {"p": 1},
+    [{"e": 1}],
+)
 _SHAPED_LOG = VariantLog((("b",), ("a", "a", "b"), ("b", "a"), ("c", "a", "b", "b"), ("z", "a"),
                           ("a", "b", "a")))
 
 
-def _bench_sized_trace_case():
-    """The trace net and variants of ``test_bench_sized_trace_net``."""
+def _bench_sized_case():
+    """A trace net and a dfg net of one desk-sized log, and variants to replay.
+
+    Many of the trace net's transitions share each label, so a marking often
+    enables several candidates of the next label.
+    """
     spec = SystemSpec(seed=4, depth=2, alphabet_budget=8,
                       weights={"seq": 1.0, "xor": 1.5, "loop": 0.5},
                       fanout_min=2, fanout_max=3)
     truth = split_system(playout_enumerate(build_system(spec), max_len=None, token_cap=3),
                          0.7, 700)
-    net = trace_model(truth.lplus)
+    trace = trace_model(truth.lplus)
     variants = sorted(truth.v_s)
-    labels = sorted(net.labels())
+    labels = sorted(trace.labels())
     variants += [("z",), (labels[0], "z", labels[-1]), ("z",) + variants[0]]
-    return net, variants
+    return trace, dfg_discover(truth.lplus), variants
 
 
 class TestDenseReference:
@@ -481,8 +502,11 @@ class TestDenseReference:
 
     def test_bound_pops_fewer_states_on_the_bench_sized_trace_net(self, monkeypatch):
         # The reference is a Dijkstra search; the token-surplus bound skips
-        # the states it expands below the cost of an unfit variant's replay.
-        net, variants = _bench_sized_trace_case()
+        # the states it expands below the cost of an unfit variant's replay,
+        # and the firings bound with the deepest-first tie-break follows one
+        # chain of a variant that replays cleanly.  The pinned count shows a
+        # change of pop order.
+        net, _, variants = _bench_sized_case()
         assert net.compiled.token_goal == 1
         pops: Counter = Counter()
 
@@ -500,28 +524,63 @@ class TestDenseReference:
             got = astuple(_replay_variant(net.compiled, v, memo))
             assert got == replay_counts_reference(net, v), v
         assert pops["replay"] < pops["reference"]
+        assert pops["replay"] == 816
 
-    @pytest.mark.parametrize("pop_limit", [None, 5, 50])
+    def test_one_token_replay_settles_the_fewest_firings(self):
+        net = _LATE_SILENT_NET
+        assert net.compiled.token_goal == 1
+        got = astuple(_replay_variant(net.compiled, ("a", "b"), {}))
+        assert got == replay_counts_reference(net, ("a", "b")) == (0, 0, 4, 4)
+
+    def test_system_nets_pop_in_the_reference_order(self, monkeypatch):
+        # A built system is not a one-token net, so replay is Dijkstra's
+        # search in the reference's order: each pop has the same cost,
+        # position and token counts on both sides.  Entries of both heaps end
+        # with (pos, marking, consumed, produced, settled).
+        net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
+                                      weights=SILENT_WEIGHTS, silent_skip=True,
+                                      duplicate_label=True))
+        assert net.compiled.token_goal is None
+        variants = sorted(playout_enumerate(net, max_len=4))[:5]
+        variants.append(tuple(sorted(net.labels(), reverse=True)) * 3 + ("z",))
+        pops: dict = {"replay": [], "reference": []}
+
+        def recorded(side, cost_at):
+            def pop(heap):
+                e = heapq.heappop(heap)
+                pops[side].append((e[cost_at], e[-5], e[-3], e[-2]))
+                return e
+            return pop
+
+        monkeypatch.setattr(conformance, "heappop", recorded("replay", -6))
+        monkeypatch.setattr(oracles, "heapq", SimpleNamespace(
+            heappop=recorded("reference", 0), heappush=heapq.heappush))
+        for v in variants:
+            assert astuple(_replay_variant(net.compiled, v, {})) == replay_counts_reference(net, v)
+        assert pops["replay"] == pops["reference"]
+        assert len(pops["replay"]) > 100
+
+    @pytest.mark.parametrize("pop_limit", [None, *range(1, 60), 80, 120, 200])
     def test_bench_sized_trace_net(self, monkeypatch, pop_limit):
-        # A trace net on a desk-sized log: many transitions share each label,
-        # so a marking often enables several candidates of the next label.
-        spec = SystemSpec(seed=4, depth=2, alphabet_budget=8,
-                          weights={"seq": 1.0, "xor": 1.5, "loop": 0.5},
-                          fanout_min=2, fanout_max=3)
-        truth = split_system(playout_enumerate(build_system(spec), max_len=None, token_cap=3),
-                             0.7, 700)
-        net = trace_model(truth.lplus)
-        assert (len(truth.v_s), len(net.transitions)) == (39, 113)
-        variants = sorted(truth.v_s)
-        labels = sorted(net.labels())
-        variants += [("z",), (labels[0], "z", labels[-1]), ("z",) + variants[0]]
-        limit = {} if pop_limit is None else {"pop_limit": pop_limit}
+        # Without a limit the counts equal the reference's.  On these
+        # one-token nets the bounded search stops at the reference's pop
+        # limit or sooner, never later, with its own partial count: a replay
+        # that finishes has the reference's unlimited counts, and a budget
+        # error is one the reference raises at that limit too.
+        trace, dfg, variants = _bench_sized_case()
+        assert (len(variants), len(trace.transitions)) == (42, 113)
+        assert trace.compiled.token_goal == dfg.compiled.token_goal == 1
         if pop_limit is not None:
             monkeypatch.setattr(conformance, "_REPLAY_POP_LIMIT", pop_limit)
-        memo: dict = {}
-        for v in variants:
-            got = _outcome(lambda: astuple(_replay_variant(net.compiled, v, memo)))
-            assert got == _outcome(replay_counts_reference, net, v, **limit), v
+        for net in (trace, dfg):
+            memo: dict = {}
+            for v in variants:
+                got = _outcome(lambda: astuple(_replay_variant(net.compiled, v, memo)))
+                if pop_limit is None or got[0] != "budget":
+                    assert got == _outcome(replay_counts_reference, net, v), v
+                else:
+                    want = _outcome(replay_counts_reference, net, v, pop_limit=pop_limit)
+                    assert want[:2] == got[:2], v
 
 
 class TestBudgetEdges:
