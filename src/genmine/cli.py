@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import conformance, experiment, genmodel, logs, metrics, petri, systems
+from . import conformance, experiment, genmodel, logs, metrics, petri, sampling, systems
 from .errors import GenmineError
 
 JSON_KW = {"indent": 2, "sort_keys": True}
@@ -242,6 +242,7 @@ def _cmd_sample(args) -> dict:
     result = genmodel.load_checkpoint(args.model)
     temperature = result.config.temperature if args.temperature is None else args.temperature
     model = _sampler_model(args, args.mode, result.config)
+    sampling.check_count("seed", args.seed, minimum=0)
     rng = np.random.default_rng(args.seed)
     sample = experiment.estimate(model, result, rng, temperature)
     logs.write_variants_tsv(sample.v_hat_s, args.out)
@@ -252,7 +253,7 @@ def _cmd_sample(args) -> dict:
         "acceptance_rate": sample.acceptance_rate,
         "estimated_variants": len(sample.v_hat_s),
         "estimated_unobserved": len(sample.v_hat_u),
-        "strict_pseudocode": model.strict_pseudocode,
+        "strict_pseudocode": model.strict_pseudocode if model.mode == "mh" else None,
         "union_observed": model.union_observed,
         "kappa": model.kappa if model.mode == "mh" else None,
         "patience": model.patience if model.mode == "mh" else None,

@@ -16,26 +16,40 @@ stronger metrics can be swapped in without touching the pipeline.
 Replay and precision search markings on the net's compiled form
 (``PetriNet.compiled``).  Precision and replay's silent moves read enabling
 and firing from its successor table, which lives as long as the net;
-replay's visible moves come from its (preset place, label) index and fire
-directly, adding no rows.  Their own memos (replay moves, silent closures)
-live for one call only.
+replay's visible moves come from the label's groups of its consumer index
+and fire directly, adding no rows.  Their own memos (replay moves, silent
+closures) live for one call only.
 
-Replay is an A* search over the pair (cost, firings).  On a one-token net
-(each transition moves one token from one place to one place and each
-final marking holds L tokens, ``CompiledNet.token_goal``) the cost's bound
-is the token surplus ``len(marking) - L`` and the firings' bound is the
-labels still to replay, and among ties the deepest state is expanded
-first, so a variant that replays cleanly follows one chain.  On any other
-net, a built system's among them, both bounds are 0 and ties go by push
-order: Dijkstra's search in the order (cost, firings, push order).  The
-pair bound is consistent: only a force-fire adds a token, at a cost of at
-least 1, and a labelled move, a force-fire and an unknown label each add
-one firing and advance one label, while a silent move adds one firing
-only.  So the settled optimum, and with it every count, is the same; only
-the pop order changes.  With it a replay ``BudgetExceededError`` on a
-one-token net fires at the same pop limit as a Dijkstra search's or at a
-lower one, never a higher one, and its partial count can differ (see
-``_replay_variant``).
+Replay's heap order.  Replay is an A* search over (position, marking)
+states for the least pair (cost, firings).  The heap is ordered by two A*
+keys, then a depth key, then push order.  The cost key is the cost plus
+a lower bound on the cost to come, and the firings key the firings plus a
+lower bound on the firings to come.  On a one-token net (each transition
+moves one token from one place to one place and each final marking holds
+L tokens, ``CompiledNet.token_goal``) the cost bound is the token surplus
+``len(marking) - L``, the firings bound is the ``n - pos`` labels left,
+so up to the constant n the firings key is ``firings - pos``, and the
+depth key is ``-pos``, so among ties the deepest state goes first and a
+variant that replays cleanly follows one chain.  On any other net, a
+built system's among them, both bounds and the depth key are 0: Dijkstra's
+search in the order (cost, firings, push order), the order the reference
+replay of the tests follows.
+
+The pair bound is consistent: a labelled or silent move keeps the token
+count, a force-fire adds one token at a cost of at least 1, and settling
+costs ``missing + remaining >= len(marking) - L``; a labelled move, a
+force-fire and an unknown label each add one firing and advance one
+label, and a silent move adds one firing only.  So the search settles the
+same least (cost, firings) pair as Dijkstra's, and on a one-token net the
+counts are functions of that pair and of U, the variant's unknown labels:
+``consumed = firings + L``, ``produced = len(initial) + firings - U`` and
+``missing - remaining = U + L - len(initial)``.  Which tied path it
+settles cannot change them.  A replay ``BudgetExceededError`` follows the
+pop order: on a one-token net the search pops only states a Dijkstra
+search pops before settling, stale entries and ties at the optimum aside,
+so the error fires at the same pop limit as Dijkstra's or a lower one,
+never a higher one, and its ``partial_count`` can differ
+(``test_bench_sized_trace_net`` checks this on a trace and a dfg net).
 """
 
 from __future__ import annotations
@@ -156,9 +170,9 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
         # force-firing branches only through the cheapest disabled one.
         held = set(marking)
         pre, post = cn.pre, cn.post
-        enabled = set(cn.unconditional_by_label.get(label, ()))
+        enabled = set(cn.unconditional.get(label, ()))
         for p in held:
-            for ti in cn.by_place_label.get((p, label), ()):
+            for ti in cn.consumers[p].get(label, ()):
                 if pre[ti] <= held:
                     enabled.add(ti)
         for ti in sorted(enabled):
@@ -203,34 +217,8 @@ def _replay_variant(
     keeps the moves out of each (next label, marking) pair; variants of
     one log share it.
 
-    The heap is ordered lexicographically by two A* keys, then by a depth
-    key, then by push order.  The first key is the cost plus a lower bound
-    on the cost still to come: the token surplus ``len(marking) - L`` on a
-    one-token net (``cn.token_goal`` is L) and 0 on any other.  The second
-    is the firings plus a lower bound on the firings still to come: on a
-    one-token net the ``n - pos`` labels left, less the constant n, so
-    ``firings - pos``; on any other the bound is 0 and the key is the
-    firings.  The depth key is ``-pos`` on a one-token net, so the deepest
-    tied state is expanded first, and 0 on any other.  A net that is not a
-    one-token net (a built system) is therefore searched by Dijkstra in the
-    order (cost, firings, push order).
-
-    The pair bound is consistent: a labelled or silent move keeps the
-    token count, a force-fire adds one token at a cost of at least 1, and
-    settling costs ``missing + remaining >= len(marking) - L``; a labelled
-    move, a force-fire and an unknown label each add 1 to both firings and
-    pos, and a silent move adds 1 to firings only.  So the search settles
-    the same least (cost, firings) pair, and on a one-token net the counts
-    are functions of that pair and of U, the variant's unknown labels:
-    ``consumed = firings + L``, ``produced = len(initial) + firings - U``
-    and ``missing - remaining = U + L - len(initial)``.  Which tied path
-    it settles cannot change them.  A ``BudgetExceededError`` follows the
-    pop order.  On a one-token net the search pops only the states a
-    Dijkstra search pops before settling, stale entries and ties at the
-    optimum aside, so the error fires at the same pop limit as a Dijkstra
-    search's or at a lower one, never a higher one, and its
-    ``partial_count`` can differ.  ``test_bench_sized_trace_net`` checks
-    this at limits 1-59, 80, 120 and 200 on a trace and a dfg net.
+    The heap order, and why it settles the same counts as Dijkstra's
+    search, is set out in the module docstring.
     """
     init_produced = len(cn.initial)
     goal = cn.token_goal
@@ -262,22 +250,16 @@ def _replay_variant(
         if best.get((pos, marking), (cost + 1, 0)) < (cost, fkey):
             continue
         if pos == n:
-            # Goal edges: settle against a final marking (or count leftovers).
+            # Goal edges: settle against each final marking; without finals,
+            # against the empty one, so every token left counts as remaining.
             label = None
-            counter += 1
-            if cn.finals:
-                for f in cn.finals:
-                    common = _overlap(f, marking)
-                    miss_f = len(f) - common
-                    rem_f = len(marking) - common
-                    total = cost + miss_f + rem_f
-                    counter += 1
-                    heappush(heap, (total, fkey, depth, counter, total, pos, marking,
-                                    consumed, produced, (rem_f, f)))
-            else:
-                rem = len(marking)
-                heappush(heap, (cost + rem, fkey, depth, counter, cost + rem, pos, marking,
-                                consumed, produced, (rem, ())))
+            for f in cn.finals or ((),):
+                common = _overlap(f, marking)
+                rem_f = len(marking) - common
+                total = cost + len(f) - common + rem_f
+                counter += 1
+                heappush(heap, (total, fkey, depth, counter, total, pos, marking,
+                                consumed, produced, (rem_f, f)))
         else:
             label = variant[pos]
         moves = memo.get((label, marking))

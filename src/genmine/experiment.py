@@ -92,6 +92,7 @@ class ExperimentConfig:
     include_timing: bool = False
 
     def __post_init__(self):
+        sampling.check_count("seed", self.seed, minimum=0)
         if self.jobs < 1:
             raise InvalidInputError(f"jobs must be >= 1, got {self.jobs}")
         if self.token_cap < 1:

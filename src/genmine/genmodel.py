@@ -45,7 +45,7 @@ import numpy as np
 from . import losses
 from .errors import InvalidInputError, TrainingDivergedError
 from .logs import UniqueVariantLog, Variant, split_holdout
-from .sampling import Uniforms
+from .sampling import Uniforms, check_count
 
 START = "start"
 END = "end"
@@ -415,12 +415,11 @@ class TrainConfig:
     round_samples: int = 2000
 
     def __post_init__(self):
-        positive = (self.select_sample_size, self.order, self.round_samples)
-        if any(x <= 0 for x in positive):
-            raise InvalidInputError("all TrainConfig numeric fields must be positive")
+        for name in ("select_sample_size", "order", "round_samples"):
+            check_count(name, getattr(self, name))
+        for name in ("rounds", "seed"):
+            check_count(name, getattr(self, name), minimum=0)
         _check_temperature(self.temperature)
-        if self.rounds < 0:
-            raise InvalidInputError("rounds must be >= 0")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise InvalidInputError("holdout_fraction must be in (0,1)")
 

@@ -15,9 +15,10 @@ so firing, enabling checks and hashing cost time in the number of tokens,
 not in the number of places.  Its successor table, filled per marking on
 first visit and kept with the net, is the one enabling-and-firing relation
 all three searches read; a search that raises drops the rows it added.
-Playout filters each marking's row by the token cap once per call, and
-token replay reaches a label's transitions through a (preset place, label)
-index instead of the table, so its visible moves add no rows.
+Rows come from one consumer index that groups, per place, the transitions
+the place enables by label.  Playout filters each marking's row by the
+token cap once per call, and token replay reads only its label's groups
+instead of the table, so its visible moves add no rows.
 
 State explosion is kept in check three ways: a per-place token cap, a cap
 on the visible sequence length, and a global expansion budget that raises
@@ -76,15 +77,14 @@ class PetriNet:
                 raise InvalidInputError(f"arc {src!r}->{dst!r} must connect a place and a transition")
             if not ((src_is_place or src in tset) and (dst_is_place or dst in tset)):
                 raise InvalidInputError(f"arc {src!r}->{dst!r} references unknown node")
-        for p, c in self.initial_marking:
-            if p not in self.places or c < 0:
-                raise InvalidInputError(f"bad initial marking entry ({p!r}, {c})")
+        for which, fm in (("initial", self.initial_marking),
+                          *(("final", fm) for fm in self.final_markings)):
+            for p, c in fm:
+                if p not in self.places:
+                    raise InvalidInputError(f"bad {which} marking entry ({p!r}, {c})")
+                _check_tokens(p, c)
         if sum(c for _, c in self.initial_marking) < 1:
             raise InvalidInputError("initial marking must hold at least one token")
-        for fm in self.final_markings:
-            for p, c in fm:
-                if p not in self.places or c < 0:
-                    raise InvalidInputError(f"bad final marking entry ({p!r}, {c})")
         for t in self.transitions:
             if t.label is not None and not t.label:
                 raise InvalidInputError(f"transition {t.tid!r} has an empty label")
@@ -128,13 +128,18 @@ def make_net(
     )
 
 
+def _check_tokens(place: str, count: int) -> None:
+    """Reject a token count that is not a non-negative ``int``."""
+    # bool is a subclass of int, so the type is compared exactly
+    if type(count) is not int or count < 0:
+        raise InvalidInputError(
+            f"place {place!r} holds {count!r} tokens; expected a non-negative integer"
+        )
+
+
 def _freeze_marking(m: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     for p, c in m.items():
-        # bool is a subclass of int, so the type is compared exactly
-        if type(c) is not int or c < 0:
-            raise InvalidInputError(
-                f"place {p!r} holds {c!r} tokens; expected a non-negative integer"
-            )
+        _check_tokens(p, c)
     return tuple(sorted((p, c) for p, c in m.items() if c > 0))
 
 
@@ -150,9 +155,13 @@ class CompiledNet:
     on place 0 and one on place 3 read ``(0, 0, 3)``.  Each marking has
     exactly one such tuple, so hashing and equality cost O(tokens), not
     O(places).  Arcs carry no weights: a transition is enabled when every
-    place of its preset holds a token, and ``consumers`` lists, per place,
-    the transitions that place enables, so that only transitions next to a
-    marked place are checked.
+    place of its preset holds a token, so only transitions next to a marked
+    place are checked.  ``consumers[p][label]`` lists, in index order, the
+    transitions with place ``p`` in their preset and that label (``None``
+    for silent ones), and ``unconditional[label]`` the empty-preset ones,
+    which every marking enables; label keys follow their first transition.
+    ``successors`` reads every group of the marked places, token replay
+    only the group of the label it replays.
     """
 
     def __init__(self, net: PetriNet):
@@ -168,13 +177,6 @@ class CompiledNet:
                 post[index[src]].append(self.place_index[dst])
         self.pre = tuple(frozenset(ps) for ps in pre)
         self.post = tuple(tuple(sorted(ps)) for ps in post)
-        consumers: list[list[int]] = [[] for _ in self.place_index]
-        for ti, ps in enumerate(pre):
-            for p in ps:
-                consumers[p].append(ti)
-        self.consumers = tuple(tuple(c) for c in consumers)
-        # Transitions with an empty preset are enabled in every marking.
-        self.unconditional = tuple(ti for ti, ps in enumerate(self.pre) if not ps)
         self.initial = self.encode(net.initial())
         self.finals = tuple(self.encode(fm) for fm in net.finals())
         self.labels = tuple(t.label for t in self.transitions)
@@ -189,23 +191,21 @@ class CompiledNet:
             len(ps) == 1 for ps in self.pre + self.post
         )
         self.token_goal = final_sizes.pop() if one_token else None
-        # Labeled transitions per label, and per (preset place, label) and
-        # per label among the empty-preset ones; token replay finds the
-        # enabled transitions of a label through the last two.
+        # The consumer index (see the class docstring), and the labeled
+        # transitions per label.
+        consumers: list[dict[str | None, list[int]]] = [{} for _ in self.place_index]
+        unconditional: dict[str | None, list[int]] = {}
         by_label: dict[str, list[int]] = {}
-        by_place_label: dict[tuple[int, str], list[int]] = {}
-        unconditional_by_label: dict[str, list[int]] = {}
-        for i, t in enumerate(self.transitions):
-            if t.label is None:
-                continue
-            by_label.setdefault(t.label, []).append(i)
-            for p in self.pre[i]:
-                by_place_label.setdefault((p, t.label), []).append(i)
-            if not self.pre[i]:
-                unconditional_by_label.setdefault(t.label, []).append(i)
+        for ti, label in enumerate(self.labels):
+            for p in pre[ti]:
+                consumers[p].setdefault(label, []).append(ti)
+            if not pre[ti]:
+                unconditional.setdefault(label, []).append(ti)
+            if label is not None:
+                by_label.setdefault(label, []).append(ti)
+        self.consumers = tuple({k: tuple(v) for k, v in c.items()} for c in consumers)
+        self.unconditional = {k: tuple(v) for k, v in unconditional.items()}
         self.by_label = {k: tuple(v) for k, v in by_label.items()}
-        self.by_place_label = {k: tuple(v) for k, v in by_place_label.items()}
-        self.unconditional_by_label = {k: tuple(v) for k, v in unconditional_by_label.items()}
         self._successors: dict[TokenMarking, tuple[tuple[int, TokenMarking], ...]] = {}
 
     def encode(self, marking: Mapping[str, int]) -> TokenMarking:
@@ -239,9 +239,12 @@ class CompiledNet:
         row = self._successors.get(marking)
         if row is None:
             held = set(marking)
-            cands = set(self.unconditional)
+            cands: set[int] = set()
+            for group in self.unconditional.values():
+                cands.update(group)
             for p in held:
-                cands.update(self.consumers[p])
+                for group in self.consumers[p].values():
+                    cands.update(group)
             pre = self.pre
             row = self._successors[marking] = tuple(
                 (ti, self.fire(marking, ti)) for ti in sorted(cands) if pre[ti] <= held

@@ -48,12 +48,13 @@ DEFAULT_PATIENCE = 1_000
 UNIFORM_BLOCK = 128
 
 
-def check_count(name: str, value: int) -> None:
-    """Reject a sampler count that is not an integer >= 1."""
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """Reject a count or seed that is not an integer >= ``minimum``; a bool
+    is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidInputError(f"{name} must be >= 1")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import BuildError, InvalidInputError
 from .petri import DEFAULT_BUDGET, DEFAULT_TOKEN_CAP, PetriNet, make_net, playout_enumerate
+from .sampling import check_count
 
 OPERATORS = ("seq", "xor", "and", "loop")
 
@@ -44,6 +45,7 @@ class SystemSpec:
     duplicate_label: bool = False
 
     def __post_init__(self):
+        check_count("seed", self.seed, minimum=0)
         if not 0 <= self.depth <= 6:
             raise InvalidInputError("depth must be in 0..6")
         if self.alphabet_budget < 1:

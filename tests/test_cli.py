@@ -345,6 +345,39 @@ class TestTrainAndSample:
         assert train == [v for v in unique if v in train]
         assert holdout == [v for v in unique if v in holdout]
 
+    @pytest.mark.parametrize("mode, recorded", [("naive", None), ("mh", True)])
+    def test_meta_records_strict_pseudocode_only_for_mh(self, tmp_path, tiny_log_file, capsys,
+                                                        mode, recorded):
+        log_path, _ = tiny_log_file
+        model = tmp_path / "model.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model),
+                     "--rounds", "0", "--select-sample-size", "50"]) == 0
+        meta_out = tmp_path / "meta.json"
+        assert main(["sample", "--model", str(model), "--mode", mode, "--k", "20",
+                     "--kappa", "5", "--patience", "5", "--strict-pseudocode",
+                     "--out", str(tmp_path / "o.tsv"), "--meta", str(meta_out)]) == 0
+        assert json.loads(meta_out.read_text())["strict_pseudocode"] is recorded
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["gen-system", "--seed", "-1", "--out", "{tmp}/n.json"],
+        ["train", "--log", "{log}", "--seed", "-1", "--out", "{tmp}/m.json"],
+        ["sample", "--model", "{model}", "--seed", "-1", "--out", "{tmp}/o.tsv"],
+        ["experiment", "--gen-system-seed", "78", "--gen-system-depth", "2",
+         "--sampler", "naive", "--seed", "-1", "--out", "{tmp}/r.json"],
+    ], ids=["gen-system", "train", "sample", "experiment"])
+    def test_is_a_domain_error(self, tmp_path, tiny_log_file, capsys, argv):
+        log_path, _ = tiny_log_file
+        model = tmp_path / "model.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model),
+                     "--rounds", "0", "--select-sample-size", "50"]) == 0
+        capsys.readouterr()
+        code = main([a.format(tmp=tmp_path, log=log_path, model=model) for a in argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0\n"
+
 
 class TestMetricsCommand:
     def test_counts_match_direct_call(self, tmp_path, capsys):

@@ -148,6 +148,15 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError, match=message):
             run_experiment([("presplit", truth)], models, ExperimentConfig(**{field: value}))
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"),
+        (False, "seed must be an integer, got False"),
+        (0.0, "seed must be an integer, got 0.0"),
+    ])
+    def test_seed_must_be_a_non_negative_int(self, seed, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            ExperimentConfig(seed=seed)
+
     def test_external_net_model(self):
         systems = small_systems(1)
         alphabet = {a for v in systems[0][1].labels() for a in [v]}

@@ -446,6 +446,19 @@ class TestTrainAndSelect:
         with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
             TrainConfig(temperature=temperature)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rounds", 2.5, "rounds must be an integer, got 2.5"),
+        ("rounds", -1, "rounds must be >= 0"),
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("order", 0, "order must be >= 1"),
+        ("select_sample_size", 10.0, "select_sample_size must be an integer, got 10.0"),
+        ("round_samples", False, "round_samples must be an integer, got False"),
+    ])
+    def test_counts_and_seed_must_be_exact_ints(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
+
     def test_temperature_has_a_floor(self):
         with pytest.raises(InvalidInputError, match="temperature must be >= 1e-300, got 1e-320"):
             TrainConfig(temperature=1e-320)

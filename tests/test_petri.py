@@ -22,7 +22,7 @@ from genmine import (
     playout_enumerate,
     trace_model,
 )
-from genmine.petri import CompiledNet
+from genmine.petri import CompiledNet, PetriNet, Transition
 
 from .oracles import brute_force_playout
 
@@ -98,26 +98,47 @@ class TestEnabledFire:
         assert sequence_net_ab.compiled is sequence_net_ab.compiled
 
 
+# Place p enables a and b; an empty-preset b and an empty-preset silent
+# transition feed p and q.
+EMPTY_PRESET_NET = make_net(
+    ["p", "q"],
+    [("t_a", "a"), ("t_b", "b"), ("t_new_b", "b"), ("t_tau", None)],
+    [("p", "t_a"), ("t_a", "q"), ("p", "t_b"), ("t_b", "q"), ("t_new_b", "p"), ("t_tau", "q")],
+    {"p": 1}, [{"q": 1}],
+)
+
+
 class TestCompiledIndexes:
     """The per-label indexes and the one-token property of ``CompiledNet``."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_label_indexes_list_transitions_in_index_order(self, seed):
-        net = build_system(SystemSpec(seed=seed, depth=2, duplicate_label=True,
-                                      silent_skip=True))
+    @pytest.mark.parametrize("net_case", [0, 1, 5, "empty_presets"])
+    def test_label_indexes_list_transitions_in_index_order(self, net_case):
+        if net_case == "empty_presets":
+            net = EMPTY_PRESET_NET
+        else:
+            net = build_system(SystemSpec(seed=net_case, depth=2, duplicate_label=True,
+                                          silent_skip=True))
         cn = CompiledNet(net)
-        by_label, by_place_label, unconditional = {}, {}, {}
+        consumers = [{} for _ in cn.place_index]
+        unconditional, by_label = {}, {}
         for i, label in enumerate(cn.labels):
-            if label is None:
-                continue
-            by_label[label] = by_label.get(label, ()) + (i,)
             for p in cn.pre[i]:
-                by_place_label[(p, label)] = by_place_label.get((p, label), ()) + (i,)
+                consumers[p][label] = consumers[p].get(label, ()) + (i,)
             if not cn.pre[i]:
                 unconditional[label] = unconditional.get(label, ()) + (i,)
+            if label is not None:
+                by_label[label] = by_label.get(label, ()) + (i,)
+        assert [list(c.items()) for c in cn.consumers] == [list(c.items()) for c in consumers]
+        assert list(cn.unconditional.items()) == list(unconditional.items())
         assert list(cn.by_label.items()) == list(by_label.items())
-        assert list(cn.by_place_label.items()) == list(by_place_label.items())
-        assert list(cn.unconditional_by_label.items()) == list(unconditional.items())
+
+    def test_empty_preset_transitions_are_grouped_by_label(self):
+        cn = CompiledNet(EMPTY_PRESET_NET)
+        tid = {t.tid: i for i, t in enumerate(cn.transitions)}
+        assert cn.unconditional == {"b": (tid["t_new_b"],), None: (tid["t_tau"],)}
+        assert cn.consumers[cn.place_index["p"]] == {"a": (tid["t_a"],), "b": (tid["t_b"],)}
+        # every marking, the empty one too, enables the empty-preset transitions
+        assert [ti for ti, _ in cn.successors(())] == [tid["t_new_b"], tid["t_tau"]]
 
     def test_baselines_are_one_token_nets(self):
         variants = (("a", "b"), ("a", "c", "a"))
@@ -375,6 +396,20 @@ class TestValidation:
         with pytest.raises(InvalidInputError,
                            match=f"^{held}; expected a non-negative integer$"):
             make_net(["p0", "p2"], [("t", "a")], [("p0", "t"), ("t", "p2")], initial, [final])
+
+    @pytest.mark.parametrize("initial, final, held", [
+        ((("p0", 1), ("p2", 1.5)), (("p2", 1),), "place 'p2' holds 1.5 tokens"),
+        ((("p0", True),), (("p2", 1),), "place 'p0' holds True tokens"),
+        ((("p0", -1),), (("p2", 1),), "place 'p0' holds -1 tokens"),
+        ((("p0", 1),), (("p2", 1.0),), "place 'p2' holds 1.0 tokens"),
+        ((("p0", 1),), (("p2", False),), "place 'p2' holds False tokens"),
+    ], ids=["fraction", "bool", "negative_initial", "float_final", "bool_final"])
+    def test_bad_token_count_rejected_on_direct_construction(self, initial, final, held):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{held}; expected a non-negative integer$"):
+            PetriNet(places=frozenset({"p0", "p2"}), transitions=(Transition("t", "a"),),
+                     arcs=frozenset({("p0", "t"), ("t", "p2")}),
+                     initial_marking=initial, final_markings=(final,))
 
 
 class TestOracleAgreement:

@@ -105,6 +105,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError, match="positive finite sum"):
             spec_with(weights=weights)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_seed_must_be_a_non_negative_int(self, seed, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            spec_with(seed=seed)
+
     def test_loop_unroll_bound(self):
         with pytest.raises(InvalidInputError):
             spec_with(loop_unroll=4)
