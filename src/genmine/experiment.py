@@ -93,10 +93,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         sampling.check_count("seed", self.seed, minimum=0)
-        if self.jobs < 1:
-            raise InvalidInputError(f"jobs must be >= 1, got {self.jobs}")
-        if self.token_cap < 1:
-            raise InvalidInputError(f"token_cap must be >= 1, got {self.token_cap}")
+        for name in ("jobs", "token_cap"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {value}")
+            sampling.check_count(name, value)
         if not 0.0 < self.split_ratio < 1.0:
             raise InvalidInputError(f"split_ratio must be in (0,1), got {self.split_ratio}")
 

@@ -22,6 +22,9 @@ the state's table, the same single double and the same normalization that
 variants as sampling from :meth:`NGramGenerator.next_distribution`
 directly.  A scorer memoizes ``score`` per variant, which pays when it
 sees the same variants again, as MH chains over a small support do.
+Training's refinement and selection draws read their generators through
+:func:`~genmine.sampling.block_uniforms`, which leaves each generator
+where one scalar ``random()`` call per symbol would.
 Every derived model (``with_added_counts``, ``dataclasses.replace``,
 training) starts with empty caches, and checkpoints never contain them.
 
@@ -37,6 +40,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -45,7 +49,7 @@ import numpy as np
 from . import losses
 from .errors import InvalidInputError, TrainingDivergedError
 from .logs import UniqueVariantLog, Variant, split_holdout
-from .sampling import Uniforms, check_count
+from .sampling import Uniforms, block_uniforms, check_count
 
 START = "start"
 END = "end"
@@ -339,15 +343,18 @@ class FeatureScorer:
         object.__setattr__(self, "_scores", {})
 
     def featurize(self, v: Variant) -> np.ndarray:
-        vec = np.zeros(len(self.vocabulary))
+        return self._row(_kgram_features(v), len(v))
+
+    def _row(self, feats: list[str], length: int) -> np.ndarray:
+        """The feature vector of a variant of ``length`` symbols whose
+        k-grams are ``feats``: each known k-gram's count, exact as a float,
+        and the normalized length; k-grams outside the vocabulary are skipped."""
         idx = self._index
-        for feat in _kgram_features(v):
-            j = idx.get(feat)
-            if j is not None:
-                vec[j] += 1.0
+        ids = np.array([j for j in map(idx.get, feats) if j is not None], dtype=np.intp)
+        vec = np.bincount(ids, minlength=len(self.vocabulary)).astype(float)
         j = idx.get(LENGTH_FEATURE)
         if j is not None:
-            vec[j] = len(v) / self.max_len_ref
+            vec[j] = length / self.max_len_ref
         return vec
 
     def raw_score(self, v: Variant) -> float:
@@ -366,11 +373,13 @@ def init_scorer(variants: Iterable[Variant], max_len_ref: int) -> FeatureScorer:
     )
 
 
-def _extend_vocabulary(scorer: FeatureScorer, variants: Iterable[Variant]) -> FeatureScorer:
+def _extend_vocabulary(scorer: FeatureScorer, feature_lists: Iterable[list[str]]) -> FeatureScorer:
+    """``scorer`` with every k-gram of ``feature_lists`` in its vocabulary;
+    new k-grams join in sorted order at weight zero."""
     extra: set[str] = set()
-    known = set(scorer.vocabulary)
-    for v in variants:
-        for feat in _kgram_features(v):
+    known = scorer._index
+    for feats in feature_lists:
+        for feat in feats:
             if feat not in known:
                 extra.add(feat)
     if not extra:
@@ -420,6 +429,8 @@ class TrainConfig:
         for name in ("rounds", "seed"):
             check_count(name, getattr(self, name), minimum=0)
         _check_temperature(self.temperature)
+        if not 0 <= self.smoothing < math.inf:
+            raise InvalidInputError("smoothing must be finite and >= 0")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise InvalidInputError("holdout_fraction must be in (0,1)")
 
@@ -434,15 +445,18 @@ def train_discriminator(
 
     Positives are variants considered real, negatives generated ones.  The
     vocabulary is extended (at weight zero) to cover unseen k-grams before
-    training so novel negatives are not invisible to the model.  Step size
+    training so novel negatives are not invisible to the model.  Each
+    distinct variant's k-grams and feature row are built once.  Step size
     and batching are the module constants ``LEARNING_RATE``, ``BATCH_SIZE``
     and ``PRETRAIN_PASSES``.
     """
     if not positives or not negatives:
         raise InvalidInputError("both batch sources must be non-empty")
-    d = _extend_vocabulary(d, list(positives) + list(negatives))
-    feats_pos = np.stack([d.featurize(v) for v in positives])
-    feats_neg = np.stack([d.featurize(v) for v in negatives])
+    kgrams = {v: _kgram_features(v) for v in chain(positives, negatives)}
+    d = _extend_vocabulary(d, kgrams.values())
+    rows = {v: d._row(feats, len(v)) for v, feats in kgrams.items()}
+    feats_pos = np.stack([rows[v] for v in positives])
+    feats_neg = np.stack([rows[v] for v in negatives])
     weights, bias = d._weights, d.bias
     history: list[float] = []
     for bi_pos, bi_neg in _minibatches(len(positives), len(negatives), rng):
@@ -483,7 +497,8 @@ def _refinement_step(
     Counts are only ever added, so the generator stays normalized and the
     training variants keep nonzero probability.
     """
-    samples = [sample_variant(gen, cfg.temperature, rng) for _ in range(cfg.round_samples)]
+    with block_uniforms(rng) as uniforms:
+        samples = [sample_variant(gen, cfg.temperature, uniforms) for _ in range(cfg.round_samples)]
     d_p = train_discriminator(d_p, train_list, samples, rng=rng)
     additions = []
     for v in samples:
@@ -544,10 +559,11 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
 
     def evaluate(round_index: int) -> None:
         eval_rng = np.random.default_rng([cfg.seed, 1000 + round_index])
-        drawn = {
-            sample_variant(gen, cfg.temperature, eval_rng)
-            for _ in range(cfg.select_sample_size)
-        }
+        with block_uniforms(eval_rng) as uniforms:
+            drawn = {
+                sample_variant(gen, cfg.temperature, uniforms)
+                for _ in range(cfg.select_sample_size)
+            }
         hits = sum(1 for v in holdout if v in drawn)
         snapshots.append((gen, d_p))
         evals.append(CandidateEval(round_index, hits / len(holdout), len(drawn)))

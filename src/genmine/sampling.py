@@ -1,13 +1,21 @@
 """System-variant estimation by naive sampling or Metropolis-Hastings.
 
 Both procedures consume a generator through a single callable (draw one
-variant given an rng) and, for MH, a probability scorer mapping a variant
-to the chance it is realistic.  This keeps the built-in n-gram model and
-any future sequence model interchangeable.  A draw function takes its
-randomness only through ``rng.random()``: a numpy ``Generator`` qualifies,
-and so does the source each MH chain gets, which reads the doubles of the
-chain's own generator ``UNIFORM_BLOCK`` at a time (the same doubles, in
-the same order, as one scalar call each).
+variant given a source of uniforms) and, for MH, a probability scorer
+mapping a variant to the chance it is realistic.  This keeps the built-in
+n-gram model and any future sequence model interchangeable.  A draw
+function takes its randomness only through ``rng.random()``: it is handed
+a block source, not a numpy ``Generator``, which reads the generator's
+doubles ``UNIFORM_BLOCK`` at a time, the same doubles in the same order
+as one scalar call each.
+
+:func:`block_uniforms` is that source for a generator other code reads
+after the draws: on exit it puts the generator back exactly where the
+scalar calls would have left it, so the next ``integers``, ``random`` or
+``spawn`` gives the same values.  Naive sampling and the generator's
+refinement and selection draws read through it.  Each MH chain reads its
+own spawned generator through the same blocks without the reposition,
+because nothing reads that generator after the chain.
 
 The MH chain uses the independent-proposal acceptance ratio
 
@@ -21,10 +29,12 @@ reproduces that literal behavior for comparison.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
+from operator import length_hint
 from types import SimpleNamespace
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -44,7 +54,7 @@ ProbFn = Callable[[Variant], float]
 DEFAULT_CHAIN_LENGTH = 500
 DEFAULT_NAIVE_DRAWS = 10_000
 DEFAULT_PATIENCE = 1_000
-# Doubles an MH chain takes from its generator per call; 64 to 256 time alike.
+# Doubles a block source takes from its generator per call; 64 to 256 time alike.
 UNIFORM_BLOCK = 128
 
 
@@ -79,13 +89,14 @@ def naive_sample(
 ) -> SampleResult:
     """Draw ``k`` variants and keep the distinct ones.
 
-    The observed variants are not merged into the estimate, matching the
-    published sampling procedure.
+    ``g`` reads ``rng`` through :func:`block_uniforms`, so ``rng`` ends
+    where ``k`` scalar-call draws would leave it.  The observed variants
+    are not merged into the estimate, matching the published sampling
+    procedure.
     """
     check_count("k", k)
-    v_hat_s: set[Variant] = set()
-    for _ in range(k):
-        v_hat_s.add(g(rng))
+    with block_uniforms(rng) as uniforms:
+        v_hat_s = {g(uniforms) for _ in range(k)}
     v_hat_s_frozen = frozenset(v_hat_s)
     return SampleResult(
         v_hat_s=v_hat_s_frozen,
@@ -172,7 +183,7 @@ def mh_sample(
         v_ref = inits[int(rng.integers(len(inits)))]
         chain_rng = rng.spawn(1)[0]
         candidate, accepted, chain_draws = mh_chain_candidate(
-            g, d_p, v_ref, kappa, _block_uniforms(chain_rng),
+            g, d_p, v_ref, kappa, _block_source(chain_rng)[0],
             strict_pseudocode=strict_pseudocode,
         )
         draws += chain_draws
@@ -192,12 +203,38 @@ def mh_sample(
     )
 
 
-def _block_uniforms(rng: np.random.Generator) -> Uniforms:
-    """``rng``'s doubles, fetched ``UNIFORM_BLOCK`` at a time.
+def _block_source(rng: np.random.Generator) -> tuple[Uniforms, list[Iterator[float]]]:
+    """``rng``'s doubles, fetched ``UNIFORM_BLOCK`` at a time, and the
+    blocks fetched so far, each an iterator over its doubles.
 
     ``rng.random(n)`` yields exactly the doubles of ``n`` scalar calls, so
-    the stream is unchanged; the doubles left in the last block are never
-    observed because the chain is the generator's only reader.
+    the stream is unchanged; the doubles left in the last block are
+    fetched but never read.
     """
-    blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
-    return SimpleNamespace(random=chain.from_iterable(blocks).__next__)
+    blocks: list[Iterator[float]] = []
+
+    def fetch() -> Iterator[float]:
+        block = iter(rng.random(UNIFORM_BLOCK).tolist())
+        blocks.append(block)
+        return block
+
+    return SimpleNamespace(random=chain.from_iterable(iter(fetch, None)).__next__), blocks
+
+
+@contextmanager
+def block_uniforms(rng: np.random.Generator) -> Iterator[Uniforms]:
+    """A block source over ``rng`` that leaves ``rng`` where scalar calls would.
+
+    On exit, also when the body raises, ``rng`` gets back the state it had
+    on entry and advances by one ``rng.random(used)``, ``used`` being the
+    doubles the body read; the doubles fetched beyond them are given back.
+    """
+    state = rng.bit_generator.state
+    source, blocks = _block_source(rng)
+    try:
+        yield source
+    finally:
+        rng.bit_generator.state = state
+        # A block is fetched only once the one before it is read to its end.
+        unread = length_hint(blocks[-1]) if blocks else 0
+        rng.random(UNIFORM_BLOCK * len(blocks) - unread)

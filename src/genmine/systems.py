@@ -45,16 +45,16 @@ class SystemSpec:
     duplicate_label: bool = False
 
     def __post_init__(self):
-        check_count("seed", self.seed, minimum=0)
-        if not 0 <= self.depth <= 6:
+        for name, minimum in (("seed", 0), ("depth", 0), ("alphabet_budget", 1),
+                              ("loop_unroll", 1), ("fanout_min", 2), ("fanout_max", 2)):
+            check_count(name, getattr(self, name), minimum)
+        if self.depth > 6:
             raise InvalidInputError("depth must be in 0..6")
-        if self.alphabet_budget < 1:
-            raise InvalidInputError("alphabet budget must be >= 1")
-        if not 1 <= self.loop_unroll <= DEFAULT_TOKEN_CAP:
+        if self.loop_unroll > DEFAULT_TOKEN_CAP:
             raise InvalidInputError(
                 f"loop_unroll must be in 1..{DEFAULT_TOKEN_CAP} to survive capped playout"
             )
-        if not 2 <= self.fanout_min <= self.fanout_max:
+        if self.fanout_min > self.fanout_max:
             raise InvalidInputError("need 2 <= fanout_min <= fanout_max")
         unknown = set(self.weights) - set(OPERATORS)
         if unknown:

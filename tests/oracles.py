@@ -6,9 +6,12 @@ oracle is central finite differences over its own closed form of the
 discriminator loss (``log sigmoid`` via ``np.logaddexp``).  The
 sampling oracle draws every symbol with ``rng.choice`` from the generator's
 public next-symbol distribution, bypassing its compiled draw tables.  The
+feature oracle counts a variant's k-grams into a dense vector in a plain
+loop, as the scorer did before it built rows with ``np.bincount``.  The
 MH reference runs its chains on scalar ``rng.random()`` calls and tests
 each step with ``mh_acceptance``, as the sampler did before its chains read
-their uniforms in blocks.  The
+their uniforms in blocks; ``scalar_uniforms`` hands a draw loop the
+generator itself in place of the block reader.  The
 token-replay and escaping-edges references are the searches the package
 ran before its sparse-marking core, kept on dense per-place count vectors
 (one entry per place) with a plain enabling scan over every transition.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -107,6 +111,31 @@ def finite_diff_gradient(feats_pos, feats_neg, weights, bias, h=1e-5):
         grad[i] = (value(up, bias) - value(down, bias)) / (2 * h)
     grad_b = (value(weights, bias + h) - value(weights, bias - h)) / (2 * h)
     return grad, grad_b
+
+
+@contextmanager
+def scalar_uniforms(rng):
+    """``sampling.block_uniforms`` as it was before blocks: the generator
+    itself, read one scalar ``random()`` at a time."""
+    yield rng
+
+
+def featurize_reference(scorer, v):
+    """A variant's discriminator features, counted into a dense vector one
+    k-gram at a time: k = 1 over the labels, k = 2 and 3 over the labels
+    padded with the boundary markers, then the normalized length."""
+    index = {feat: i for i, feat in enumerate(scorer.vocabulary)}
+    padded = ["\x01start\x01", *v, "\x01end\x01"]
+    grams = [f"g1:{label}" for label in v]
+    for k in (2, 3):
+        grams += [f"g{k}:" + "|".join(padded[i:i + k]) for i in range(len(padded) - k + 1)]
+    vec = np.zeros(len(scorer.vocabulary))
+    for gram in grams:
+        if gram in index:
+            vec[index[gram]] += 1.0
+    if "len" in index:
+        vec[index["len"]] = len(v) / scorer.max_len_ref
+    return vec
 
 
 def sample_variant_reference(gen, temperature, rng):

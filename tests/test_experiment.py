@@ -157,6 +157,12 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             ExperimentConfig(seed=seed)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", ["token_cap", "jobs"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got {value}$"):
+            ExperimentConfig(**{field: value})
+
     def test_external_net_model(self):
         systems = small_systems(1)
         alphabet = {a for v in systems[0][1].labels() for a in [v]}

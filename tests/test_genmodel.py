@@ -21,8 +21,10 @@ from genmine import (
     fit_mle,
     genmodel,
     load_checkpoint,
+    losses,
     playout_enumerate,
     sample_variant,
+    sampling,
     save_checkpoint,
     score,
     select_model,
@@ -39,7 +41,7 @@ from genmine.genmodel import (
 )
 from genmine.losses import loss_gradient
 
-from .oracles import sample_variant_reference
+from .oracles import featurize_reference, sample_variant_reference, scalar_uniforms
 
 
 def lplus(*variants):
@@ -296,6 +298,45 @@ class TestScorer:
                 assert score(d, v) == sigmoid_clamped(d.raw_score(v))
 
 
+class TestFeatureRows:
+    @settings(max_examples=40, deadline=None)
+    @given(known=variant_lists, probes=variant_lists)
+    def test_featurize_matches_the_loop_reference(self, known, probes):
+        d = init_scorer(known, max_len_ref=4)
+        for v in probes + [("z",), ("a", "z", "a", "z", "a")]:  # "z" is never in the vocabulary
+            assert np.array_equal(d.featurize(v), featurize_reference(d, v))
+
+    @settings(max_examples=30, deadline=None)
+    @given(positives=variant_lists, negatives=st.lists(
+        st.lists(st.sampled_from("abcz"), min_size=1, max_size=6).map(tuple),
+        min_size=1, max_size=12))
+    def test_training_matrices_are_the_stacked_rows(self, positives, negatives):
+        # One minibatch holding every row in order shows the matrices the
+        # trainer built; negatives repeat and carry k-grams the scorer lacks.
+        seen = []
+
+        def loss_gradient(feats_pos, feats_neg, weights, bias):
+            seen.append((feats_pos, feats_neg))
+            return loss_gradient_of_package(feats_pos, feats_neg, weights, bias)
+
+        def one_batch(n_pos, n_neg, rng):
+            yield np.arange(n_pos), np.arange(n_neg)
+
+        loss_gradient_of_package = losses.loss_gradient
+        d = init_scorer(positives, max_len_ref=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(losses, "loss_gradient", loss_gradient)
+            patch.setattr(genmodel, "_minibatches", one_batch)
+            trained = train_discriminator(d, positives, negatives, np.random.default_rng(0))
+        [(feats_pos, feats_neg)] = seen
+        for variants, matrix in ((positives, feats_pos), (negatives, feats_neg)):
+            assert np.array_equal(matrix, np.stack([trained.featurize(v) for v in variants]))
+            assert np.array_equal(matrix, np.stack([featurize_reference(trained, v)
+                                                    for v in variants]))
+        assert set(trained.vocabulary) >= {f for v in negatives for f in
+                                           genmodel._kgram_features(v)}
+
+
 class TestTrainDiscriminator:
     def test_trained_scorer_has_its_own_memo(self):
         positives, negatives = [("a", "b")], [("b", "a")]
@@ -458,6 +499,31 @@ class TestTrainAndSelect:
     def test_counts_and_seed_must_be_exact_ints(self, field, value, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
+        with pytest.raises(InvalidInputError, match="^smoothing must be finite and >= 0$"):
+            TrainConfig(smoothing=smoothing)
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(rounds=3, round_samples=300, select_sample_size=1000, seed=7),
+        TrainConfig(rounds=2, round_samples=250, select_sample_size=700, seed=3,
+                    temperature=0.7, order=2),
+    ])
+    def test_block_reads_match_the_scalar_path(self, monkeypatch, cfg):
+        net = build_system(SystemSpec(seed=78, depth=2, alphabet_budget=8,
+                                      weights={"seq": 1.0, "xor": 1.5, "loop": 0.5}))
+        truth = split_system(playout_enumerate(net, max_len=None), 0.7, 7)
+        result = train_and_select(truth.lplus, cfg)
+        for module in (sampling, genmodel):
+            monkeypatch.setattr(module, "block_uniforms", scalar_uniforms)
+        reference = train_and_select(truth.lplus, cfg)
+        assert result.generator.counts == reference.generator.counts
+        assert result.d_p.vocabulary == reference.d_p.vocabulary
+        assert result.d_p.weights == reference.d_p.weights
+        assert result.d_p.bias == reference.d_p.bias
+        assert result.candidates == reference.candidates
+        assert result.selected_round == reference.selected_round
 
     def test_temperature_has_a_floor(self):
         with pytest.raises(InvalidInputError, match="temperature must be >= 1e-300, got 1e-320"):

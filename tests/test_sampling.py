@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from genmine import (
     InvalidInputError,
+    sampling,
     UniqueVariantLog,
     fit_mle,
     mh_acceptance,
@@ -20,7 +21,7 @@ from genmine import (
     sample_variant,
 )
 
-from .oracles import mh_chain_reference, mh_sample_reference
+from .oracles import mh_chain_reference, mh_sample_reference, scalar_uniforms
 
 VA, VB, VC = ("a",), ("b",), ("c",)
 
@@ -107,6 +108,79 @@ class TestNaiveSample:
         assert len(result.v_hat_s) <= k
         assert result.v_hat_u == result.v_hat_s - {VA, VB}
         assert not (result.v_hat_u & {VA, VB})
+
+
+    @pytest.mark.parametrize("k", [1, 7, 200])
+    def test_matches_the_scalar_path(self, monkeypatch, k):
+        gen, _ = ngram_chain_setup()
+        draw = lambda rng: sample_variant(gen, 1.0, rng)
+        lp = UniqueVariantLog((("a", "b"), ("c",)))
+        rng = np.random.default_rng(23)
+        result = naive_sample(draw, lp, k, rng)
+        monkeypatch.setattr(sampling, "block_uniforms", scalar_uniforms)
+        ref_rng = np.random.default_rng(23)
+        reference = naive_sample(draw, lp, k, ref_rng)
+        assert result == reference
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
+BLOCK = sampling.UNIFORM_BLOCK
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def same_state(a, b):
+    """Equality of two ``bit_generator.state`` values, whose leaves may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+class TestBlockUniforms:
+    """The reader leaves its generator where the same number of scalar
+    ``random()`` calls would, the ``uint32`` buffer that ``integers`` fills included."""
+
+    @staticmethod
+    def twins(bit_generator):
+        gens = [np.random.Generator(bit_generator(2024)) for _ in range(2)]
+        for g in gens:
+            g.integers(0, 10, dtype=np.uint32)  # 64-bit generators buffer the other half
+        return gens
+
+    @staticmethod
+    def assert_same_position(rng, twin):
+        assert same_state(rng.bit_generator.state, twin.bit_generator.state)
+        assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == twin.integers(
+            0, 2**32, size=3, dtype=np.uint32).tolist()
+        assert rng.integers(0, 2**62) == twin.integers(0, 2**62)
+        assert rng.random() == twin.random()
+        assert rng.spawn(1)[0].random(3).tolist() == twin.spawn(1)[0].random(3).tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_reads_the_scalar_stream_and_repositions(self, bit_generator, n):
+        rng, twin = self.twins(bit_generator)
+        with sampling.block_uniforms(rng) as uniforms:
+            read = [uniforms.random() for _ in range(n)]
+        assert read == [twin.random() for _ in range(n)]
+        self.assert_same_position(rng, twin)
+
+    @pytest.mark.parametrize("n", [0, BLOCK + 1])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_repositions_when_the_body_raises(self, bit_generator, n):
+        rng, twin = self.twins(bit_generator)
+        with pytest.raises(DrawFailed):
+            with sampling.block_uniforms(rng) as uniforms:
+                for _ in range(n):
+                    uniforms.random()
+                raise DrawFailed
+        for _ in range(n):
+            twin.random()
+        self.assert_same_position(rng, twin)
 
 
 class TestMhAcceptance:

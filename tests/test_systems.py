@@ -118,6 +118,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             spec_with(loop_unroll=4)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", ["depth", "alphabet_budget", "loop_unroll", "fanout_min",
+                                       "fanout_max"])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got {value}$"):
+            spec_with(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("depth", -1, "depth must be >= 0"),
+        ("alphabet_budget", 0, "alphabet_budget must be >= 1"),
+        ("loop_unroll", 0, "loop_unroll must be >= 1"),
+        ("fanout_min", 1, "fanout_min must be >= 2"),
+        ("fanout_max", 1, "fanout_max must be >= 2"),
+    ])
+    def test_sizes_have_a_floor(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            spec_with(**{field: value})
+
 
 class TestComplexityProfile:
     def test_single_transition(self):
