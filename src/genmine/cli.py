@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from . import conformance, experiment, genmodel, logs, metrics, petri, sampling, systems
-from .errors import GenmineError
+from . import conformance, experiment, genmodel, logs, metrics, petri, systems
+from .errors import GenmineError, check_count
 
 JSON_KW = {"indent": 2, "sort_keys": True}
 EXPERIMENT_DEFAULTS = experiment.ExperimentConfig()
@@ -242,7 +242,7 @@ def _cmd_sample(args) -> dict:
     result = genmodel.load_checkpoint(args.model)
     temperature = result.config.temperature if args.temperature is None else args.temperature
     model = _sampler_model(args, args.mode, result.config)
-    sampling.check_count("seed", args.seed, minimum=0)
+    check_count("seed", args.seed, minimum=0)
     rng = np.random.default_rng(args.seed)
     sample = experiment.estimate(model, result, rng, temperature)
     logs.write_variants_tsv(sample.v_hat_s, args.out)
@@ -288,14 +288,7 @@ def _cmd_gen_system(args) -> dict:
     petri.save_net(net, args.out)
     summary = {"places": len(net.places), "transitions": len(net.transitions), "out": args.out}
     if args.profile:
-        profile = systems.complexity_profile(net)
-        summary.update(
-            {
-                "alphabet_size": profile.alphabet_size,
-                "max_variant_len": profile.max_variant_len,
-                "variant_count": profile.variant_count,
-            }
-        )
+        summary.update(asdict(systems.complexity_profile(net)))
     return summary
 
 

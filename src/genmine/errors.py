@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class GenmineError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -9,6 +11,15 @@ class GenmineError(Exception):
 
 class InvalidInputError(GenmineError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """Reject a count or seed that is not an integer >= ``minimum``; a bool
+    is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}")
 
 
 class DegenerateInputError(InvalidInputError):

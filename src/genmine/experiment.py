@@ -22,13 +22,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import conformance, genmodel, metrics, petri, sampling, stats
-from .errors import DegenerateInputError, GenmineError, InvalidInputError
+from .errors import DegenerateInputError, GenmineError, InvalidInputError, check_count
 from .genmodel import TrainConfig, TrainResult
 from .logs import UniqueVariantLog, Variant
 from .metrics import SystemTruth
@@ -77,7 +77,7 @@ class SamplerModel:
         if self.mode not in ("naive", "mh"):
             raise InvalidInputError(f"sampler mode must be naive or mh, got {self.mode!r}")
         for name in ("k", "kappa", "patience"):
-            sampling.check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
 
 
 ModelSpec = Union[NetModel, BaselineModel, SamplerModel]
@@ -92,12 +92,9 @@ class ExperimentConfig:
     include_timing: bool = False
 
     def __post_init__(self):
-        sampling.check_count("seed", self.seed, minimum=0)
+        check_count("seed", self.seed, minimum=0)
         for name in ("jobs", "token_cap"):
-            value = getattr(self, name)
-            if value < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {value}")
-            sampling.check_count(name, value)
+            check_count(name, getattr(self, name))
         if not 0.0 < self.split_ratio < 1.0:
             raise InvalidInputError(f"split_ratio must be in (0,1), got {self.split_ratio}")
 
@@ -307,16 +304,7 @@ def _paired_tests(models: Sequence[ModelSpec], s_by_model: Mapping[str, list[flo
                 entry["note"] = "needs at least 3 systems"
             else:
                 try:
-                    gate = stats.normality_gate(diffs)
-                    entry.update(
-                        {
-                            "method": gate.method,
-                            "statistic": gate.statistic,
-                            "p_value": gate.p_value,
-                            "shapiro_w": gate.shapiro_w,
-                            "shapiro_p": gate.shapiro_p,
-                        }
-                    )
+                    entry.update(asdict(stats.normality_gate(diffs)))
                 except DegenerateInputError as exc:
                     entry["note"] = f"degenerate differences: {exc}"
                 except InvalidInputError as exc:

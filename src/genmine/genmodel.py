@@ -22,9 +22,10 @@ the state's table, the same single double and the same normalization that
 variants as sampling from :meth:`NGramGenerator.next_distribution`
 directly.  A scorer memoizes ``score`` per variant, which pays when it
 sees the same variants again, as MH chains over a small support do.
-Training's refinement and selection draws read their generators through
-:func:`~genmine.sampling.block_uniforms`, which leaves each generator
-where one scalar ``random()`` call per symbol would.
+Training's refinement and selection draws go through
+:func:`~genmine.sampling.draw_batch`, the only code that repositions a
+generator: it leaves each one where one scalar ``random()`` call per
+symbol would.
 Every derived model (``with_added_counts``, ``dataclasses.replace``,
 training) starts with empty caches, and checkpoints never contain them.
 
@@ -40,16 +41,17 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import losses
-from .errors import InvalidInputError, TrainingDivergedError
+from . import losses, sampling
+from .errors import InvalidInputError, TrainingDivergedError, check_count
 from .logs import UniqueVariantLog, Variant, split_holdout
-from .sampling import Uniforms, block_uniforms, check_count
+from .sampling import Uniforms
 
 START = "start"
 END = "end"
@@ -104,12 +106,10 @@ class NGramGenerator:
 
     def __post_init__(self):
         object.__setattr__(self, "_draw_states", {})
-        if self.order < 1:
-            raise InvalidInputError("order must be >= 1")
+        check_count("order", self.order)
         if not 0 <= self.smoothing < math.inf:
             raise InvalidInputError("smoothing must be finite and >= 0")
-        if self.max_len < 1:
-            raise InvalidInputError("max_len must be >= 1")
+        check_count("max_len", self.max_len)
         if START in self.alphabet or END in self.alphabet:
             raise InvalidInputError("alphabet must not contain the boundary markers")
         # next_distribution divides by the smoothed row total, so it must be
@@ -263,6 +263,7 @@ def fit_mle(train: UniqueVariantLog, order: int, smoothing: float) -> NGramGener
     """
     if len(train) == 0:
         raise InvalidInputError("fit_mle requires a non-empty training set")
+    check_count("order", order)
     alphabet = tuple(sorted({label for v in train for label in v}))
     max_len = max(len(v) for v in train)
     counts: dict[tuple[str, ...], dict[str, float]] = {}
@@ -497,8 +498,8 @@ def _refinement_step(
     Counts are only ever added, so the generator stays normalized and the
     training variants keep nonzero probability.
     """
-    with block_uniforms(rng) as uniforms:
-        samples = [sample_variant(gen, cfg.temperature, uniforms) for _ in range(cfg.round_samples)]
+    draw = partial(sample_variant, gen, cfg.temperature)
+    samples = sampling.draw_batch(draw, cfg.round_samples, rng)
     d_p = train_discriminator(d_p, train_list, samples, rng=rng)
     additions = []
     for v in samples:
@@ -559,11 +560,8 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
 
     def evaluate(round_index: int) -> None:
         eval_rng = np.random.default_rng([cfg.seed, 1000 + round_index])
-        with block_uniforms(eval_rng) as uniforms:
-            drawn = {
-                sample_variant(gen, cfg.temperature, uniforms)
-                for _ in range(cfg.select_sample_size)
-            }
+        draw = partial(sample_variant, gen, cfg.temperature)
+        drawn = set(sampling.draw_batch(draw, cfg.select_sample_size, eval_rng))
         hits = sum(1 for v in holdout if v in drawn)
         snapshots.append((gen, d_p))
         evals.append(CandidateEval(round_index, hits / len(holdout), len(drawn)))

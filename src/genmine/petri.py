@@ -34,7 +34,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, check_count
 from .logs import UniqueVariantLog, Variant, VariantLog
 
 Marking = dict[str, int]
@@ -290,10 +290,11 @@ def playout_enumerate(
     Each marking's successor row is filtered by the cap and labeled once per
     call, however many prefixes reach the marking.
     """
-    if max_len is not None and max_len < 1:
-        raise InvalidInputError("max_len must be positive")
-    if token_cap is not None and token_cap < 1:
-        raise InvalidInputError("token_cap must be positive")
+    if max_len is not None:
+        check_count("max_len", max_len)
+    if token_cap is not None:
+        check_count("token_cap", token_cap)
+    check_count("budget", budget)
     cn = net.compiled
     labels = cn.labels
     results: set[Variant] = set()

@@ -9,13 +9,14 @@ a block source, not a numpy ``Generator``, which reads the generator's
 doubles ``UNIFORM_BLOCK`` at a time, the same doubles in the same order
 as one scalar call each.
 
-:func:`block_uniforms` is that source for a generator other code reads
-after the draws: on exit it puts the generator back exactly where the
-scalar calls would have left it, so the next ``integers``, ``random`` or
-``spawn`` gives the same values.  Naive sampling and the generator's
-refinement and selection draws read through it.  Each MH chain reads its
-own spawned generator through the same blocks without the reposition,
-because nothing reads that generator after the chain.
+:func:`draw_batch` makes ``n`` draws through that source and then puts
+the generator back exactly where the scalar calls would have left it, so
+the next ``integers``, ``random`` or ``spawn`` gives the same values.  It
+is the only code that repositions a generator: naive sampling and the
+generator's refinement and selection draws all go through it.  Each MH
+chain reads its own spawned generator through the same blocks without the
+reposition, because its acceptance uniforms interleave with its proposals
+and nothing reads that generator after the chain.
 
 The MH chain uses the independent-proposal acceptance ratio
 
@@ -29,7 +30,6 @@ reproduces that literal behavior for comparison.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import length_hint
@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .logs import UniqueVariantLog, Variant
 
 
@@ -56,15 +56,6 @@ DEFAULT_NAIVE_DRAWS = 10_000
 DEFAULT_PATIENCE = 1_000
 # Doubles a block source takes from its generator per call; 64 to 256 time alike.
 UNIFORM_BLOCK = 128
-
-
-def check_count(name: str, value: int, minimum: int = 1) -> None:
-    """Reject a count or seed that is not an integer >= ``minimum``; a bool
-    is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidInputError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -89,15 +80,12 @@ def naive_sample(
 ) -> SampleResult:
     """Draw ``k`` variants and keep the distinct ones.
 
-    ``g`` reads ``rng`` through :func:`block_uniforms`, so ``rng`` ends
-    where ``k`` scalar-call draws would leave it.  The observed variants
-    are not merged into the estimate, matching the published sampling
-    procedure.
+    The draws go through :func:`draw_batch`, so ``rng`` ends where ``k``
+    scalar-call draws would leave it.  The observed variants are not
+    merged into the estimate, matching the published sampling procedure.
     """
     check_count("k", k)
-    with block_uniforms(rng) as uniforms:
-        v_hat_s = {g(uniforms) for _ in range(k)}
-    v_hat_s_frozen = frozenset(v_hat_s)
+    v_hat_s_frozen = frozenset(draw_batch(g, k, rng))
     return SampleResult(
         v_hat_s=v_hat_s_frozen,
         v_hat_u=v_hat_s_frozen - lplus.as_set(),
@@ -221,18 +209,19 @@ def _block_source(rng: np.random.Generator) -> tuple[Uniforms, list[Iterator[flo
     return SimpleNamespace(random=chain.from_iterable(iter(fetch, None)).__next__), blocks
 
 
-@contextmanager
-def block_uniforms(rng: np.random.Generator) -> Iterator[Uniforms]:
-    """A block source over ``rng`` that leaves ``rng`` where scalar calls would.
+def draw_batch(g: DrawFn, n: int, rng: np.random.Generator) -> list[Variant]:
+    """``n`` draws of ``g`` from a block source over ``rng``, leaving ``rng``
+    where ``n`` scalar-call draws would.
 
-    On exit, also when the body raises, ``rng`` gets back the state it had
-    on entry and advances by one ``rng.random(used)``, ``used`` being the
-    doubles the body read; the doubles fetched beyond them are given back.
+    Afterwards, also when a draw raises, ``rng`` gets back the state it had
+    before and advances by one ``rng.random(used)``, ``used`` being the
+    doubles the draws read; the doubles fetched beyond them are given back.
     """
+    check_count("n", n, minimum=0)
     state = rng.bit_generator.state
     source, blocks = _block_source(rng)
     try:
-        yield source
+        return [g(source) for _ in range(n)]
     finally:
         rng.bit_generator.state = state
         # A block is fetched only once the one before it is read to its end.

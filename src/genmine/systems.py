@@ -19,9 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BuildError, InvalidInputError
+from .errors import BuildError, InvalidInputError, check_count
 from .petri import DEFAULT_BUDGET, DEFAULT_TOKEN_CAP, PetriNet, make_net, playout_enumerate
-from .sampling import check_count
 
 OPERATORS = ("seq", "xor", "and", "loop")
 

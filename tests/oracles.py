@@ -10,8 +10,9 @@ feature oracle counts a variant's k-grams into a dense vector in a plain
 loop, as the scorer did before it built rows with ``np.bincount``.  The
 MH reference runs its chains on scalar ``rng.random()`` calls and tests
 each step with ``mh_acceptance``, as the sampler did before its chains read
-their uniforms in blocks; ``scalar_uniforms`` hands a draw loop the
-generator itself in place of the block reader.  The
+their uniforms in blocks; ``draw_batch_reference`` is
+``sampling.draw_batch`` on scalar calls: it hands each draw the generator
+itself, so nothing needs to put the generator back.  The
 token-replay and escaping-edges references are the searches the package
 ran before its sparse-marking core, kept on dense per-place count vectors
 (one entry per place) with a plain enabling scan over every transition.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -113,11 +113,10 @@ def finite_diff_gradient(feats_pos, feats_neg, weights, bias, h=1e-5):
     return grad, grad_b
 
 
-@contextmanager
-def scalar_uniforms(rng):
-    """``sampling.block_uniforms`` as it was before blocks: the generator
-    itself, read one scalar ``random()`` at a time."""
-    yield rng
+def draw_batch_reference(g, n, rng):
+    """``sampling.draw_batch`` as it was before blocks: ``n`` draws, each
+    reading the generator itself one scalar ``random()`` at a time."""
+    return [g(rng) for _ in range(n)]
 
 
 def featurize_reference(scorer, v):

@@ -435,7 +435,7 @@ class TestExperimentCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == {"type": "InvalidInputError",
-                                            "message": f"jobs must be >= 1, got {jobs}"}
+                                            "message": "jobs must be >= 1"}
         assert "Traceback" not in err
 
     def test_sampler_setting_below_one_fails_before_training(self, tmp_path, capsys,

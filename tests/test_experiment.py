@@ -130,7 +130,7 @@ class TestRunExperiment:
         assert system["counts"]["alphabet_size"] == 3  # still the system's own
 
     @pytest.mark.parametrize("field, value, message", [
-        ("token_cap", 0, "token_cap must be >= 1, got 0"),
+        ("token_cap", 0, "token_cap must be >= 1"),
         ("split_ratio", 1.5, r"split_ratio must be in \(0,1\), got 1.5"),
         ("split_ratio", 0.0, r"split_ratio must be in \(0,1\), got 0.0"),
     ])
@@ -161,6 +161,14 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field", ["token_cap", "jobs"])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got {value}$"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("jobs", "2", "jobs must be an integer, got '2'"),
+        ("token_cap", None, "token_cap must be an integer, got None"),
+    ])
+    def test_non_numbers_are_domain_errors(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             ExperimentConfig(**{field: value})
 
     def test_external_net_model(self):

@@ -41,7 +41,7 @@ from genmine.genmodel import (
 )
 from genmine.losses import loss_gradient
 
-from .oracles import featurize_reference, sample_variant_reference, scalar_uniforms
+from .oracles import draw_batch_reference, featurize_reference, sample_variant_reference
 
 
 def lplus(*variants):
@@ -84,6 +84,15 @@ class TestFitMle:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             fit_mle(UniqueVariantLog(()), 2, 0.1)
+
+    @pytest.mark.parametrize("order, message", [
+        (1.5, "order must be an integer, got 1.5"),
+        (True, "order must be an integer, got True"),
+        (0, "order must be >= 1"),
+    ])
+    def test_order_must_be_an_integer_count(self, order, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            fit_mle(lplus(["a", "b"]), order, 0.1)
 
     def test_max_len_from_training(self):
         gen = fit_mle(lplus(["a"], ["a", "b", "c"]), order=3, smoothing=0.1)
@@ -240,6 +249,18 @@ class TestCompiledSampler:
         with pytest.raises(InvalidInputError):
             NGramGenerator(order=1, smoothing=0.0, alphabet=("a",), max_len=2,
                            counts={(): {"a": 2.0, END: -1.0}})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("order", 2.5, "order must be an integer, got 2.5"),
+        ("order", 0, "order must be >= 1"),
+        ("max_len", 2.5, "max_len must be an integer, got 2.5"),
+        ("max_len", False, "max_len must be an integer, got False"),
+        ("max_len", 0, "max_len must be >= 1"),
+    ])
+    def test_order_and_max_len_must_be_integer_counts(self, field, value, message):
+        settings = {"order": 1, "max_len": 2, field: value}
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            NGramGenerator(smoothing=0.0, alphabet=("a",), counts={}, **settings)
 
     @pytest.mark.parametrize("row, smoothing", [
         ({"a": 1e308, "b": 1e308}, 0.0),  # finite counts whose total overflows
@@ -515,8 +536,7 @@ class TestTrainAndSelect:
                                       weights={"seq": 1.0, "xor": 1.5, "loop": 0.5}))
         truth = split_system(playout_enumerate(net, max_len=None), 0.7, 7)
         result = train_and_select(truth.lplus, cfg)
-        for module in (sampling, genmodel):
-            monkeypatch.setattr(module, "block_uniforms", scalar_uniforms)
+        monkeypatch.setattr(sampling, "draw_batch", draw_batch_reference)
         reference = train_and_select(truth.lplus, cfg)
         assert result.generator.counts == reference.generator.counts
         assert result.d_p.vocabulary == reference.d_p.vocabulary

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 
 import pytest
@@ -199,6 +200,22 @@ class TestPlayout:
         with pytest.raises(BudgetExceededError) as err:
             playout_enumerate(net, max_len=20, budget=50)
         assert err.value.partial_count >= 0
+
+    @pytest.mark.parametrize("bounds, message", [
+        ({"max_len": 2.5}, "max_len must be an integer, got 2.5"),
+        ({"max_len": True}, "max_len must be an integer, got True"),
+        ({"max_len": 0}, "max_len must be >= 1"),
+        ({"token_cap": 1.5}, "token_cap must be an integer, got 1.5"),
+        ({"token_cap": True}, "token_cap must be an integer, got True"),
+        ({"token_cap": 0}, "token_cap must be >= 1"),
+        ({"budget": 10.0}, "budget must be an integer, got 10.0"),
+        ({"budget": 0}, "budget must be >= 1"),
+    ])
+    def test_bounds_must_be_integer_counts(self, bounds, message):
+        # Two tokens meet in the and-split, so the token cap is compared.
+        net = build_system(SystemSpec(seed=4, depth=2, weights={"and": 1}))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            playout_enumerate(net, **{"max_len": None, **bounds})
 
     def test_budget_error_leaves_the_successor_table_as_it_found_it(self):
         # An empty-preset generator and no token cap: every expansion reaches

@@ -21,7 +21,7 @@ from genmine import (
     sample_variant,
 )
 
-from .oracles import mh_chain_reference, mh_sample_reference, scalar_uniforms
+from .oracles import draw_batch_reference, mh_chain_reference, mh_sample_reference
 
 VA, VB, VC = ("a",), ("b",), ("c",)
 
@@ -117,7 +117,7 @@ class TestNaiveSample:
         lp = UniqueVariantLog((("a", "b"), ("c",)))
         rng = np.random.default_rng(23)
         result = naive_sample(draw, lp, k, rng)
-        monkeypatch.setattr(sampling, "block_uniforms", scalar_uniforms)
+        monkeypatch.setattr(sampling, "draw_batch", draw_batch_reference)
         ref_rng = np.random.default_rng(23)
         reference = naive_sample(draw, lp, k, ref_rng)
         assert result == reference
@@ -141,8 +141,9 @@ def same_state(a, b):
 
 
 class TestBlockUniforms:
-    """The reader leaves its generator where the same number of scalar
-    ``random()`` calls would, the ``uint32`` buffer that ``integers`` fills included."""
+    """``draw_batch`` reads its generator in blocks and leaves it where the
+    same number of scalar ``random()`` calls would, the ``uint32`` buffer
+    that ``integers`` fills included."""
 
     @staticmethod
     def twins(bit_generator):
@@ -164,8 +165,7 @@ class TestBlockUniforms:
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_reads_the_scalar_stream_and_repositions(self, bit_generator, n):
         rng, twin = self.twins(bit_generator)
-        with sampling.block_uniforms(rng) as uniforms:
-            read = [uniforms.random() for _ in range(n)]
+        read = sampling.draw_batch(lambda uniforms: uniforms.random(), n, rng)
         assert read == [twin.random() for _ in range(n)]
         self.assert_same_position(rng, twin)
 
@@ -173,13 +173,25 @@ class TestBlockUniforms:
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_repositions_when_the_body_raises(self, bit_generator, n):
         rng, twin = self.twins(bit_generator)
+
+        def draw(uniforms):
+            for _ in range(n):
+                uniforms.random()
+            raise DrawFailed
+
         with pytest.raises(DrawFailed):
-            with sampling.block_uniforms(rng) as uniforms:
-                for _ in range(n):
-                    uniforms.random()
-                raise DrawFailed
+            sampling.draw_batch(draw, 1, rng)
         for _ in range(n):
             twin.random()
+        self.assert_same_position(rng, twin)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True, None])
+    def test_bad_count_rejected_before_any_read(self, n):
+        rng, twin = self.twins(np.random.PCG64)
+        draw = limited_draw(limit=0)
+        with pytest.raises(InvalidInputError, match="^n must be "):
+            sampling.draw_batch(draw, n, rng)
+        assert draw.calls == [0]
         self.assert_same_position(rng, twin)
 
 
