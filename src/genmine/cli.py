@@ -23,14 +23,13 @@ from . import conformance, experiment, genmodel, logs, metrics, petri, systems
 from .errors import GenmineError, check_count
 
 JSON_KW = {"indent": 2, "sort_keys": True}
-EXPERIMENT_DEFAULTS = experiment.ExperimentConfig()
-SYSTEM_DEFAULTS = systems.SystemSpec(seed=0)  # the seed has no default and is not read
 
 # The dataclass fields each command exposes as ``--field-name`` flags.
 TRAIN_FIELDS = tuple(f.name for f in fields(genmodel.TrainConfig))
 SAMPLER_FIELDS = ("k", "kappa", "patience", "strict_pseudocode", "union_observed")
 SYSTEM_FIELDS = ("depth", "alphabet_budget", "loop_unroll", "fanout_min", "fanout_max",
                  "silent_skip", "duplicate_label")
+EXPERIMENT_FIELDS = ("seed", "token_cap", "jobs")
 
 
 def _dump(obj, path: str | None) -> str:
@@ -46,10 +45,6 @@ def _emit(summary: dict, pretty: bool) -> None:
             print(f"{key}: {value}")
     else:
         print(json.dumps(summary, **JSON_KW))
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pretty", action="store_true", help="human-readable summary output")
 
 
 def _add_fields(p: argparse.ArgumentParser, cls: type, names: tuple[str, ...]) -> None:
@@ -100,36 +95,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--error-json", action="store_true", help="print domain errors as JSON"
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pretty", action="store_true", help="human-readable summary output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("playout", help="enumerate the variants a net can play out")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("playout", _cmd_playout, "enumerate the variants a net can play out")
     p.add_argument("--net", required=True, help="net JSON file")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--token-cap", type=int, default=petri.DEFAULT_TOKEN_CAP)
     p.add_argument("--budget", type=int, default=petri.DEFAULT_BUDGET)
     p.add_argument("--out", required=True, help="variant TSV output")
-    _add_common(p)
 
-    p = sub.add_parser("discover-dfg", help="mine the directly-follows baseline net")
+    p = command("discover-dfg", _cmd_discover_dfg, "mine the directly-follows baseline net")
     p.add_argument("--log", required=True, help="event log CSV")
     p.add_argument("--out", required=True, help="net JSON output")
-    _add_common(p)
 
-    p = sub.add_parser("conformance", help="fitness/precision of a net against a log")
+    p = command("conformance", _cmd_conformance, "fitness/precision of a net against a log")
     p.add_argument("--net", required=True)
     p.add_argument("--log", required=True)
     p.add_argument("--out", help="scores JSON output")
-    _add_common(p)
 
-    p = sub.add_parser("train", help="train the built-in sampler on an event log")
+    p = command("train", _cmd_train, "train the built-in sampler on an event log")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--log", help="event log CSV")
     src.add_argument("--variants", help="variant TSV; a repeated line counts once")
     p.add_argument("--out", required=True, help="model checkpoint JSON")
     _add_fields(p, genmodel.TrainConfig, TRAIN_FIELDS)
-    _add_common(p)
 
-    p = sub.add_parser("sample", help="estimate system variants from a trained model")
+    p = command("sample", _cmd_sample, "estimate system variants from a trained model")
     p.add_argument("--model", required=True, help="model checkpoint JSON")
     p.add_argument("--mode", choices=("naive", "mh"), default="naive")
     _add_fields(p, experiment.SamplerModel, SAMPLER_FIELDS)
@@ -138,18 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="variant TSV output")
     p.add_argument("--meta", help="sampling metadata JSON output")
-    _add_common(p)
 
-    p = sub.add_parser("metrics", help="true-positive rates of an estimated variant set")
+    p = command("metrics", _cmd_metrics, "true-positive rates of an estimated variant set")
     p.add_argument("--sampled", required=True, help="estimated variants TSV")
     p.add_argument("--system", required=True, help="system variants TSV")
     p.add_argument("--observed", required=True, help="observed variants TSV")
     p.add_argument("--unobserved", required=True, help="unobserved variants TSV")
     p.add_argument("--holdout", help="holdout variants TSV")
     p.add_argument("--out", help="report JSON output")
-    _add_common(p)
 
-    p = sub.add_parser("gen-system", help="build a seeded block-structured ground truth")
+    p = command("gen-system", _cmd_gen_system, "build a seeded block-structured ground truth")
     p.add_argument("--seed", type=int, required=True)
     _add_fields(p, systems.SystemSpec, SYSTEM_FIELDS)
     p.add_argument("--weights", type=_weights_arg, default=None,
@@ -157,26 +153,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="net JSON output")
     p.add_argument("--profile", action="store_true",
                    help="also print alphabet size, max length, variant count")
-    _add_common(p)
 
-    p = sub.add_parser("experiment", help="full controlled experiment over systems and models")
+    p = command("experiment", _cmd_experiment,
+                "full controlled experiment over systems and models")
     p.add_argument("--system", action="append", default=[], help="system net JSON (repeatable)")
     p.add_argument("--gen-system-seed", action="append", type=int, default=[],
                    help="build a ground truth from this seed (repeatable)")
-    p.add_argument("--gen-system-depth", type=int, default=SYSTEM_DEFAULTS.depth)
+    p.add_argument("--gen-system-depth", type=int, default=systems.SystemSpec.depth)
     p.add_argument("--baseline", action="append", choices=experiment.BASELINE_KINDS,
                    default=[], help="per-system baseline net (repeatable)")
     p.add_argument("--sampler", action="append", choices=("naive", "mh"), default=[],
                    help="built-in sampler mode (repeatable)")
-    p.add_argument("--seed", type=int, default=EXPERIMENT_DEFAULTS.seed)
-    p.add_argument("--ratio", type=float, default=EXPERIMENT_DEFAULTS.split_ratio)
-    p.add_argument("--token-cap", type=int, default=EXPERIMENT_DEFAULTS.token_cap)
-    p.add_argument("--jobs", type=int, default=EXPERIMENT_DEFAULTS.jobs)
+    _add_fields(p, experiment.ExperimentConfig, EXPERIMENT_FIELDS)
+    p.add_argument("--ratio", type=float, default=experiment.ExperimentConfig.split_ratio)
     _add_fields(p, experiment.SamplerModel, SAMPLER_FIELDS)
     _add_fields(p, genmodel.TrainConfig, ("rounds", "temperature"))
     p.add_argument("--timing", action="store_true", help="include wall-clock timing")
     p.add_argument("--out", required=True, help="report JSON output")
-    _add_common(p)
 
     return parser
 
@@ -294,11 +287,8 @@ def _cmd_gen_system(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     cfg = experiment.ExperimentConfig(
-        seed=args.seed,
-        split_ratio=args.ratio,
-        token_cap=args.token_cap,
-        jobs=args.jobs,
-        include_timing=args.timing,
+        split_ratio=args.ratio, include_timing=args.timing,
+        **_field_kwargs(args, EXPERIMENT_FIELDS),
     )
     sys_list: list[tuple[str, petri.PetriNet]] = []
     for path in args.system:
@@ -320,23 +310,11 @@ def _cmd_experiment(args) -> dict:
     }
 
 
-_COMMANDS = {
-    "playout": _cmd_playout,
-    "discover-dfg": _cmd_discover_dfg,
-    "conformance": _cmd_conformance,
-    "train": _cmd_train,
-    "sample": _cmd_sample,
-    "metrics": _cmd_metrics,
-    "gen-system": _cmd_gen_system,
-    "experiment": _cmd_experiment,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        summary = _COMMANDS[args.command](args)
+        summary = args.run(args)
     except (GenmineError, OSError) as exc:
         if args.error_json:
             print(
@@ -346,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(summary, getattr(args, "pretty", False))
+    _emit(summary, args.pretty)
     return 0
 
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterable
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, check_real
 from .logs import Variant, VariantLog
 from .petri import CompiledNet, PetriNet, TokenMarking
 
@@ -73,6 +73,7 @@ class ConformanceScores:
 
     def __post_init__(self):
         for name, value in (("fitness", self.fitness), ("precision", self.precision)):
+            check_real(name, value)
             if not 0.0 <= value <= 1.0:
                 raise InvalidInputError(f"{name} must be in [0,1], got {value}")
 
@@ -377,6 +378,7 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
 def generalization_score(fit: float, prec: float) -> float:
     """Harmonic mean of fitness and precision; 0 when both are 0."""
     for name, value in (("fit", fit), ("prec", prec)):
+        check_real(name, value)
         if not 0.0 <= value <= 1.0:
             raise InvalidInputError(f"{name} must be in [0,1], got {value}")
     if fit + prec == 0.0:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 
@@ -20,6 +22,12 @@ def check_count(name: str, value: int, minimum: int = 1) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}")
+
+
+def check_real(name: str, value: float) -> None:
+    """Reject a real-valued setting that is not a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 class DegenerateInputError(InvalidInputError):

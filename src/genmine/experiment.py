@@ -28,7 +28,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import conformance, genmodel, metrics, petri, sampling, stats
-from .errors import DegenerateInputError, GenmineError, InvalidInputError, check_count
+from .errors import DegenerateInputError, GenmineError, InvalidInputError, check_count, check_real
 from .genmodel import TrainConfig, TrainResult
 from .logs import UniqueVariantLog, Variant
 from .metrics import SystemTruth
@@ -95,6 +95,7 @@ class ExperimentConfig:
         check_count("seed", self.seed, minimum=0)
         for name in ("jobs", "token_cap"):
             check_count(name, getattr(self, name))
+        check_real("split_ratio", self.split_ratio)
         if not 0.0 < self.split_ratio < 1.0:
             raise InvalidInputError(f"split_ratio must be in (0,1), got {self.split_ratio}")
 

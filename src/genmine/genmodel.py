@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import losses, sampling
-from .errors import InvalidInputError, TrainingDivergedError, check_count
+from .errors import InvalidInputError, TrainingDivergedError, check_count, check_real
 from .logs import UniqueVariantLog, Variant, split_holdout
 from .sampling import Uniforms
 
@@ -73,10 +73,17 @@ MIN_TEMPERATURE = 1e-300
 
 
 def _check_temperature(temperature: float) -> None:
+    check_real("temperature", temperature)
     if not 0 < temperature < math.inf:
         raise InvalidInputError(f"temperature must be finite and > 0, got {temperature}")
     if temperature < MIN_TEMPERATURE:
         raise InvalidInputError(f"temperature must be >= {MIN_TEMPERATURE}, got {temperature}")
+
+
+def _check_smoothing(smoothing: float) -> None:
+    check_real("smoothing", smoothing)
+    if not 0 <= smoothing < math.inf:
+        raise InvalidInputError("smoothing must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +114,7 @@ class NGramGenerator:
     def __post_init__(self):
         object.__setattr__(self, "_draw_states", {})
         check_count("order", self.order)
-        if not 0 <= self.smoothing < math.inf:
-            raise InvalidInputError("smoothing must be finite and >= 0")
+        _check_smoothing(self.smoothing)
         check_count("max_len", self.max_len)
         if START in self.alphabet or END in self.alphabet:
             raise InvalidInputError("alphabet must not contain the boundary markers")
@@ -364,14 +370,8 @@ class FeatureScorer:
 
 def init_scorer(variants: Iterable[Variant], max_len_ref: int) -> FeatureScorer:
     """Zero-initialized scorer whose vocabulary covers the given variants."""
-    vocab: set[str] = set()
-    for v in variants:
-        vocab.update(_kgram_features(v))
-    vocab.add(LENGTH_FEATURE)
-    ordered = tuple(sorted(vocab))
-    return FeatureScorer(
-        vocabulary=ordered, weights=(0.0,) * len(ordered), bias=0.0, max_len_ref=max_len_ref
-    )
+    empty = FeatureScorer(vocabulary=(), weights=(), bias=0.0, max_len_ref=max_len_ref)
+    return _extend_vocabulary(empty, chain(map(_kgram_features, variants), [[LENGTH_FEATURE]]))
 
 
 def _extend_vocabulary(scorer: FeatureScorer, feature_lists: Iterable[list[str]]) -> FeatureScorer:
@@ -430,8 +430,8 @@ class TrainConfig:
         for name in ("rounds", "seed"):
             check_count(name, getattr(self, name), minimum=0)
         _check_temperature(self.temperature)
-        if not 0 <= self.smoothing < math.inf:
-            raise InvalidInputError("smoothing must be finite and >= 0")
+        _check_smoothing(self.smoothing)
+        check_real("holdout_fraction", self.holdout_fraction)
         if not 0.0 < self.holdout_fraction < 1.0:
             raise InvalidInputError("holdout_fraction must be in (0,1)")
 
@@ -570,7 +570,7 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
     train_list = list(train)
     for r in range(1, cfg.rounds + 1):
         gen, d_p, samples = _refinement_step(gen, d_p, train_list, cfg, rng)
-        # Unused draws: seeded reports stay byte-identical until the ROADMAP item 2 stream break.
+        # Unused draws: seeded reports stay byte-identical until the ROADMAP item 6 stream break.
         for _ in _minibatches(len(train_list), len(samples), rng):
             pass
         evaluate(r)

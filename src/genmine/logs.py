@@ -17,13 +17,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from math import ceil
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count, check_real
 
 # A variant is a non-empty tuple of activity labels.
 Variant = tuple[str, ...]
@@ -148,6 +150,8 @@ def split_holdout(
     n = len(lplus)
     if n < 2:
         raise InvalidInputError("split_holdout requires at least 2 variants")
+    check_count("seed", seed, minimum=0)
+    check_real("fraction", fraction)
     if not 0.0 < fraction < 1.0:
         raise InvalidInputError(f"fraction must be in (0,1), got {fraction}")
     n_train = ceil(fraction * n)
@@ -173,6 +177,7 @@ def synth_event_log(variants: Iterable[Variant], seed: int = 0) -> EventLog:
         raise InvalidInputError("synth_event_log requires a non-empty variant set")
     if any(len(v) == 0 for v in unique):
         raise InvalidInputError("variants must be non-empty")
+    check_count("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(unique))
     traces = []
@@ -241,17 +246,10 @@ def read_event_log_csv(path: str | Path) -> EventLog:
     if len({ts.tzinfo is None for _, _, ts in rows}) > 1:
         raise InvalidInputError(f"event log {path} mixes naive and offset-aware timestamps")
     rows.sort(key=lambda r: (r[0], r[2]))
-    traces = []
-    i = 0
-    while i < len(rows):
-        j = i
-        case_id = rows[i][0]
-        while j < len(rows) and rows[j][0] == case_id:
-            j += 1
-        events = tuple(EventInstance(label, ts) for _, label, ts in rows[i:j])
-        traces.append(Trace(case_id=case_id, events=events))
-        i = j
-    return EventLog(tuple(traces))
+    return EventLog(tuple(
+        Trace(case_id=case_id, events=tuple(EventInstance(label, ts) for _, label, ts in group))
+        for case_id, group in groupby(rows, key=itemgetter(0))
+    ))
 
 
 def write_event_log_csv(log: EventLog, path: str | Path) -> None:

@@ -21,7 +21,7 @@ from typing import Collection
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count, check_real
 from .logs import UniqueVariantLog, Variant
 
 SQRT2 = math.sqrt(2.0)
@@ -61,6 +61,8 @@ def split_system(v_s: Collection[Variant], ratio: float, seed: int) -> SystemTru
     n = len(ordered)
     if n < 2:
         raise InvalidInputError("split_system requires at least 2 variants")
+    check_count("seed", seed, minimum=0)
+    check_real("ratio", ratio)
     if not 0.0 < ratio < 1.0:
         raise InvalidInputError(f"ratio must be in (0,1), got {ratio}")
     n_obs = math.floor(ratio * n)
@@ -187,6 +189,7 @@ def score_s(tp: float, tp_u: float) -> float:
     so balanced estimators beat lopsided ones of equal norm.
     """
     for name, value in (("tp", tp), ("tp_u", tp_u)):
+        check_real(name, value)
         if not 0.0 <= value <= 1.0:
             raise InvalidInputError(f"{name} must be in [0,1], got {value}")
     return (tp + tp_u) / SQRT2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import fields
 from typing import get_type_hints
@@ -7,6 +8,7 @@ from typing import get_type_hints
 import pytest
 
 from genmine import (
+    ExperimentConfig,
     SamplerModel,
     SystemSpec,
     TrainConfig,
@@ -36,6 +38,21 @@ EXPOSED_FIELDS = {
     "gen-system": (["gen-system", "--seed", "1", "--out", "n.json"], SystemSpec,
                    ("depth", "alphabet_budget", "loop_unroll", "fanout_min", "fanout_max",
                     "silent_skip", "duplicate_label")),
+    "experiment-config": (["experiment", "--out", "r.json"], ExperimentConfig,
+                          ("seed", "token_cap", "jobs")),
+}
+
+# Each subcommand with its required flags.
+COMMAND_ARGV = {
+    "playout": ["playout", "--net", "n.json", "--max-len", "3", "--out", "v.tsv"],
+    "discover-dfg": ["discover-dfg", "--log", "l.csv", "--out", "n.json"],
+    "conformance": ["conformance", "--net", "n.json", "--log", "l.csv"],
+    "train": ["train", "--log", "l.csv", "--out", "m.json"],
+    "sample": ["sample", "--model", "m.json", "--out", "o.tsv"],
+    "metrics": ["metrics", "--sampled", "e.tsv", "--system", "s.tsv",
+                "--observed", "o.tsv", "--unobserved", "u.tsv"],
+    "gen-system": ["gen-system", "--seed", "1", "--out", "n.json"],
+    "experiment": ["experiment", "--out", "r.json"],
 }
 
 
@@ -85,6 +102,29 @@ class TestSettingFlags:
             else:
                 value = getattr(parser.parse_args(argv + [flag, "2"]), name)
                 assert type(value) is hints[name] and value == 2, flag
+
+
+class TestPrettyFlag:
+    def test_every_command_accepts_it(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(COMMAND_ARGV)
+        for argv in COMMAND_ARGV.values():
+            assert parser.parse_args(argv).pretty is False
+            assert parser.parse_args(argv + ["--pretty"]).pretty is True
+
+    def test_prints_one_key_value_line_per_summary_entry(self, tmp_path, capsys):
+        argv = ["gen-system", "--seed", "78", "--depth", "2", "--out", str(tmp_path / "n.json"),
+                "--profile"]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--pretty"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(lines) == sorted(f"{key}: {value}" for key, value in summary.items())
+        assert lines[:3] == [f"places: {summary['places']}",
+                             f"transitions: {summary['transitions']}",
+                             f"out: {tmp_path / 'n.json'}"]
 
 
 class TestNonFiniteSettings:

@@ -1,0 +1,71 @@
+"""The shared argument checks of `genmine.errors`, through the entry points
+that use them: a bad seed or a non-number is a domain error, never a bare
+`TypeError` or `ValueError`, and a bool is neither a seed nor a real number."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from genmine import (
+    ConformanceScores,
+    ExperimentConfig,
+    InvalidInputError,
+    TrainConfig,
+    UniqueVariantLog,
+    fit_mle,
+    generalization_score,
+    sample_variant,
+    score_s,
+    split_holdout,
+    split_system,
+    synth_event_log,
+)
+
+VARIANTS = (("a",), ("b",), ("a", "b"), ("b", "a"))
+LPLUS = UniqueVariantLog(VARIANTS)
+
+SEEDED = {
+    "split_system": lambda seed: split_system(VARIANTS, 0.5, seed),
+    "split_holdout": lambda seed: split_holdout(LPLUS, 0.5, seed),
+    "synth_event_log": lambda seed: synth_event_log(VARIANTS, seed),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (-1, "seed must be >= 0"),
+    (True, "seed must be an integer, got True"),
+], ids=["fraction", "negative", "bool"])
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_bad_seed_is_a_domain_error(entry, seed, message):
+    with pytest.raises(InvalidInputError) as info:
+        SEEDED[entry](seed)
+    assert str(info.value) == message
+
+
+# entry point -> (the setting's name in the message, a call with the value in its place)
+REAL_VALUED = {
+    "ExperimentConfig.split_ratio": ("split_ratio", lambda x: ExperimentConfig(split_ratio=x)),
+    "TrainConfig.temperature": ("temperature", lambda x: TrainConfig(temperature=x)),
+    "TrainConfig.smoothing": ("smoothing", lambda x: TrainConfig(smoothing=x)),
+    "TrainConfig.holdout_fraction": ("holdout_fraction",
+                                     lambda x: TrainConfig(holdout_fraction=x)),
+    "fit_mle": ("smoothing", lambda x: fit_mle(LPLUS, 2, x)),
+    "sample_variant": ("temperature", lambda x: sample_variant(
+        fit_mle(LPLUS, 2, 0.1), x, np.random.default_rng(0))),
+    "split_system": ("ratio", lambda x: split_system(VARIANTS, x, 1)),
+    "split_holdout": ("fraction", lambda x: split_holdout(LPLUS, x, 1)),
+    "generalization_score": ("fit", lambda x: generalization_score(x, 0.5)),
+    "score_s": ("tp", lambda x: score_s(x, 0.5)),
+    "ConformanceScores": ("fitness", lambda x: ConformanceScores(fitness=x, precision=0.5)),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True], ids=["str", "None", "bool"])
+@pytest.mark.parametrize("entry", list(REAL_VALUED))
+def test_non_number_is_a_domain_error(entry, value):
+    name, call = REAL_VALUED[entry]
+    with pytest.raises(InvalidInputError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"

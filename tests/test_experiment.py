@@ -171,6 +171,15 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             ExperimentConfig(**{field: value})
 
+    def test_unknown_baseline_kind_rejected(self):
+        with pytest.raises(InvalidInputError, match="^unknown baseline kind 'petri'$"):
+            BaselineModel(name="petri", kind="petri")
+
+    def test_unknown_sampler_mode_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match="^sampler mode must be naive or mh, got 'gibbs'$"):
+            SamplerModel(name="gibbs", mode="gibbs")
+
     def test_external_net_model(self):
         systems = small_systems(1)
         alphabet = {a for v in systems[0][1].labels() for a in [v]}

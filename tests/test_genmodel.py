@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genmine import (
+    FeatureScorer,
     InvalidInputError,
     SystemSpec,
     TrainConfig,
+    TrainingDivergedError,
     UniqueVariantLog,
     build_system,
     fit_mle,
@@ -34,6 +36,7 @@ from genmine import (
 )
 from genmine.genmodel import (
     END,
+    START,
     CandidateEval,
     NGramGenerator,
     _refinement_step,
@@ -262,6 +265,12 @@ class TestCompiledSampler:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             NGramGenerator(smoothing=0.0, alphabet=("a",), counts={}, **settings)
 
+    @pytest.mark.parametrize("marker", [START, END], ids=["start", "end"])
+    def test_boundary_marker_in_alphabet_rejected(self, marker):
+        with pytest.raises(InvalidInputError,
+                           match="^alphabet must not contain the boundary markers$"):
+            NGramGenerator(order=1, smoothing=0.0, alphabet=("a", marker), max_len=2, counts={})
+
     @pytest.mark.parametrize("row, smoothing", [
         ({"a": 1e308, "b": 1e308}, 0.0),  # finite counts whose total overflows
         ({"a": 1e308}, 1e308),
@@ -317,6 +326,16 @@ class TestScorer:
         for _ in range(2):  # the second pass reads the memo
             for v in probes:
                 assert score(d, v) == sigmoid_clamped(d.raw_score(v))
+
+
+    @pytest.mark.parametrize("vocabulary, weights, max_len_ref, message", [
+        (("a", "b"), (0.0,), 1, "vocabulary and weights must have equal length"),
+        (("a",), (0.0,), 0, "max_len_ref must be >= 1"),
+    ])
+    def test_malformed_scorer_rejected(self, vocabulary, weights, max_len_ref, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            FeatureScorer(vocabulary=vocabulary, weights=weights, bias=0.0,
+                          max_len_ref=max_len_ref)
 
 
 class TestFeatureRows:
@@ -402,6 +421,27 @@ class TestTrainDiscriminator:
         with pytest.raises(InvalidInputError):
             train_discriminator(d, [], [("a",)], rng=np.random.default_rng(0))
 
+    def test_non_finite_loss_raises_with_the_history(self, monkeypatch):
+        losses_seen = []
+
+        def loss_gradient_nan_on_third(*args):
+            grad_w, grad_b, value = loss_gradient(*args)
+            value = math.nan if len(losses_seen) == 2 else value
+            losses_seen.append(value)
+            return grad_w, grad_b, value
+
+        monkeypatch.setattr(genmodel.losses, "loss_gradient", loss_gradient_nan_on_third)
+        pos = [("a",) * n for n in range(1, 41)]  # 40 rows: four minibatches
+        neg = [("b",) * n for n in range(1, 41)]
+        d = init_scorer(pos + neg, max_len_ref=40)
+        with pytest.raises(TrainingDivergedError,
+                           match="^loss became non-finite during discriminator training$") as info:
+            train_discriminator(d, pos, neg, rng=np.random.default_rng(0))
+        assert len(losses_seen) == 3
+        assert math.isnan(info.value.diagnostics["loss"])
+        assert info.value.diagnostics["history"] == losses_seen[:2]
+        assert all(math.isfinite(x) for x in losses_seen[:2])
+
 
 class TestRefineGenerator:
     def test_zero_rounds_is_identity(self):
@@ -465,6 +505,11 @@ class TestSelectModel:
 
 
 class TestTrainAndSelect:
+    def test_one_variant_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match="^training requires at least 2 observed variants$"):
+            train_and_select(lplus(["a", "b"]), TrainConfig(rounds=0))
+
     def test_pipeline_runs_and_snapshots(self):
         variants = [("a", "b", "c"), ("a", "c"), ("b", "c"), ("a", "b"), ("c",), ("b",)]
         cfg = TrainConfig(rounds=2, round_samples=100, select_sample_size=200, seed=11)
