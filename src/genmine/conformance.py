@@ -50,6 +50,27 @@ search pops before settling, stale entries and ties at the optimum aside,
 so the error fires at the same pop limit as Dijkstra's or a lower one,
 never a higher one, and its ``partial_count`` can differ
 (``test_bench_sized_trace_net`` checks this on a trace and a dfg net).
+
+Each prefix's work is done once per distinct set of markings.  Precision
+keeps, per set of markings a prefix reaches, its visible continuations.
+The first prefix to reach a set iterates its own set, as before; a later
+one raises nothing, since the set's closure already fit the limit.  Its
+children get the first prefix's continuation sets, equal as sets to
+recomputed ones, though their iteration order, which a deeper budget
+error's partial count and kind follow, may differ.  On a one-token net,
+replay first walks the log's prefixes (``_clean_replays``).  A walk state
+holds each marking that clean replays of a prefix reach, with the fewest
+silent firings that reach it; its steps are the A*'s moves that cost
+nothing, labelled ones from the consumer index and silent ones from the
+successor table, and each (state, label) step is taken once per call.  A
+variant whose state holds a final marking replays cleanly, so the A* would
+settle (0, ``len(v)`` plus those silent firings), and by the identities
+above with U = 0 its counts are missing 0, remaining 0, consumed
+``firings + L`` and produced ``len(initial) + firings``.  Only the other
+variants run the A*.  A walk state of more than ``_CLOSURE_LIMIT``
+markings is not stepped, and its variants fall back to the A*, so the walk
+bounds its own work and no variant searches more than before; a clean
+variant settles even where the A* would run out of pops.
 """
 
 from __future__ import annotations
@@ -277,20 +298,110 @@ def _replay_variant(
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 
 
+# A state of the clean-replay walk: each marking that clean replays of one
+# prefix reach, with the fewest silent firings that reach it less the
+# fewest over all of them.  A step gives the next state, the fewest silent
+# firings it adds, and the fewest of the state's at a final marking (None if
+# it holds none); None in place of a step means no clean replay goes on.
+_Walk = frozenset[tuple[TokenMarking, int]]
+_WalkStep = tuple[_Walk, int, int | None]
+
+
+def _walk_step(
+    cn: CompiledNet,
+    seeds: dict[TokenMarking, int],
+    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]],
+) -> _WalkStep | None:
+    """The walk state silent moves reach from ``seeds``, each seed with its
+    silent firings so far; None without seeds or past ``_CLOSURE_LIMIT``
+    markings.  Level by level, so each marking keeps its fewest firings."""
+    if not seeds:
+        return None
+    pending: dict[int, list[TokenMarking]] = {}
+    for m, f in seeds.items():
+        pending.setdefault(f, []).append(m)
+    low = firings = min(pending)
+    fewest: dict[TokenMarking, int] = {}
+    frontier: list[TokenMarking] = []
+    while frontier or pending:
+        frontier += pending.pop(firings, ())
+        reached = []
+        for m in frontier:
+            if m in fewest:
+                continue
+            fewest[m] = firings - low
+            if len(fewest) > _CLOSURE_LIMIT:
+                return None
+            moves = memo.get((None, m))
+            if moves is None:
+                moves = memo[(None, m)] = _replay_moves(cn, None, m)
+            reached += [nxt for *_, nxt, _, _ in moves if nxt not in fewest]
+        frontier = reached
+        firings += 1
+    end = min((fewest[f] for f in cn.finals if f in fewest), default=None)
+    return frozenset(fewest.items()), low, end
+
+
+def _clean_replays(
+    cn: CompiledNet,
+    lstar: VariantLog,
+    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]],
+) -> dict[Variant, _TokenCounts]:
+    """Counts of the variants of ``lstar`` that replay cleanly on a one-token net.
+
+    A walk over the variants' prefixes keeps the walk state of each (see
+    ``_Walk``); each (state, label) step is taken once per call.  Labelled
+    steps are the replay moves that advance a label at no cost, and silent
+    steps the silent moves, from ``memo``, which the A* shares.  A variant
+    whose last state holds a final marking settles with the fewest firings
+    ``len(v) + silent``: missing 0, remaining 0, consumed ``firings + L``
+    and produced ``len(initial) + firings``.
+    """
+    steps: dict[tuple[_Walk, str], _WalkStep | None] = {}
+    root = _walk_step(cn, {cn.initial: 0}, memo)
+    clean: dict[Variant, _TokenCounts] = {}
+    for v in dict.fromkeys(lstar):
+        state, silent = root, 0
+        for label in v:
+            if state is None:
+                break
+            walk = state[0]
+            key = (walk, label)
+            if key not in steps:
+                seeds: dict[TokenMarking, int] = {}
+                for m, f in walk:
+                    moves = memo.get((label, m))
+                    if moves is None:
+                        moves = memo[(label, m)] = _replay_moves(cn, label, m)
+                    for dcost, _, _, _, dpos, nxt, _, _ in moves:
+                        if dcost == 0 and dpos == 1 and f < seeds.get(nxt, f + 1):
+                            seeds[nxt] = f
+                steps[key] = _walk_step(cn, seeds, memo)
+            state = steps[key]
+            if state is not None:
+                silent += state[1]
+        if state is not None and state[2] is not None:
+            firings = len(v) + silent + state[2]
+            clean[v] = _TokenCounts(0, 0, firings + cn.token_goal, len(cn.initial) + firings)
+    return clean
+
+
 def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
     """Token-based log fitness, aggregated at the log level.
 
     Counts are summed over all variants (with multiplicity) before the
     formula is applied; per-trace averaging would differ in the third
-    decimal and is deliberately not used.
+    decimal and is deliberately not used.  On a one-token net the variants
+    that replay cleanly settle on one walk over the log's prefixes, and only
+    the others run the A* search (see the module docstring).
     """
     if len(lstar) == 0:
         raise InvalidInputError("token_replay_fitness requires a non-empty variant log")
     cn = net.compiled
     total = _TokenCounts()
-    cache: dict[Variant, _TokenCounts] = {}
     memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]] = {}
     with cn.search():
+        cache = {} if cn.token_goal is None else _clean_replays(cn, lstar, memo)
         for v in lstar:
             if v not in cache:
                 cache[v] = _replay_variant(cn, v, memo)
@@ -330,37 +441,42 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     set of continuations A(s), computed over every marking reachable by
     replaying s including silent closure; labels enabled but never observed
     escape.  Prefixes the net cannot replay are truncated at the first
-    failure and counted up to it.  Each marking's silent closure is computed
-    once per call; its visible steps come from the net's successor table.
+    failure and counted up to it.  Each marking's silent closure, and each
+    distinct marking set's continuations, are computed once per call; visible
+    steps come from the net's successor table.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
     cn = net.compiled
     root = _build_prefix_trie(lstar)
     closures: dict[TokenMarking, set[TokenMarking]] = {}
+    # Visible continuations per marking set: label -> markings after firing it.
+    steps: dict[frozenset[TokenMarking], dict[str, set[TokenMarking]]] = {}
     escaping = 0
     allowed = 0
     queue: deque[tuple[_TrieNode, set[TokenMarking]]] = deque([(root, {cn.initial})])
     with cn.search():
         while queue:
             node, markings = queue.popleft()
-            closure: set[TokenMarking] = set()
-            for m in markings:
-                if m not in closures:
-                    closures[m] = _silent_closure(cn, m)
-                closure.update(closures[m])
-                if len(closure) > _CLOSURE_LIMIT:
-                    raise BudgetExceededError(
-                        "escaping-edges replay exceeded marking limit",
-                        partial_count=len(closure),
-                    )
-            # Visible continuations: label -> markings after firing it.
-            continuations: dict[str, set[TokenMarking]] = {}
-            for m in closure:
-                for ti, nxt in cn.successors(m):
-                    label = cn.labels[ti]
-                    if label is not None:
-                        continuations.setdefault(label, set()).add(nxt)
+            key = frozenset(markings)
+            continuations = steps.get(key)
+            if continuations is None:
+                closure: set[TokenMarking] = set()
+                for m in markings:
+                    if m not in closures:
+                        closures[m] = _silent_closure(cn, m)
+                    closure.update(closures[m])
+                    if len(closure) > _CLOSURE_LIMIT:
+                        raise BudgetExceededError(
+                            "escaping-edges replay exceeded marking limit",
+                            partial_count=len(closure),
+                        )
+                continuations = steps[key] = {}
+                for m in closure:
+                    for ti, nxt in cn.successors(m):
+                        label = cn.labels[ti]
+                        if label is not None:
+                            continuations.setdefault(label, set()).add(nxt)
             allowed += node.count * len(continuations)
             escaping += node.count * len(continuations.keys() - node.children.keys())
             for label, child in node.children.items():

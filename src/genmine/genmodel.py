@@ -185,13 +185,16 @@ class NGramGenerator:
         """The draw automaton's first-step state at ``temperature``.
 
         A temperature is checked when it first enters the cache, so an
-        invalid one is never cached and raises on every draw.
+        invalid one is never cached and raises on every draw.  A cache hit
+        by anything but a ``float`` is checked too, since a bool equals and
+        hashes like 1 or 0; the type test costs a draw almost nothing.
         """
         states = self._draw_states.get(temperature)
-        if states is None:
+        if states is None or type(temperature) is not float:
             _check_temperature(temperature)
-            states = self._draw_states[temperature] = {}
-            states[None] = self._draw_state(self.context_of(()), True, temperature)
+            if states is None:
+                states = self._draw_states[temperature] = {}
+                states[None] = self._draw_state(self.context_of(()), True, temperature)
         return states[None]
 
     def log_prob(self, v: Variant) -> float:
@@ -335,7 +338,8 @@ class FeatureScorer:
     max_len_ref: int
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
-    # variant -> score(); filled by score(), at most SCORE_MEMO_LIMIT entries.
+    # variant -> score(); filled by score() and, for the negatives it trained
+    # on, by train_discriminator(); at most SCORE_MEMO_LIMIT entries.
     _scores: dict[Variant, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -397,11 +401,16 @@ def score(d: FeatureScorer, v: Variant) -> float:
     """
     p = d._scores.get(v)
     if p is None:
-        p = 0.5 * (1.0 + math.tanh(0.5 * d.raw_score(v)))
-        p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+        p = _probability(d.raw_score(v))
         if len(d._scores) < SCORE_MEMO_LIMIT:
             d._scores[v] = p
     return p
+
+
+def _probability(raw: float) -> float:
+    """The clamped sigmoid of a raw score."""
+    p = 0.5 * (1.0 + math.tanh(0.5 * raw))
+    return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +456,14 @@ def train_discriminator(
     Positives are variants considered real, negatives generated ones.  The
     vocabulary is extended (at weight zero) to cover unseen k-grams before
     training so novel negatives are not invisible to the model.  Each
-    distinct variant's k-grams and feature row are built once.  Step size
-    and batching are the module constants ``LEARNING_RATE``, ``BATCH_SIZE``
-    and ``PRETRAIN_PASSES``.
+    distinct variant's k-grams and feature row are built once, and the
+    trained scorer's memo holds the negatives' scores from those rows.
+    Step size and batching are the module constants ``LEARNING_RATE``,
+    ``BATCH_SIZE`` and ``PRETRAIN_PASSES``.
     """
     if not positives or not negatives:
         raise InvalidInputError("both batch sources must be non-empty")
-    kgrams = {v: _kgram_features(v) for v in chain(positives, negatives)}
+    kgrams = {v: _kgram_features(v) for v in dict.fromkeys(chain(positives, negatives))}
     d = _extend_vocabulary(d, kgrams.values())
     rows = {v: d._row(feats, len(v)) for v, feats in kgrams.items()}
     feats_pos = np.stack([rows[v] for v in positives])
@@ -472,7 +482,12 @@ def train_discriminator(
         weights = weights - LEARNING_RATE * grad_w
         bias = bias - LEARNING_RATE * grad_b
         history.append(value)
-    return replace(d, weights=tuple(weights.tolist()), bias=float(bias))
+    trained = replace(d, weights=tuple(weights.tolist()), bias=float(bias))
+    for v in dict.fromkeys(negatives):
+        if len(trained._scores) >= SCORE_MEMO_LIMIT:
+            break
+        trained._scores[v] = _probability(float(rows[v] @ trained._weights) + trained.bias)
+    return trained
 
 
 def _minibatches(

@@ -6,7 +6,7 @@ from dataclasses import astuple
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genmine import (
@@ -581,6 +581,87 @@ class TestDenseReference:
                 else:
                     want = _outcome(replay_counts_reference, net, v, pop_limit=pop_limit)
                     assert want[:2] == got[:2], v
+
+
+def _reference_fitness(net, lstar):
+    """The log-level formula on the summed counts of the dense reference."""
+    missing, remaining, consumed, produced = map(
+        sum, zip(*(replay_counts_reference(net, v) for v in lstar)))
+    miss_term = 1.0 if consumed == 0 else 1.0 - missing / consumed
+    rem_term = 1.0 if produced == 0 else 1.0 - remaining / produced
+    return 0.5 * miss_term + 0.5 * rem_term
+
+
+def _counting_replays(monkeypatch):
+    """Record each variant that reaches the A* replay."""
+    calls = []
+    replay = conformance._replay_variant
+
+    def counted(cn, v, memo):
+        calls.append(v)
+        return replay(cn, v, memo)
+
+    monkeypatch.setattr(conformance, "_replay_variant", counted)
+    return calls
+
+
+class TestCleanReplays:
+    """On one-token nets the variants that replay cleanly settle on the walk
+    over their prefixes; only the others reach the A* replay."""
+
+    @given(st.one_of(_one_token_cases(), _baseline_cases()))
+    @settings(max_examples=80, deadline=None)
+    def test_fitness_equals_the_summed_reference_counts(self, case):
+        net, lstar = case
+        try:
+            want = _reference_fitness(net, lstar)
+        except BudgetExceededError:
+            assume(False)
+        assert token_replay_fitness(net, lstar) == want
+
+    @pytest.mark.parametrize("start, other", [("p", "q"), ("q", "p")])
+    def test_each_marking_keeps_its_fewest_silent_firings(self, start, other):
+        # "a" reaches r from the start place directly, or after a silent move
+        # from the other place; either place may come first in the walk state.
+        net = make_net(["p", "q", "r"], [("tau", None), ("a_start", "a"), ("a_other", "a")],
+                       [(start, "tau"), ("tau", other), (start, "a_start"), ("a_start", "r"),
+                        (other, "a_other"), ("a_other", "r")],
+                       {start: 1}, [{"r": 1}])
+        lstar = VariantLog((("a",), ("a", "a")))
+        clean = conformance._clean_replays(net.compiled, lstar, {})
+        assert list(clean) == [("a",)]
+        assert astuple(clean[("a",)]) == replay_counts_reference(net, ("a",)) == (0, 0, 2, 2)
+        assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
+
+    def test_walk_gives_up_past_the_closure_limit(self, monkeypatch):
+        # Two tokens that a silent cycle moves between p and q reach three
+        # markings before the first "a", so a limit of 2 stops the walk at
+        # its start and every variant, the clean ("a", "a") too, falls back.
+        net = make_net(["p", "q", "r"], [("tau_pq", None), ("tau_qp", None), ("t_a", "a")],
+                       [("p", "tau_pq"), ("tau_pq", "q"), ("q", "tau_qp"), ("tau_qp", "p"),
+                        ("q", "t_a"), ("t_a", "r")],
+                       {"p": 2}, [{"r": 2}])
+        assert net.compiled.token_goal == 2
+        lstar = VariantLog((("a", "a"), ("a",), ("a", "a", "a")))
+        calls = _counting_replays(monkeypatch)
+        assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
+        assert calls == [("a",), ("a", "a", "a")]
+        assert replay_counts_reference(net, ("a", "a")) == (0, 0, 6, 6)
+        calls.clear()
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", 2)
+        assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
+        assert calls == list(lstar)
+
+    def test_only_unclean_variants_reach_the_replay_on_the_bench_sized_nets(self, monkeypatch):
+        trace, dfg, variants = _bench_sized_case()
+        lstar = VariantLog(tuple(variants))
+        calls = _counting_replays(monkeypatch)
+        for net, pinned in ((trace, 15), (dfg, 3)):
+            calls.clear()
+            assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
+            unclean = [v for v in variants if replay_counts_reference(net, v)[:2] != (0, 0)]
+            assert calls == unclean
+            assert len(calls) == pinned
 
 
 class TestBudgetEdges:

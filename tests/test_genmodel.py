@@ -146,6 +146,20 @@ class TestSampleVariant:
             with pytest.raises(InvalidInputError, match=message):
                 sample_variant(gen, temperature, rng)
 
+    @pytest.mark.parametrize("temperature", [True, np.True_])
+    def test_bool_temperature_is_rejected_after_a_draw_at_one(self, temperature):
+        # True equals 1.0 and hashes like it, so it finds 1.0's cached draw states.
+        gen = fit_mle(lplus(["a", "b"], ["b", "a", "c"]), order=2, smoothing=0.2)
+        rng = np.random.default_rng(0)
+        sample_variant(gen, 1.0, rng)
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="^temperature must be a real number"):
+                sample_variant(gen, temperature, rng)
+        # An int is checked on its hit too, and draws from the cached states.
+        states = gen._draw_states[1.0]
+        sample_variant(gen, 1, rng)
+        assert gen._draw_states == {1.0: states}
+
     def test_subnormal_temperature_is_rejected(self):
         # 1e-320 is finite and > 0, but log(p) / 1e-320 overflows.
         gen = fit_mle(lplus(["a", "b"], ["a", "c"]), order=2, smoothing=0.1)
@@ -387,6 +401,17 @@ class TestTrainDiscriminator:
         assert score(trained, ("a", "b")) > 0.5
         assert score(d, ("a", "b")) == 0.5
 
+    @pytest.mark.parametrize("memo_limit", [genmodel.SCORE_MEMO_LIMIT, 2])
+    def test_trained_memo_holds_the_negatives_exact_scores(self, monkeypatch, memo_limit):
+        positives = [("a", "b"), ("a", "c")]
+        negatives = [("b", "a"), ("c",), ("b", "a"), ("a", "z", "c")]
+        monkeypatch.setattr(genmodel, "SCORE_MEMO_LIMIT", memo_limit)
+        d = init_scorer(positives, max_len_ref=3)
+        trained = train_discriminator(d, positives, negatives, rng=np.random.default_rng(2))
+        assert list(trained._scores) == list(dict.fromkeys(negatives))[:memo_limit]
+        for v, p in trained._scores.items():
+            assert p == sigmoid_clamped(trained.raw_score(v))
+
     def test_identical_classes_stay_near_half(self):
         variants = [("a", "b"), ("b", "a"), ("a",), ("b",)]
         d = init_scorer(variants, max_len_ref=2)
@@ -518,6 +543,30 @@ class TestTrainAndSelect:
         assert len(result.train) + len(result.holdout) == len(variants)
         best = result.candidates[select_model(result.candidates)]
         assert result.selected_round == best.round_index
+
+    def test_kgrams_are_built_once_per_training_that_sees_a_variant(self, monkeypatch):
+        # init_scorer builds each training variant's k-grams, and each
+        # discriminator training those of each distinct variant it sees;
+        # scoring a round's samples afterwards reads the trained memo.
+        built, seen = Counter(), Counter()
+        kgram_features, train = genmodel._kgram_features, genmodel.train_discriminator
+
+        def counted(v):
+            built[v] += 1
+            return kgram_features(v)
+
+        def training(d, positives, negatives, rng):
+            seen.update(set(positives) | set(negatives))
+            return train(d, positives, negatives, rng)
+
+        monkeypatch.setattr(genmodel, "_kgram_features", counted)
+        monkeypatch.setattr(genmodel, "train_discriminator", training)
+        variants = [("a", "b", "c"), ("a", "c"), ("b", "c"), ("a", "b"), ("c",), ("b",)]
+        cfg = TrainConfig(rounds=2, round_samples=100, select_sample_size=200, seed=11)
+        result = train_and_select(UniqueVariantLog(tuple(variants)), cfg)
+        seen.update(result.train)
+        assert built == seen
+        assert sum(seen.values()) > len(set(seen))
 
     def test_seeded_training_stream_is_pinned(self):
         # Any change to the rng draws of a refinement round moves these
