@@ -17,8 +17,8 @@ Replay and precision search markings on the net's compiled form
 (``PetriNet.compiled``).  Precision and replay's silent moves read enabling
 and firing from its successor table, which lives as long as the net;
 replay's visible moves come from the label's groups of its consumer index
-and fire directly, adding no rows.  Their own memos (replay moves, silent
-closures) live for one call only.
+and fire directly, adding no rows.  Their own memos (replay moves,
+precision's continuations per marking set) live for one call only.
 
 Replay's heap order.  Replay is an A* search over (position, marking)
 states for the least pair (cost, firings).  The heap is ordered by two A*
@@ -94,9 +94,7 @@ class ConformanceScores:
 
     def __post_init__(self):
         for name, value in (("fitness", self.fitness), ("precision", self.precision)):
-            check_real(name, value)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidInputError(f"{name} must be in [0,1], got {value}")
+            check_real(name, value, "[0,1]")
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +439,14 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     set of continuations A(s), computed over every marking reachable by
     replaying s including silent closure; labels enabled but never observed
     escape.  Prefixes the net cannot replay are truncated at the first
-    failure and counted up to it.  Each marking's silent closure, and each
-    distinct marking set's continuations, are computed once per call; visible
-    steps come from the net's successor table.
+    failure and counted up to it.  Each distinct marking set's continuations
+    are computed once per call; visible steps come from the net's successor
+    table.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
     cn = net.compiled
     root = _build_prefix_trie(lstar)
-    closures: dict[TokenMarking, set[TokenMarking]] = {}
     # Visible continuations per marking set: label -> markings after firing it.
     steps: dict[frozenset[TokenMarking], dict[str, set[TokenMarking]]] = {}
     escaping = 0
@@ -463,9 +460,7 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
             if continuations is None:
                 closure: set[TokenMarking] = set()
                 for m in markings:
-                    if m not in closures:
-                        closures[m] = _silent_closure(cn, m)
-                    closure.update(closures[m])
+                    closure.update(_silent_closure(cn, m))
                     if len(closure) > _CLOSURE_LIMIT:
                         raise BudgetExceededError(
                             "escaping-edges replay exceeded marking limit",
@@ -494,9 +489,7 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
 def generalization_score(fit: float, prec: float) -> float:
     """Harmonic mean of fitness and precision; 0 when both are 0."""
     for name, value in (("fit", fit), ("prec", prec)):
-        check_real(name, value)
-        if not 0.0 <= value <= 1.0:
-            raise InvalidInputError(f"{name} must be in [0,1], got {value}")
+        check_real(name, value, "[0,1]")
     if fit + prec == 0.0:
         return 0.0
     return 2.0 * fit * prec / (fit + prec)

@@ -24,10 +24,16 @@ def check_count(name: str, value: int, minimum: int = 1) -> None:
         raise InvalidInputError(f"{name} must be >= {minimum}")
 
 
-def check_real(name: str, value: float) -> None:
-    """Reject a real-valued setting that is not a real number; a bool is not one."""
+def check_real(name: str, value: float, interval: str | None = None) -> None:
+    """Reject a real-valued setting that is not a real number; a bool is not one.
+
+    ``interval`` is ``"[0,1]"`` (closed) or ``"(0,1)"`` (open), written as the
+    message prints it; a value outside it, NaN included, is rejected."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    inside = {None: True, "[0,1]": 0.0 <= value <= 1.0, "(0,1)": 0.0 < value < 1.0}[interval]
+    if not inside:
+        raise InvalidInputError(f"{name} must be in {interval}, got {value}")
 
 
 class DegenerateInputError(InvalidInputError):

@@ -95,9 +95,7 @@ class ExperimentConfig:
         check_count("seed", self.seed, minimum=0)
         for name in ("jobs", "token_cap"):
             check_count(name, getattr(self, name))
-        check_real("split_ratio", self.split_ratio)
-        if not 0.0 < self.split_ratio < 1.0:
-            raise InvalidInputError(f"split_ratio must be in (0,1), got {self.split_ratio}")
+        check_real("split_ratio", self.split_ratio, "(0,1)")
 
 
 def _task_seed(seed: int, system_index: int, model_index: int) -> int:

@@ -440,9 +440,7 @@ class TrainConfig:
             check_count(name, getattr(self, name), minimum=0)
         _check_temperature(self.temperature)
         _check_smoothing(self.smoothing)
-        check_real("holdout_fraction", self.holdout_fraction)
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise InvalidInputError("holdout_fraction must be in (0,1)")
+        check_real("holdout_fraction", self.holdout_fraction, "(0,1)")
 
 
 def train_discriminator(

@@ -151,9 +151,7 @@ def split_holdout(
     if n < 2:
         raise InvalidInputError("split_holdout requires at least 2 variants")
     check_count("seed", seed, minimum=0)
-    check_real("fraction", fraction)
-    if not 0.0 < fraction < 1.0:
-        raise InvalidInputError(f"fraction must be in (0,1), got {fraction}")
+    check_real("fraction", fraction, "(0,1)")
     n_train = ceil(fraction * n)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)

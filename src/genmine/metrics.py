@@ -62,9 +62,7 @@ def split_system(v_s: Collection[Variant], ratio: float, seed: int) -> SystemTru
     if n < 2:
         raise InvalidInputError("split_system requires at least 2 variants")
     check_count("seed", seed, minimum=0)
-    check_real("ratio", ratio)
-    if not 0.0 < ratio < 1.0:
-        raise InvalidInputError(f"ratio must be in (0,1), got {ratio}")
+    check_real("ratio", ratio, "(0,1)")
     n_obs = math.floor(ratio * n)
     if n_obs < 1 or n_obs >= n:
         raise InvalidInputError(
@@ -189,7 +187,5 @@ def score_s(tp: float, tp_u: float) -> float:
     so balanced estimators beat lopsided ones of equal norm.
     """
     for name, value in (("tp", tp), ("tp_u", tp_u)):
-        check_real(name, value)
-        if not 0.0 <= value <= 1.0:
-            raise InvalidInputError(f"{name} must be in [0,1], got {value}")
+        check_real(name, value, "[0,1]")
     return (tp + tp_u) / SQRT2

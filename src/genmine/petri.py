@@ -65,6 +65,9 @@ class PetriNet:
         tids = [t.tid for t in self.transitions]
         if not tids:
             raise InvalidInputError("net needs at least one transition")
+        for node in (*self.places, *tids):
+            if not isinstance(node, str):
+                raise InvalidInputError(f"place and transition ids must be strings, got {node!r}")
         if len(set(tids)) != len(tids):
             raise InvalidInputError("transition ids must be unique")
         if self.places & set(tids):
@@ -86,7 +89,11 @@ class PetriNet:
         if sum(c for _, c in self.initial_marking) < 1:
             raise InvalidInputError("initial marking must hold at least one token")
         for t in self.transitions:
-            if t.label is not None and not t.label:
+            if t.label is not None and not isinstance(t.label, str):
+                raise InvalidInputError(
+                    f"transition {t.tid!r} label must be a string or null, got {t.label!r}"
+                )
+            if t.label == "":
                 raise InvalidInputError(f"transition {t.tid!r} has an empty label")
 
     def labels(self) -> frozenset[str]:
@@ -443,10 +450,12 @@ def net_to_dict(net: PetriNet) -> dict:
 def net_from_dict(data: Mapping) -> PetriNet:
     """Build a net from :func:`net_to_dict` output.
 
-    A missing or mistyped field, including a token count that is not a
-    non-negative integer, raises :class:`InvalidInputError`.
+    A missing or mistyped field (a token count that is not a non-negative
+    integer, a name that is not a string) raises :class:`InvalidInputError`.
     """
     try:
+        if not isinstance(data["places"], list):
+            raise InvalidInputError(f"places must be a list, got {data['places']!r}")
         return make_net(
             places=data["places"],
             transitions=[(t["id"], t.get("label")) for t in data["transitions"]],

@@ -92,7 +92,8 @@ def wilcoxon_upper(differences: Sequence[float]) -> tuple[float, float]:
     from scipy import stats
 
     if n > _WILCOXON_EXACT_MAX_N:
-        res = stats.wilcoxon(d, alternative="greater", method="asymptotic", correction=False)
+        # "approx" is the name scipy 1.10 takes; later releases read it as "asymptotic".
+        res = stats.wilcoxon(d, alternative="greater", method="approx", correction=False)
         return float(res.statistic), float(res.pvalue)
     ranks = stats.rankdata(np.abs(d))
     w_plus = float(np.sum(ranks[d > 0.0]))

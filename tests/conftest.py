@@ -16,6 +16,37 @@ def trace_from_labels(labels, case_id="c1", start=EPOCH):
     return Trace(case_id=case_id, events=events)
 
 
+def one_transition_net_json(**changes):
+    """The JSON of the net p -[t: a]-> q, with ``changes`` to its fields."""
+    data = {
+        "places": ["p", "q"],
+        "transitions": [{"id": "t", "label": "a"}],
+        "arcs": [{"from": "p", "to": "t"}, {"from": "t", "to": "q"}],
+        "initial_marking": {"p": 1},
+        "final_markings": [{"q": 1}],
+    }
+    data.update(changes)
+    return data
+
+
+# A net JSON whose names are not strings -> what `load_net` says of it.
+BAD_NAME_NETS = {
+    "label_int": (one_transition_net_json(transitions=[{"id": "t", "label": 5}]),
+                  "transition 't' label must be a string or null, got 5"),
+    "label_bool": (one_transition_net_json(transitions=[{"id": "t", "label": True}]),
+                   "transition 't' label must be a string or null, got True"),
+    "transition_id_int": (
+        one_transition_net_json(
+            transitions=[{"id": 7, "label": "a"}, {"id": "u", "label": "b"}],
+            arcs=[{"from": "p", "to": 7}, {"from": 7, "to": "q"},
+                  {"from": "p", "to": "u"}, {"from": "u", "to": "q"}]),
+        "place and transition ids must be strings, got 7"),
+    "place_int": (one_transition_net_json(places=[3, "p", "q"]),
+                  "place and transition ids must be strings, got 3"),
+    "places_string": (one_transition_net_json(places="pq"), "places must be a list, got 'pq'"),
+}
+
+
 def log_from_variants(variant_lists):
     traces = tuple(
         trace_from_labels(labels, case_id=f"c{i + 1}") for i, labels in enumerate(variant_lists)

@@ -24,6 +24,8 @@ from genmine import (
 from genmine.cli import build_parser, main
 from genmine.genmodel import CHECKPOINT_VERSION
 
+from .conftest import BAD_NAME_NETS
+
 SAMPLER_FLAGS = ("k", "kappa", "patience", "strict_pseudocode", "union_observed")
 
 # (command line with its required flags, dataclass, the fields it exposes as flags)
@@ -497,3 +499,55 @@ class TestExperimentCommand:
         assert report["seed"] == 7
         names = {m["name"] for m in report["systems"][0]["models"]}
         assert names == {"trace", "dfg", "sampler_naive"}
+
+
+class TestNetNames:
+    @pytest.mark.parametrize("command", [
+        ["playout", "--max-len", "3", "--out", "{tmp}/o.tsv"],
+        ["conformance", "--log", "{log}"],
+        ["experiment", "--baseline", "trace", "--out", "{tmp}/r.json"],
+    ], ids=["playout", "conformance", "experiment"])
+    @pytest.mark.parametrize("case", list(BAD_NAME_NETS))
+    def test_name_that_is_not_a_string_is_a_domain_error(self, tmp_path, tiny_log_file, capsys,
+                                                          case, command):
+        data, message = BAD_NAME_NETS[case]
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(data))
+        net_flag = "--system" if command[0] == "experiment" else "--net"
+        argv = [a.format(tmp=tmp_path, log=tiny_log_file[0]) for a in command]
+        code = main([*argv, net_flag, str(net_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: malformed net JSON: {message}\n"
+        assert "Traceback" not in err
+
+
+class TestFlagPaths:
+    @pytest.mark.parametrize("weights", ["seq", "seq=1,xor", "seq=1,"])
+    def test_weights_part_without_value_exits_2(self, tmp_path, weights):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-system", "--seed", "1", "--weights", weights,
+                  "--out", str(tmp_path / "n.json")])
+        assert exc.value.code == 2
+
+    def test_metrics_out_holds_the_printed_payload(self, tmp_path, capsys):
+        v_s = [(f"v{i}",) for i in range(6)]
+        files = {}
+        for name, content in [("system", v_s), ("observed", v_s[:4]),
+                              ("unobserved", v_s[4:]), ("sampled", v_s[:3])]:
+            files[name] = str(tmp_path / f"{name}.tsv")
+            write_variants_tsv(content, files[name])
+        out = tmp_path / "m.json"
+        assert main(["metrics", "--sampled", files["sampled"], "--system", files["system"],
+                     "--observed", files["observed"], "--unobserved", files["unobserved"],
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_experiment_reads_a_system_net_file(self, tmp_path, tiny_net_file, capsys):
+        net_path, net = tiny_net_file
+        out = tmp_path / "r.json"
+        assert main(["experiment", "--system", str(net_path), "--baseline", "trace",
+                     "--seed", "7", "--out", str(out)]) == 0
+        [system] = json.loads(out.read_text())["systems"]
+        assert system["name"] == "net"
+        assert system["counts"]["n_system"] == len(playout_enumerate(net, max_len=None))

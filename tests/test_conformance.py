@@ -747,3 +747,13 @@ class TestBudgetEdges:
         with pytest.raises(BudgetExceededError):
             etc_precision(net, lstar)
         assert net.compiled._successors == {}
+
+
+@pytest.mark.parametrize("score, name", [
+    (token_replay_fitness, "token_replay_fitness"),
+    (etc_precision, "etc_precision"),
+], ids=["fitness", "precision"])
+def test_empty_log_is_a_domain_error(score, name):
+    with pytest.raises(InvalidInputError) as info:
+        score(flower_model(["a"]), VariantLog(()))
+    assert str(info.value) == f"{name} requires a non-empty variant log"

@@ -1,8 +1,11 @@
 """The shared argument checks of `genmine.errors`, through the entry points
-that use them: a bad seed or a non-number is a domain error, never a bare
-`TypeError` or `ValueError`, and a bool is neither a seed nor a real number."""
+that use them: a bad seed, a non-number or a real value outside its unit
+interval is a domain error, never a bare `TypeError` or `ValueError`, and a
+bool is neither a seed nor a real number."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -69,3 +72,43 @@ def test_non_number_is_a_domain_error(entry, value):
     with pytest.raises(InvalidInputError) as info:
         call(value)
     assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+
+# entry point -> (the value's name in the message, its interval, a call with the value in its place)
+UNIT_RANGED = {
+    "ConformanceScores.fitness": ("fitness", "[0,1]",
+                                  lambda x: ConformanceScores(fitness=x, precision=0.5)),
+    "ConformanceScores.precision": ("precision", "[0,1]",
+                                    lambda x: ConformanceScores(fitness=0.5, precision=x)),
+    "generalization_score.fit": ("fit", "[0,1]", lambda x: generalization_score(x, 0.5)),
+    "generalization_score.prec": ("prec", "[0,1]", lambda x: generalization_score(0.5, x)),
+    "score_s.tp": ("tp", "[0,1]", lambda x: score_s(x, 0.5)),
+    "score_s.tp_u": ("tp_u", "[0,1]", lambda x: score_s(0.5, x)),
+    "split_system": ("ratio", "(0,1)", lambda x: split_system(VARIANTS, x, 1)),
+    "split_holdout": ("fraction", "(0,1)", lambda x: split_holdout(LPLUS, x, 1)),
+    "ExperimentConfig.split_ratio": ("split_ratio", "(0,1)",
+                                     lambda x: ExperimentConfig(split_ratio=x)),
+    "TrainConfig.holdout_fraction": ("holdout_fraction", "(0,1)",
+                                     lambda x: TrainConfig(holdout_fraction=x)),
+}
+# Values outside each interval: an open interval excludes its endpoints.
+OUTSIDE = {"[0,1]": (-0.25, 1.5, math.nan), "(0,1)": (0.0, 1.0, math.nan)}
+
+
+@pytest.mark.parametrize("case", [
+    (entry, value) for entry, (_, interval, _) in UNIT_RANGED.items()
+    for value in OUTSIDE[interval]
+], ids=lambda case: f"{case[0]}={case[1]}")
+def test_value_outside_its_interval_is_a_domain_error(case):
+    entry, value = case
+    name, interval, call = UNIT_RANGED[entry]
+    with pytest.raises(InvalidInputError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be in {interval}, got {value}"
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+@pytest.mark.parametrize("entry", [e for e, (_, interval, _) in UNIT_RANGED.items()
+                                   if interval == "[0,1]"])
+def test_closed_interval_takes_its_endpoints(entry, value):
+    UNIT_RANGED[entry][2](value)

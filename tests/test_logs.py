@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from genmine import (
     EventInstance,
+    EventLog,
     InvalidInputError,
     Trace,
     UniqueVariantLog,
@@ -21,7 +22,7 @@ from genmine import (
     write_variants_tsv,
 )
 
-from .conftest import log_from_variants, trace_from_labels
+from .conftest import EPOCH, log_from_variants, trace_from_labels
 
 
 class TestVariantOf:
@@ -204,3 +205,32 @@ class TestVariantTsv:
         path = tmp_path / "v.tsv"
         path.write_bytes(b"\xef\xbb\xbfa\tb\nc\n")
         assert read_variants_tsv(path) == (("a", "b"), ("c",))
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: EventInstance("", EPOCH), "event label must be non-empty"),
+        (lambda: UniqueVariantLog((("a",), ("b",), ("a",))),
+         "unique variant log contains repeats"),
+        (lambda: variant_of(("a", "b")), "variant_of requires a non-empty trace"),
+        (lambda: build_variant_logs(EventLog(())), "build_variant_logs requires a non-empty log"),
+        (lambda: synth_event_log([("a",), ()]), "variants must be non-empty"),
+    ], ids=["empty_label", "repeated_variant", "not_a_trace", "empty_log", "empty_variant"])
+    def test_bad_value(self, call, message):
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_event_log_csv, "case_id,activity,timestamp\nc1,a\n",
+         "line 2: expected 3 columns, got 2"),
+        (read_event_log_csv, "case_id,activity,timestamp\n\n", "event log {path} contains no rows"),
+        (read_variants_tsv, "a\tb\na\t\tb\n", "line 2: empty label"),
+        (read_variants_tsv, "\n\n", "variant file {path} is empty"),
+    ], ids=["short_csv_row", "csv_without_rows", "tsv_empty_label", "empty_tsv"])
+    def test_bad_file(self, tmp_path, reader, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as info:
+            reader(path)
+        assert str(info.value) == message.format(path=path)

@@ -55,3 +55,9 @@ class TestLossGradient:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             loss_gradient(np.ones((2, 3)), np.ones((2, 3)), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("n_real, n_fake", [(0, 2), (2, 0)])
+    def test_empty_batch_rejected(self, n_real, n_fake):
+        with pytest.raises(InvalidInputError) as info:
+            loss_gradient(np.ones((n_real, 2)), np.ones((n_fake, 2)), np.zeros(2), 0.0)
+        assert str(info.value) == "both batches must be non-empty"

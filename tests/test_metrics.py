@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genmine import InvalidInputError, compute_rates, score_s, split_system
+from genmine import (
+    InvalidInputError,
+    MetricsReport,
+    SystemTruth,
+    UniqueVariantLog,
+    compute_rates,
+    score_s,
+    split_system,
+)
 
 
 def variants(prefix, n, length=1):
@@ -141,3 +149,38 @@ class TestScoreS:
         if b <= 0.99:
             assert score_s(a, min(b + 0.01, 1.0)) >= score_s(a, b)
         assert score_s(a, a) == pytest.approx(a * math.sqrt(2.0), abs=1e-12)
+
+
+def truth(v_s, lplus, v_u):
+    return SystemTruth(v_s=frozenset(v_s), lplus=UniqueVariantLog(tuple(lplus)),
+                       v_u=frozenset(v_u))
+
+
+def report(**counts):
+    fields = dict(n_sampled=1, n_system=2, n_observed=1, n_unobserved=1,
+                  hits_system=1, hits_observed=1, hits_unobserved=0)
+    fields.update(counts)
+    return MetricsReport(**fields)
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: truth([("a",), ("b",)], [("a",)], []),
+         "observed and unobserved parts must cover the system set"),
+        (lambda: truth([("a",), ("b",)], [("a",), ("b",)], [("a",)]),
+         "observed and unobserved parts must be disjoint"),
+        (lambda: truth([("a",)], [("a",)], []),
+         "both observed and unobserved parts must be non-empty"),
+        (lambda: truth([("a",), ("a", "b")], [("a",)], [("a", "b")]),
+         "observed part must contain a maximal-length variant"),
+        (lambda: split_system([("a",), ("b",)], 0.4, 1),
+         "ratio 0.4 leaves a degenerate split (0/2) for 2 variants"),
+        (lambda: report(n_system=0), "n_system must be >= 1"),
+        (lambda: report(hits_observed=0),
+         "count identity violated: system hits must split"),
+    ], ids=["truth_cover", "truth_disjoint", "truth_empty_part", "truth_no_longest",
+            "degenerate_split", "report_no_system", "report_identity"])
+    def test_bad_value(self, call, message):
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message

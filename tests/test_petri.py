@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import re
 import tracemalloc
 
@@ -17,6 +18,7 @@ from genmine import (
     build_system,
     dfg_discover,
     flower_model,
+    load_net,
     make_net,
     net_from_dict,
     net_to_dict,
@@ -25,6 +27,7 @@ from genmine import (
 )
 from genmine.petri import CompiledNet, PetriNet, Transition
 
+from .conftest import BAD_NAME_NETS
 from .oracles import brute_force_playout
 
 
@@ -443,3 +446,39 @@ class TestOracleAgreement:
         assert playout_enumerate(silent_skip_net, max_len=3) == brute_force_playout(
             silent_skip_net, 3, 3
         )
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_net(["p"], [], [], {"p": 1}), "net needs at least one transition"),
+        (lambda: make_net(["p"], [("t", "a"), ("t", "b")], [], {"p": 1}),
+         "transition ids must be unique"),
+        (lambda: make_net(["p", "t"], [("t", "a")], [], {"p": 1}),
+         "place and transition ids must not collide"),
+        (lambda: make_net(["p"], [("t", "a")], [("p", "t")], {"q": 1}),
+         "bad initial marking entry ('q', 1)"),
+        (lambda: make_net(["p"], [("t", "a")], [("p", "t")], {"p": 1}, [{"q": 1}]),
+         "bad final marking entry ('q', 1)"),
+        (lambda: make_net(["p"], [("t", "")], [("p", "t")], {"p": 1}),
+         "transition 't' has an empty label"),
+        (lambda: make_net(["p"], [("t", "a")], [("p", "t")], {"p": 1}).compiled.encode({"z": 1}),
+         "marking references unknown place 'z'"),
+        (lambda: trace_model(UniqueVariantLog(())), "trace_model requires a non-empty variant log"),
+        (lambda: flower_model([]), "flower_model requires a non-empty alphabet"),
+        (lambda: dfg_discover(VariantLog(())), "dfg_discover requires a non-empty variant log"),
+    ], ids=["no_transition", "repeated_transition_id", "id_collision", "initial_unknown_place",
+            "final_unknown_place", "empty_label", "encode_unknown_place", "empty_trace_model",
+            "empty_flower_alphabet", "empty_dfg_log"])
+    def test_bad_value(self, call, message):
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", list(BAD_NAME_NETS))
+    def test_name_that_is_not_a_string(self, tmp_path, case):
+        data, message = BAD_NAME_NETS[case]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError) as info:
+            load_net(path)
+        assert str(info.value) == f"malformed net JSON: {message}"

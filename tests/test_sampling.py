@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from genmine import (
     InvalidInputError,
+    SampleResult,
     sampling,
     UniqueVariantLog,
     fit_mle,
@@ -356,3 +357,9 @@ class TestMhSample:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert (rng.bit_generator.seed_seq.n_children_spawned
                 == ref_rng.bit_generator.seed_seq.n_children_spawned)
+
+
+def test_sample_result_needs_unobserved_within_estimate():
+    with pytest.raises(InvalidInputError) as info:
+        SampleResult(v_hat_s=frozenset({VA}), v_hat_u=frozenset({VB}), draw_count=1)
+    assert str(info.value) == "v_hat_u must be a subset of v_hat_s"

@@ -176,3 +176,14 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: shapiro_wilk([[1.0, 2.0], [3.0, 4.0]]), "sample must be one-dimensional"),
+    (lambda: paired_t_upper([1.0, float("nan"), 2.0]), "differences must be finite"),
+    (lambda: paired_t_upper([1.0]), "paired_t_upper requires n >= 2"),
+], ids=["two_dimensional", "not_finite", "single_difference"])
+def test_domain_error(call, message):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == message

@@ -182,3 +182,19 @@ class TestOracleEquivalence:
             if mine != oracle:
                 mismatches.append(seed)
         assert mismatches == []
+
+
+class TestDomainErrors:
+    def test_fanout_bounds_ordered(self):
+        with pytest.raises(InvalidInputError) as info:
+            spec_with(fanout_min=3, fanout_max=2)
+        assert str(info.value) == "need 2 <= fanout_min <= fanout_max"
+
+    def test_too_many_final_markings(self):
+        spec = spec_with(seed=0, depth=4, alphabet_budget=60, loop_unroll=3,
+                         weights={"seq": 1.0, "loop": 1.0})
+        with pytest.raises(BuildError) as info:
+            build_system(spec)
+        assert str(info.value) == (
+            "5 loops would need 1024 final markings; reduce loop weight or unroll bound"
+        )
