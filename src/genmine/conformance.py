@@ -14,11 +14,10 @@ each of those variants once.  Both conformance functions are parameters so
 stronger metrics can be swapped in without touching the pipeline.
 
 Replay and precision search markings on the net's compiled form
-(``PetriNet.compiled``).  Precision and replay's silent moves read enabling
-and firing from its successor table, which lives as long as the net;
-replay's visible moves come from the label's groups of its consumer index
-and fire directly, adding no rows.  Their own memos (replay moves,
-precision's continuations per marking set) live for one call only.
+(``PetriNet.compiled``).  Like playout, both read enabling and firing from
+its one successor table, which lives as long as the net; only replay's
+force-fires fire outside it.  Their own memos (replay moves, precision's
+continuations per marking set) live for one call only.
 
 Replay's heap order.  Replay is an A* search over (position, marking)
 states for the least pair (cost, firings).  The heap is ordered by two A*
@@ -33,7 +32,9 @@ depth key is ``-pos``, so among ties the deepest state goes first and a
 variant that replays cleanly follows one chain.  On any other net, a
 built system's among them, both bounds and the depth key are 0: Dijkstra's
 search in the order (cost, firings, push order), the order the reference
-replay of the tests follows.
+replay of the tests follows.  A replay move (``_Move``) holds only what it
+does on the net, and ``_replay_variant`` alone works out the keys of the
+state it reaches.
 
 The pair bound is consistent: a labelled or silent move keeps the token
 count, a force-fire adds one token at a cost of at least 1, and settling
@@ -61,8 +62,7 @@ error's partial count and kind follow, may differ.  On a one-token net,
 replay first walks the log's prefixes (``_clean_replays``).  A walk state
 holds each marking that clean replays of a prefix reach, with the fewest
 silent firings that reach it; its steps are the A*'s moves that cost
-nothing, labelled ones from the consumer index and silent ones from the
-successor table, and each (state, label) step is taken once per call.  A
+nothing, and each (state, label) step is taken once per call.  A
 variant whose state holds a final marking replays cleanly, so the A* would
 settle (0, ``len(v)`` plus those silent firings), and by the identities
 above with U = 0 its counts are missing 0, remaining 0, consumed
@@ -142,14 +142,10 @@ class _TokenCounts:
 
 _REPLAY_POP_LIMIT = 200_000
 
-# One replay move: (added cost, added cost key, added firings key, added
-# depth key, labels advanced, next marking, consumed, produced).  On a
-# one-token net the cost key is the cost plus the token surplus, the firings
-# key is ``firings - pos`` (the firings plus the labels left, less the
-# variant's length) and the depth key is ``-pos``, so a move adds
-# ``1 - dpos`` and ``-dpos`` to the last two; on any other net the keys are
-# the cost, the firings and 0, so a move adds 1 and 0.
-_Move = tuple[int, int, int, int, int, TokenMarking, int, int]
+# One replay move, what it does on the net: (added cost, labels advanced,
+# next marking, consumed, produced).  ``_replay_variant`` works out the heap
+# keys from it.
+_Move = tuple[int, int, TokenMarking, int, int]
 
 
 def _overlap(a: TokenMarking, b: TokenMarking) -> int:
@@ -172,34 +168,27 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
 
     ``label is None`` once the variant is consumed.  Order is push order:
     an unknown label's one missing-token event, then every enabled
-    candidate, then the cheapest force-fired one, then silent transitions.
-    On a one-token net only a force-fire changes the token count, by one,
-    so it alone raises the bound as well as the cost; a move that advances
-    a label keeps the firings key and lowers the depth key by one, and a
-    silent move raises the firings key by one.
+    transition of the label, from the marking's successor row, then the
+    cheapest force-fired one, then silent transitions.
     """
     moves: list[_Move] = []
-    bounded = cn.token_goal is not None
-    dfir, ddepth = (0, -1) if bounded else (1, 0)
+    pre, post, labels = cn.pre, cn.post, cn.labels
+    row = cn.successors(marking)
     if label is not None:
         cands = cn.by_label.get(label, ())
         if not cands:
             # Unknown label: one missing-token event by convention.
-            moves.append((1, 1, dfir, ddepth, 1, marking, 1, 0))
+            moves.append((1, 1, marking, 1, 0))
         # Every enabled candidate is explored (keeps clean replays exact);
         # force-firing branches only through the cheapest disabled one.
-        held = set(marking)
-        pre, post = cn.pre, cn.post
-        enabled = set(cn.unconditional.get(label, ()))
-        for p in held:
-            for ti in cn.consumers[p].get(label, ()):
-                if pre[ti] <= held:
-                    enabled.add(ti)
-        for ti in sorted(enabled):
-            moves.append((0, 0, dfir, ddepth, 1, cn.fire(marking, ti), len(pre[ti]),
-                          len(post[ti])))
+        enabled = set()
+        for ti, nxt in row:
+            if labels[ti] == label:
+                enabled.add(ti)
+                moves.append((0, 1, nxt, len(pre[ti]), len(post[ti])))
         # A deficit of 1 is the least a disabled candidate can have, so the
         # scan stops at the first one; the earliest candidate wins ties.
+        held = set(marking)
         disabled: tuple[int, int] | None = None
         for ti in cands:
             if ti in enabled:
@@ -211,14 +200,11 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
                     break
         if disabled is not None:
             deficit, ti = disabled
-            nxt = cn.fire(marking, ti)
-            growth = len(nxt) - len(marking) if bounded else 0
-            moves.append((deficit, deficit + growth, dfir, ddepth, 1, nxt, len(pre[ti]),
-                          len(post[ti])))
+            moves.append((deficit, 1, cn.fire(marking, ti), len(pre[ti]), len(post[ti])))
     if cn.has_silent:
-        for si, nxt in cn.successors(marking):
-            if cn.labels[si] is None:
-                moves.append((0, 0, 1, 0, 0, nxt, len(cn.pre[si]), len(cn.post[si])))
+        for si, nxt in row:
+            if labels[si] is None:
+                moves.append((0, 0, nxt, len(pre[si]), len(post[si])))
     return tuple(moves)
 
 
@@ -242,7 +228,8 @@ def _replay_variant(
     """
     init_produced = len(cn.initial)
     goal = cn.token_goal
-    start_key = 0 if goal is None else len(cn.initial) - goal
+    bounded = goal is not None
+    start_key = len(cn.initial) - goal if bounded else 0
     # heap entries: (cost key, firings key, depth key, tiebreak, cost, pos, marking,
     # consumed, produced, settled).  On a fixed state the firings key differs
     # from the firings by a constant, so ``best`` stores (cost, firings key).
@@ -252,7 +239,7 @@ def _replay_variant(
     pops = 0
     n = len(variant)
     while heap:
-        key, fkey, depth, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
+        _, fkey, depth, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
         if settled is not None:
             rem_f, final = settled
             return _TokenCounts(
@@ -285,14 +272,20 @@ def _replay_variant(
         moves = memo.get((label, marking))
         if moves is None:
             moves = memo[(label, marking)] = _replay_moves(cn, label, marking)
-        for dcost, dkey, dfkey, ddepth, dpos, nxt, dconsumed, dproduced in moves:
-            cost2, fkey2, state = cost + dcost, fkey + dfkey, (pos + dpos, nxt)
+        for dcost, dpos, nxt, dconsumed, dproduced in moves:
+            cost2, pos2 = cost + dcost, pos + dpos
+            if bounded:
+                # the heap keys of a one-token net (see the module docstring)
+                key2, fkey2, depth2 = cost2 + len(nxt) - goal, fkey + 1 - dpos, -pos2
+            else:
+                key2, fkey2, depth2 = cost2, fkey + 1, 0
+            state = (pos2, nxt)
             seen = best.get(state)
             if seen is None or (cost2, fkey2) < seen:
                 best[state] = (cost2, fkey2)
                 counter += 1
-                heappush(heap, (key + dkey, fkey2, depth + ddepth, counter, cost2, pos + dpos,
-                                nxt, consumed + dconsumed, produced + dproduced, None))
+                heappush(heap, (key2, fkey2, depth2, counter, cost2, pos2, nxt,
+                                consumed + dconsumed, produced + dproduced, None))
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 
 
@@ -333,7 +326,7 @@ def _walk_step(
             moves = memo.get((None, m))
             if moves is None:
                 moves = memo[(None, m)] = _replay_moves(cn, None, m)
-            reached += [nxt for *_, nxt, _, _ in moves if nxt not in fewest]
+            reached += [nxt for _, _, nxt, _, _ in moves if nxt not in fewest]
         frontier = reached
         firings += 1
     end = min((fewest[f] for f in cn.finals if f in fewest), default=None)
@@ -371,7 +364,7 @@ def _clean_replays(
                     moves = memo.get((label, m))
                     if moves is None:
                         moves = memo[(label, m)] = _replay_moves(cn, label, m)
-                    for dcost, _, _, _, dpos, nxt, _, _ in moves:
+                    for dcost, dpos, nxt, _, _ in moves:
                         if dcost == 0 and dpos == 1 and f < seeds.get(nxt, f + 1):
                             seeds[nxt] = f
                 steps[key] = _walk_step(cn, seeds, memo)

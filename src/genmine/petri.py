@@ -15,10 +15,10 @@ so firing, enabling checks and hashing cost time in the number of tokens,
 not in the number of places.  Its successor table, filled per marking on
 first visit and kept with the net, is the one enabling-and-firing relation
 all three searches read; a search that raises drops the rows it added.
-Rows come from one consumer index that groups, per place, the transitions
-the place enables by label.  Playout filters each marking's row by the
-token cap once per call, and token replay reads only its label's groups
-instead of the table, so its visible moves add no rows.
+Rows come from one flat consumer index: per place, the transitions with
+that place in their preset.  Playout filters each marking's row by the
+token cap once per call, and token replay takes the moves of the label it
+replays from the row.
 
 State explosion is kept in check three ways: a per-place token cap, a cap
 on the visible sequence length, and a global expansion budget that raises
@@ -28,6 +28,7 @@ on the visible sequence length, and a global expansion budget that raises
 from __future__ import annotations
 
 import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,7 +126,13 @@ def make_net(
     """Convenience constructor from plain containers.
 
     A token count must be a non-negative ``int``; zero counts are dropped.
+    Arcs have weight 1, so a place or arc given twice is rejected.
     """
+    places, arcs = list(places), list(arcs)
+    for kind, items in (("place", places), ("arc", arcs)):
+        if len(set(items)) < len(items):
+            repeated = next(item for item, n in Counter(items).items() if n > 1)
+            raise InvalidInputError(f"{kind} {repeated!r} is repeated")
     return PetriNet(
         places=frozenset(places),
         transitions=tuple(Transition(tid, label) for tid, label in transitions),
@@ -163,12 +170,12 @@ class CompiledNet:
     exactly one such tuple, so hashing and equality cost O(tokens), not
     O(places).  Arcs carry no weights: a transition is enabled when every
     place of its preset holds a token, so only transitions next to a marked
-    place are checked.  ``consumers[p][label]`` lists, in index order, the
-    transitions with place ``p`` in their preset and that label (``None``
-    for silent ones), and ``unconditional[label]`` the empty-preset ones,
-    which every marking enables; label keys follow their first transition.
-    ``successors`` reads every group of the marked places, token replay
-    only the group of the label it replays.
+    place are checked.  ``consumers[p]`` lists, in index order, the
+    transitions with place ``p`` in their preset, and ``unconditional`` the
+    empty-preset ones, which every marking enables.  ``successors`` reads
+    both, and its rows are the one enabling relation of playout, token
+    replay and precision.  ``by_label`` lists each label's transitions, for
+    replay's unknown labels and force-fires.
     """
 
     def __init__(self, net: PetriNet):
@@ -200,18 +207,15 @@ class CompiledNet:
         self.token_goal = final_sizes.pop() if one_token else None
         # The consumer index (see the class docstring), and the labeled
         # transitions per label.
-        consumers: list[dict[str | None, list[int]]] = [{} for _ in self.place_index]
-        unconditional: dict[str | None, list[int]] = {}
+        consumers: list[list[int]] = [[] for _ in self.place_index]
         by_label: dict[str, list[int]] = {}
         for ti, label in enumerate(self.labels):
             for p in pre[ti]:
-                consumers[p].setdefault(label, []).append(ti)
-            if not pre[ti]:
-                unconditional.setdefault(label, []).append(ti)
+                consumers[p].append(ti)
             if label is not None:
                 by_label.setdefault(label, []).append(ti)
-        self.consumers = tuple({k: tuple(v) for k, v in c.items()} for c in consumers)
-        self.unconditional = {k: tuple(v) for k, v in unconditional.items()}
+        self.consumers = tuple(map(tuple, consumers))
+        self.unconditional = tuple(ti for ti, ps in enumerate(pre) if not ps)
         self.by_label = {k: tuple(v) for k, v in by_label.items()}
         self._successors: dict[TokenMarking, tuple[tuple[int, TokenMarking], ...]] = {}
 
@@ -246,12 +250,9 @@ class CompiledNet:
         row = self._successors.get(marking)
         if row is None:
             held = set(marking)
-            cands: set[int] = set()
-            for group in self.unconditional.values():
-                cands.update(group)
+            cands = set(self.unconditional)
             for p in held:
-                for group in self.consumers[p].values():
-                    cands.update(group)
+                cands.update(self.consumers[p])
             pre = self.pre
             row = self._successors[marking] = tuple(
                 (ti, self.fire(marking, ti)) for ti in sorted(cands) if pre[ti] <= held

@@ -29,7 +29,8 @@ def one_transition_net_json(**changes):
     return data
 
 
-# A net JSON whose names are not strings -> what `load_net` says of it.
+# A net JSON whose names are not strings, or that repeats a place or an
+# arc -> what `load_net` says of it.
 BAD_NAME_NETS = {
     "label_int": (one_transition_net_json(transitions=[{"id": "t", "label": 5}]),
                   "transition 't' label must be a string or null, got 5"),
@@ -44,6 +45,11 @@ BAD_NAME_NETS = {
     "place_int": (one_transition_net_json(places=[3, "p", "q"]),
                   "place and transition ids must be strings, got 3"),
     "places_string": (one_transition_net_json(places="pq"), "places must be a list, got 'pq'"),
+    "place_repeated": (one_transition_net_json(places=["p", "q", "p"]), "place 'p' is repeated"),
+    "arc_repeated": (
+        one_transition_net_json(arcs=[{"from": "p", "to": "t"}, {"from": "p", "to": "t"},
+                                      {"from": "t", "to": "q"}]),
+        "arc ('p', 't') is repeated"),
 }
 
 

@@ -196,15 +196,21 @@ class TestModelGeneralization:
 
 
 class TestSuccessorTable:
-    def test_force_fired_markings_get_true_rows(self):
-        # Replay force-fires disabled transitions and then reads the silent
-        # moves out of the markings it reaches; each row it leaves in the
-        # net's table must be the enabled relation of a fresh compiled net.
-        net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
-                                      weights=SILENT_WEIGHTS, silent_skip=True,
-                                      duplicate_label=True))
-        labels = sorted(net.labels())
-        lstar = VariantLog((tuple(reversed(labels)) * 2, tuple(labels), tuple(labels[:1])))
+    @pytest.mark.parametrize("case", ["system", "trace", "dfg"])
+    def test_force_fired_markings_get_true_rows(self, case):
+        # Replay force-fires disabled transitions and then reads the moves
+        # out of the markings it reaches from their rows, on one-token nets
+        # too; each row it leaves in the net's table must be the enabled
+        # relation of a fresh compiled net.
+        if case == "system":
+            net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
+                                          weights=SILENT_WEIGHTS, silent_skip=True,
+                                          duplicate_label=True))
+            labels = sorted(net.labels())
+            lstar = VariantLog((tuple(reversed(labels)) * 2, tuple(labels), tuple(labels[:1])))
+        else:
+            trace, dfg, variants = _bench_sized_case()
+            net, lstar = (trace if case == "trace" else dfg), VariantLog(tuple(variants))
         assert token_replay_fitness(net, lstar) < 1.0
         fresh = petri.CompiledNet(net)
         reachable = {fresh.initial}

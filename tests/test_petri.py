@@ -113,7 +113,7 @@ EMPTY_PRESET_NET = make_net(
 
 
 class TestCompiledIndexes:
-    """The per-label indexes and the one-token property of ``CompiledNet``."""
+    """The consumer and label indexes and the one-token property of ``CompiledNet``."""
 
     @pytest.mark.parametrize("net_case", [0, 1, 5, "empty_presets"])
     def test_label_indexes_list_transitions_in_index_order(self, net_case):
@@ -123,24 +123,25 @@ class TestCompiledIndexes:
             net = build_system(SystemSpec(seed=net_case, depth=2, duplicate_label=True,
                                           silent_skip=True))
         cn = CompiledNet(net)
-        consumers = [{} for _ in cn.place_index]
-        unconditional, by_label = {}, {}
+        consumers = [() for _ in cn.place_index]
+        unconditional, by_label = (), {}
         for i, label in enumerate(cn.labels):
             for p in cn.pre[i]:
-                consumers[p][label] = consumers[p].get(label, ()) + (i,)
+                consumers[p] += (i,)
             if not cn.pre[i]:
-                unconditional[label] = unconditional.get(label, ()) + (i,)
+                unconditional += (i,)
             if label is not None:
                 by_label[label] = by_label.get(label, ()) + (i,)
-        assert [list(c.items()) for c in cn.consumers] == [list(c.items()) for c in consumers]
-        assert list(cn.unconditional.items()) == list(unconditional.items())
+        assert cn.consumers == tuple(consumers)
+        assert cn.unconditional == unconditional
         assert list(cn.by_label.items()) == list(by_label.items())
 
-    def test_empty_preset_transitions_are_grouped_by_label(self):
+    def test_empty_preset_transitions_are_unconditional(self):
         cn = CompiledNet(EMPTY_PRESET_NET)
         tid = {t.tid: i for i, t in enumerate(cn.transitions)}
-        assert cn.unconditional == {"b": (tid["t_new_b"],), None: (tid["t_tau"],)}
-        assert cn.consumers[cn.place_index["p"]] == {"a": (tid["t_a"],), "b": (tid["t_b"],)}
+        assert cn.unconditional == (tid["t_new_b"], tid["t_tau"])
+        assert cn.consumers[cn.place_index["p"]] == (tid["t_a"], tid["t_b"])
+        assert cn.by_label == {"a": (tid["t_a"],), "b": (tid["t_b"], tid["t_new_b"])}
         # every marking, the empty one too, enables the empty-preset transitions
         assert [ti for ti, _ in cn.successors(())] == [tid["t_new_b"], tid["t_tau"]]
 
