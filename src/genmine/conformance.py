@@ -420,7 +420,10 @@ def _build_prefix_trie(lstar: VariantLog) -> _TrieNode:
     for v in lstar:
         node = root
         for label in v:
-            node = node.children.setdefault(label, _TrieNode())
+            child = node.children.get(label)
+            if child is None:
+                child = node.children[label] = _TrieNode()
+            node = child
             node.count += 1
     return root
 

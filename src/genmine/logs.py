@@ -178,13 +178,11 @@ def synth_event_log(variants: Iterable[Variant], seed: int = 0) -> EventLog:
     check_count("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(unique))
+    stamps = [SYNTH_EPOCH + timedelta(seconds=j) for j in range(max(map(len, unique)))]
     traces = []
     for case_no, idx in enumerate(order.tolist()):
         v = unique[idx]
-        events = tuple(
-            EventInstance(label, SYNTH_EPOCH + timedelta(seconds=j))
-            for j, label in enumerate(v)
-        )
+        events = tuple(map(EventInstance, v, stamps))
         traces.append(Trace(case_id=f"case_{case_no + 1:05d}", events=events))
     return EventLog(tuple(traces))
 

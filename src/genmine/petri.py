@@ -1,9 +1,11 @@
 """Labeled Petri nets with silent transitions and bounded playout.
 
 A net is a bipartite graph of places and transitions; a marking assigns a
-non-negative token count to each place.  Playout walks the marking graph
-depth-first and records the visible label sequence whenever a final marking
-is reached.  Nets without declared final markings are played out in
+non-negative token count to each place.  Playout walks the visible label
+sequences depth-first.  A prefix's search state is the set of markings it
+reaches, closed under silent firings, so each prefix is visited once however
+many markings it reaches; the prefix is recorded when its state holds a
+final marking.  Nets without declared final markings are played out in
 permissive mode: any deadlock with at least one emitted label terminates a
 variant, which is what unsound discovered nets need.
 
@@ -21,8 +23,9 @@ token cap once per call, and token replay takes the moves of the label it
 replays from the row.
 
 State explosion is kept in check three ways: a per-place token cap, a cap
-on the visible sequence length, and a global expansion budget that raises
-:class:`~genmine.errors.BudgetExceededError` with the partial result count.
+on the visible sequence length, and a global budget on (marking, prefix)
+pairs that raises :class:`~genmine.errors.BudgetExceededError` with the
+partial result count.
 """
 
 from __future__ import annotations
@@ -279,6 +282,32 @@ def _exceeds_cap(marking: TokenMarking, cap: int) -> bool:
     return any(marking[i] == marking[i + cap] for i in range(len(marking) - cap))
 
 
+class _PlayoutRows(dict):
+    """One playout call's rows: marking -> (whether it is a deadlock, its
+    visible (label, next marking) steps, its silent next markings), each
+    next marking within the token cap; a row is worked out on first lookup.
+    A marking whose successors all exceed the cap is not a deadlock."""
+
+    def __init__(self, cn: CompiledNet, token_cap: int | None):
+        super().__init__()
+        self.cn = cn
+        self.token_cap = token_cap
+
+    def __missing__(self, marking: TokenMarking):
+        cn, token_cap = self.cn, self.token_cap
+        succ = cn.successors(marking)
+        visible, silent = [], []
+        for ti, nxt in succ:
+            if token_cap is None or not _exceeds_cap(nxt, token_cap):
+                label = cn.labels[ti]
+                if label is None:
+                    silent.append(nxt)
+                else:
+                    visible.append((label, nxt))
+        row = self[marking] = (not succ, tuple(visible), tuple(silent))
+        return row
+
+
 def playout_enumerate(
     net: PetriNet,
     max_len: int | None,
@@ -287,16 +316,20 @@ def playout_enumerate(
 ) -> frozenset[Variant]:
     """Enumerate every variant the net can play out within the bounds.
 
-    Exhaustive DFS over (marking, emitted prefix) states.  A state is pruned
-    when any place would exceed ``token_cap`` or the visible prefix would
-    exceed ``max_len``.  Silent transitions advance the marking without
-    emitting.  With declared final markings a variant is recorded exactly
-    when one is reached; otherwise any deadlock with a non-empty prefix
-    records one (permissive mode).  A marking whose successors all exceed
-    the cap is not a deadlock.
+    DFS over emitted prefixes, each pushed once, by its parent.  A prefix's
+    search state is the set of markings it reaches, closed under silent
+    firings; firings past ``token_cap`` and visible steps past ``max_len``
+    are pruned.  A non-empty prefix is recorded when its state holds a final
+    marking or, on a net without declared finals, a deadlock (permissive
+    mode).  Per call, each marking's row is filtered by the cap once, and
+    each distinct state works out once whether it records and, when a
+    prefix below ``max_len`` needs them, its visible steps.
 
-    Each marking's successor row is filtered by the cap and labeled once per
-    call, however many prefixes reach the marking.
+    The budget counts (marking, prefix) pairs: a popped prefix costs the
+    size of its state, and a silent closure raises as soon as the pairs
+    charged so far plus its size pass the budget.  So a playout fits its
+    budget exactly when a search over pairs would.  ``partial_count`` counts
+    the variants recorded before the budget ran out, in this prefix order.
     """
     if max_len is not None:
         check_count("max_len", max_len)
@@ -304,45 +337,64 @@ def playout_enumerate(
         check_count("token_cap", token_cap)
     check_count("budget", budget)
     cn = net.compiled
-    labels = cn.labels
-    results: set[Variant] = set()
-    start = (cn.initial, ())
-    stack = [start]
-    visited = {start}
     finals = set(cn.finals)
-    # marking -> (label, next marking) per successor within the cap
-    steps: dict[TokenMarking, tuple[tuple[str | None, TokenMarking], ...]] = {}
-    expansions = 0
+    rows = _PlayoutRows(cn, token_cap)
+    # state -> [whether it records, its (label, next state) steps or None]
+    memo: dict[frozenset[TokenMarking], list] = {}
+    results: set[Variant] = set()
+    charged = 0
+
+    def over_budget() -> BudgetExceededError:
+        return BudgetExceededError(
+            f"playout exceeded budget of {budget} expansions",
+            partial_count=len(results),
+        )
+
+    def silent_closure(markings: set[TokenMarking]) -> frozenset[TokenMarking]:
+        """The markings and all that silent firings reach from them."""
+        todo = list(markings)
+        while todo:
+            for nxt in rows[todo.pop()][2]:
+                if nxt not in markings:
+                    markings.add(nxt)
+                    if charged + len(markings) > budget:
+                        raise over_budget()
+                    todo.append(nxt)
+        return frozenset(markings)
+
+    # without silent transitions every set of markings is closed
+    close = silent_closure if cn.has_silent else frozenset
     with cn.search():
+        stack = [(close({cn.initial}), ())]
         while stack:
-            marking, prefix = stack.pop()
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(
-                    f"playout exceeded budget of {budget} expansions",
-                    partial_count=len(results),
-                )
-            if finals and marking in finals and prefix:
+            state, prefix = stack.pop()
+            charged += len(state)
+            if charged > budget:
+                raise over_budget()
+            entry = memo.get(state)
+            if entry is None:
+                records = (not finals.isdisjoint(state) if finals
+                           else any(rows[m][0] for m in state))
+                entry = memo[state] = [records, None]
+            if entry[0] and prefix:
                 results.add(prefix)
-            row = steps.get(marking)
-            if row is None:
-                row = steps[marking] = tuple(
-                    (labels[ti], nxt) for ti, nxt in cn.successors(marking)
-                    if token_cap is None or not _exceeds_cap(nxt, token_cap)
-                )
-            at_max_len = max_len is not None and len(prefix) >= max_len
-            for label, nxt_marking in row:
-                if label is None:
-                    nxt = (nxt_marking, prefix)
-                elif at_max_len:
-                    continue
-                else:
-                    nxt = (nxt_marking, prefix + (label,))
-                if nxt not in visited:
-                    visited.add(nxt)
-                    stack.append(nxt)
-            if not finals and prefix and not cn.successors(marking):
-                results.add(prefix)
+            if max_len is not None and len(prefix) >= max_len:
+                continue
+            steps = entry[1]
+            if steps is None:
+                by_label: dict[str, set[TokenMarking]] = {}
+                for m in state:
+                    for label, nxt in rows[m][1]:
+                        reached = by_label.get(label)
+                        if reached is None:
+                            by_label[label] = {nxt}
+                        else:
+                            reached.add(nxt)
+                steps = entry[1] = [
+                    (label, close(reached)) for label, reached in by_label.items()
+                ]
+            for label, nxt in steps:
+                stack.append((nxt, prefix + (label,)))
     return frozenset(results)
 
 

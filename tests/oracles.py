@@ -1,9 +1,10 @@
 """Independent oracle implementations used to cross-check the library.
 
 These deliberately share no code with the package: the playout oracle is a
-plain recursive path enumeration over dict markings, and the gradient
-oracle is central finite differences over its own closed form of the
-discriminator loss (``log sigmoid`` via ``np.logaddexp``).  The
+plain recursive path enumeration over dict markings, which also counts the
+(marking, prefix) pairs it visits, and the gradient oracle is central finite
+differences over its own closed form of the discriminator loss
+(``log sigmoid`` via ``np.logaddexp``).  The
 sampling oracle draws every symbol with ``rng.choice`` from the generator's
 public next-symbol distribution, bypassing its compiled draw tables.  The
 feature oracle counts a variant's k-grams into a dense vector in a plain
@@ -31,6 +32,12 @@ from genmine.sampling import mh_acceptance
 
 def brute_force_playout(net, max_len, token_cap, budget=2_000_000):
     """Recursive marking-graph enumeration; exact but unoptimized."""
+    return brute_force_playout_pairs(net, max_len, token_cap, budget)[0]
+
+
+def brute_force_playout_pairs(net, max_len, token_cap, budget=2_000_000):
+    """``brute_force_playout``'s variants and the number of distinct
+    (marking, prefix) pairs it visited."""
     pre = {t.tid: [] for t in net.transitions}
     post = {t.tid: [] for t in net.transitions}
     labels = {t.tid: t.label for t in net.transitions}
@@ -84,7 +91,7 @@ def brute_force_playout(net, max_len, token_cap, budget=2_000_000):
             results.add(prefix)
 
     rec({p: c for p, c in net.initial_marking}, ())
-    return frozenset(results)
+    return frozenset(results), counter[0]
 
 
 def _log_sigmoid(x):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import re
@@ -28,7 +29,7 @@ from genmine import (
 from genmine.petri import CompiledNet, PetriNet, Transition
 
 from .conftest import BAD_NAME_NETS
-from .oracles import brute_force_playout
+from .oracles import brute_force_playout, brute_force_playout_pairs
 
 
 def enabled(net, marking):
@@ -248,11 +249,13 @@ class TestPlayout:
     @pytest.mark.parametrize(
         "kind, budget, partial",
         [("flower", 1, 0), ("flower", 7, 6), ("flower", 50, 49), ("flower", 200, 199),
-         ("system", 1, 0), ("system", 7, 4), ("system", 50, 26), ("system", 200, 108)],
+         ("system", 1, 0), ("system", 7, 1), ("system", 50, 25), ("system", 200, 108)],
     )
     def test_budget_partial_count_pinned(self, kind, budget, partial):
-        # Pinned from the dense-vector implementation: the search order and
-        # so the count found before the budget runs out must not change.
+        # Pins how many variants are recorded before the budget runs out;
+        # which ones follows the prefix search's order.  The flower's one
+        # marking makes each prefix cost one pair and every prefix but the
+        # empty one record, so its counts are budget - 1 in any order.
         if kind == "flower":
             net, max_len = flower_model(["a", "b"]), 20
         else:
@@ -264,6 +267,26 @@ class TestPlayout:
         with pytest.raises(BudgetExceededError) as err:
             playout_enumerate(net, max_len=max_len, budget=budget)
         assert err.value.partial_count == partial
+
+    @pytest.mark.parametrize("finals", [True, False], ids=["finals", "permissive"])
+    @pytest.mark.parametrize("max_len", [None, 4])
+    @pytest.mark.parametrize("cap", [2, 3, None])
+    def test_budget_boundary_is_the_oracle_pair_count(self, finals, max_len, cap):
+        # The budget counts (marking, prefix) pairs: with N the pairs the
+        # oracle visits, budget N plays out the oracle's variants and N - 1
+        # raises.  The nets hold silent skips, duplicate labels, AND blocks
+        # and loops.
+        for seed in (0, 3, 11, 13, 22):
+            net = build_system(SystemSpec(
+                seed=seed, depth=2, alphabet_budget=10, silent_skip=True, duplicate_label=True,
+                weights={"seq": 1, "xor": 1, "and": 1, "loop": 0.5},
+            ))
+            if not finals:
+                net = dataclasses.replace(net, final_markings=())
+            variants, pairs = brute_force_playout_pairs(net, max_len, cap)
+            assert playout_enumerate(net, max_len, cap, budget=pairs) == variants
+            with pytest.raises(BudgetExceededError):
+                playout_enumerate(net, max_len, cap, budget=pairs - 1)
 
     @pytest.mark.parametrize("cap, count", [(1, 0), (2, 0), (3, 13), (4, 14)])
     def test_initial_marking_over_token_cap(self, cap, count):
