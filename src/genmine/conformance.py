@@ -58,16 +58,26 @@ The first prefix to reach a set iterates its own set, as before; a later
 one raises nothing, since the set's closure already fit the limit.  Its
 children get the first prefix's continuation sets, equal as sets to
 recomputed ones, though their iteration order, which a deeper budget
-error's partial count and kind follow, may differ.  On a one-token net,
-replay first walks the log's prefixes (``_clean_replays``).  A walk state
-holds each marking that clean replays of a prefix reach, with the fewest
-silent firings that reach it; its steps are the A*'s moves that cost
-nothing, and each (state, label) step is taken once per call.  A
-variant whose state holds a final marking replays cleanly, so the A* would
-settle (0, ``len(v)`` plus those silent firings), and by the identities
-above with U = 0 its counts are missing 0, remaining 0, consumed
-``firings + L`` and produced ``len(initial) + firings``.  Only the other
-variants run the A*.  A walk state of more than ``_CLOSURE_LIMIT``
+error's partial count and kind follow, may differ.
+
+On a single-output net (``CompiledNet.single_output``: every transition
+puts exactly one token, silent ones included), replay first walks the
+log's prefixes (``_clean_replays``).  One-token nets and the nets built
+without AND blocks are such nets.  A walk state holds each marking that
+clean replays of a prefix reach, with the fewest silent firings that reach
+it; its steps are the A*'s moves that cost nothing, and each (state,
+label) step is taken once per call.  A variant whose state holds a final
+marking replays cleanly, so the search would settle cost 0 with the
+fewest firings F, ``len(v)`` plus those silent firings.  A clean replay
+fires only enabled transitions, so its final marking holds
+``len(initial) + sum|post| - sum|pre|`` tokens, and the search settles
+consumed ``sum|pre| + len(final)`` and produced ``len(initial) + sum|post|``:
+the two are equal.  With one output place per transition ``sum|post|`` is
+F, so the counts are missing 0, remaining 0 and consumed = produced =
+``len(initial) + F``, whichever tied path the search settles.  Only the
+other variants run the A*.  On a net with a transition of several output
+places, an AND split's, ``sum|post|`` can differ between tied paths, so
+every variant runs the A*.  A walk state of more than ``_CLOSURE_LIMIT``
 markings is not stepped, and its variants fall back to the A*, so the walk
 bounds its own work and no variant searches more than before; a clean
 variant settles even where the A* would run out of pops.
@@ -338,15 +348,16 @@ def _clean_replays(
     lstar: VariantLog,
     memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]],
 ) -> dict[Variant, _TokenCounts]:
-    """Counts of the variants of ``lstar`` that replay cleanly on a one-token net.
+    """Counts of the variants of ``lstar`` that replay cleanly on a
+    single-output net.
 
     A walk over the variants' prefixes keeps the walk state of each (see
     ``_Walk``); each (state, label) step is taken once per call.  Labelled
     steps are the replay moves that advance a label at no cost, and silent
     steps the silent moves, from ``memo``, which the A* shares.  A variant
     whose last state holds a final marking settles with the fewest firings
-    ``len(v) + silent``: missing 0, remaining 0, consumed ``firings + L``
-    and produced ``len(initial) + firings``.
+    F, ``len(v)`` plus its silent firings: missing 0, remaining 0 and
+    consumed = produced = ``len(initial) + F`` (see the module docstring).
     """
     steps: dict[tuple[_Walk, str], _WalkStep | None] = {}
     root = _walk_step(cn, {cn.initial: 0}, memo)
@@ -373,7 +384,8 @@ def _clean_replays(
                 silent += state[1]
         if state is not None and state[2] is not None:
             firings = len(v) + silent + state[2]
-            clean[v] = _TokenCounts(0, 0, firings + cn.token_goal, len(cn.initial) + firings)
+            tokens = len(cn.initial) + firings
+            clean[v] = _TokenCounts(0, 0, tokens, tokens)
     return clean
 
 
@@ -382,9 +394,10 @@ def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
 
     Counts are summed over all variants (with multiplicity) before the
     formula is applied; per-trace averaging would differ in the third
-    decimal and is deliberately not used.  On a one-token net the variants
-    that replay cleanly settle on one walk over the log's prefixes, and only
-    the others run the A* search (see the module docstring).
+    decimal and is deliberately not used.  On a single-output net the
+    variants that replay cleanly settle on one walk over the log's prefixes,
+    and only the others run the A* search; on any other net every variant
+    does (see the module docstring).
     """
     if len(lstar) == 0:
         raise InvalidInputError("token_replay_fitness requires a non-empty variant log")
@@ -392,7 +405,7 @@ def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
     total = _TokenCounts()
     memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]] = {}
     with cn.search():
-        cache = {} if cn.token_goal is None else _clean_replays(cn, lstar, memo)
+        cache = _clean_replays(cn, lstar, memo) if cn.single_output else {}
         for v in lstar:
             if v not in cache:
                 cache[v] = _replay_variant(cn, v, memo)

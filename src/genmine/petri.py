@@ -198,15 +198,18 @@ class CompiledNet:
         self.finals = tuple(self.encode(fm) for fm in net.finals())
         self.labels = tuple(t.label for t in self.transitions)
         self.has_silent = None in self.labels
-        # A one-token net moves one token from one place to one place per
-        # firing, silent transitions included, and each of its final
-        # markings holds the same number L of tokens (L = 0 without finals).
-        # ``token_goal`` is L on such a net and None on any other; token
-        # replay bounds its search by the token surplus over L.
+        # ``single_output``: every transition, silent ones included, puts
+        # exactly one token, so a clean replay produces one token per firing
+        # and token replay settles it on the walk over the log's prefixes.
+        # A one-token net is a single-output net whose transitions each also
+        # take one token and whose final markings each hold the same number
+        # L of tokens (L = 0 without finals).  ``token_goal`` is L on such a
+        # net and None on any other; token replay's A* bounds its search by
+        # the token surplus over L.
+        self.single_output = all(len(ps) == 1 for ps in self.post)
         final_sizes = {len(f) for f in self.finals} or {0}
-        one_token = len(final_sizes) == 1 and all(
-            len(ps) == 1 for ps in self.pre + self.post
-        )
+        one_token = (self.single_output and len(final_sizes) == 1
+                     and all(len(ps) == 1 for ps in self.pre))
         self.token_goal = final_sizes.pop() if one_token else None
         # The consumer index (see the class docstring), and the labeled
         # transitions per label.

@@ -612,10 +612,13 @@ def _counting_replays(monkeypatch):
 
 
 class TestCleanReplays:
-    """On one-token nets the variants that replay cleanly settle on the walk
-    over their prefixes; only the others reach the A* replay."""
+    """On single-output nets, where every transition puts one token, the
+    variants that replay cleanly settle on the walk over their prefixes;
+    only the others reach the A* replay.  Other nets replay every variant
+    with the A*."""
 
-    @given(st.one_of(_one_token_cases(), _baseline_cases()))
+    @given(st.one_of(_one_token_cases(), _baseline_cases(), _system_cases(),
+                     _hand_made_cases()))
     @settings(max_examples=80, deadline=None)
     def test_fitness_equals_the_summed_reference_counts(self, case):
         net, lstar = case
@@ -668,6 +671,47 @@ class TestCleanReplays:
             unclean = [v for v in variants if replay_counts_reference(net, v)[:2] != (0, 0)]
             assert calls == unclean
             assert len(calls) == pinned
+
+    @staticmethod
+    def _silent_system():
+        """A built system with silent skips, duplicate labels and a loop but
+        no AND block, and its complete playout, 258 variants."""
+        net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
+                                      weights=SILENT_WEIGHTS, silent_skip=True,
+                                      duplicate_label=True))
+        return net, sorted(playout_enumerate(net, max_len=None))
+
+    def test_only_misfits_reach_the_replay_on_single_output_nets(self, monkeypatch):
+        net, v_s = self._silent_system()
+        assert net.compiled.single_output and net.compiled.token_goal is None
+        labels = sorted(net.labels())
+        misfits = [("z",), (labels[0], "z", labels[-1]), v_s[0][::-1]]
+        lstar = VariantLog(tuple(v_s + misfits))
+        calls = _counting_replays(monkeypatch)
+        assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
+        assert (len(v_s), calls) == (258, misfits)
+        # A silent AND split puts a token on each branch, so an AND net
+        # replays every variant with the A*.
+        calls.clear()
+        and_net = build_system(SystemSpec(seed=0, depth=1, weights={"and": 1}))
+        assert not and_net.compiled.single_output
+        and_log = VariantLog(tuple(sorted(playout_enumerate(and_net, max_len=None))))
+        assert token_replay_fitness(and_net, and_log) == 1.0
+        assert calls == list(and_log) and len(calls) == 6
+        trace, dfg, variants = _bench_sized_case()
+        flower = flower_model({a for v in variants for a in v})
+        assert trace.compiled.single_output and dfg.compiled.single_output
+        assert flower.compiled.single_output
+
+    def test_clean_variants_settle_past_the_pop_limit(self, monkeypatch):
+        # Five pops are too few for the A* to settle most of these variants
+        # alone, yet the walk settles all of them, as on one-token nets.
+        net, v_s = self._silent_system()
+        monkeypatch.setattr(conformance, "_REPLAY_POP_LIMIT", 5)
+        alone = [_outcome(_replay_variant, net.compiled, v, {}) for v in v_s]
+        raised = [got[1] for got in alone if isinstance(got, tuple)]
+        assert raised == ["token replay exceeded 5 state expansions"] * 252
+        assert token_replay_fitness(net, VariantLog(tuple(v_s))) == 1.0
 
 
 class TestBudgetEdges:
