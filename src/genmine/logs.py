@@ -204,14 +204,16 @@ def _parse_timestamp(raw: str) -> datetime:
         raise InvalidInputError(f"unparseable ISO-8601 timestamp: {raw!r}") from exc
 
 
-def _utf8_lines(path: str | Path, what: str, newline: str | None = None) -> Iterator[str]:
+def _utf8_lines(path: str | Path, what: str, newline: str | None = None) -> list[str]:
     """The lines of a text file; bytes that are not UTF-8 are a domain error.
 
     A leading UTF-8 byte-order mark is dropped, as spreadsheet exports write one.
+    The file is read whole and closed before any line is parsed, so a reader
+    that raises part-way leaves no file open.
     """
     try:
         with open(path, newline=newline, encoding="utf-8-sig") as fh:
-            yield from fh
+            return fh.readlines()
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{what} {str(path)!r} is not UTF-8 text: {exc}") from exc
 

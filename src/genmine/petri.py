@@ -2,12 +2,15 @@
 
 A net is a bipartite graph of places and transitions; a marking assigns a
 non-negative token count to each place.  Playout walks the visible label
-sequences depth-first.  A prefix's search state is the set of markings it
-reaches, closed under silent firings, so each prefix is visited once however
-many markings it reaches; the prefix is recorded when its state holds a
-final marking.  Nets without declared final markings are played out in
-permissive mode: any deadlock with at least one emitted label terminates a
-variant, which is what unsound discovered nets need.
+sequences level by level, one level per length.  A prefix's search state is
+the set of markings it reaches, closed under silent firings; the prefix is
+recorded when its state holds a final marking.  A first pass counts the
+prefixes reaching each state, so the budget is charged with integers; only a
+playout that fits it builds its prefixes, extending all of a state's
+prefixes by each of its steps in one go.  Nets without declared final
+markings are played out in permissive mode: any deadlock with at least one
+emitted label terminates a variant, which is what unsound discovered nets
+need.
 
 Playout, token replay and escaping-edges precision all search markings
 through one compiled form, :class:`CompiledNet`, built once per net
@@ -319,20 +322,28 @@ def playout_enumerate(
 ) -> frozenset[Variant]:
     """Enumerate every variant the net can play out within the bounds.
 
-    DFS over emitted prefixes, each pushed once, by its parent.  A prefix's
-    search state is the set of markings it reaches, closed under silent
-    firings; firings past ``token_cap`` and visible steps past ``max_len``
-    are pruned.  A non-empty prefix is recorded when its state holds a final
-    marking or, on a net without declared finals, a deadlock (permissive
-    mode).  Per call, each marking's row is filtered by the cap once, and
-    each distinct state works out once whether it records and, when a
-    prefix below ``max_len`` needs them, its visible steps.
+    A prefix's search state is the set of markings it reaches, closed under
+    silent firings; firings past ``token_cap`` and visible steps past
+    ``max_len`` are pruned.  A non-empty prefix is recorded when its state
+    holds a final marking or, on a net without declared finals, a deadlock
+    (permissive mode).  Per call, each marking's row is filtered by the cap
+    once, and each distinct state works out once whether it records and,
+    when a prefix below ``max_len`` needs them, its visible steps.
 
-    The budget counts (marking, prefix) pairs: a popped prefix costs the
-    size of its state, and a silent closure raises as soon as the pairs
+    Two passes walk the states level by level, one level per prefix length.
+    The first counts: a level maps each state to the number of prefixes of
+    that length reaching it, and fills the per-state memo.  Each prefix
+    reaches one state, so a recording state's count counts distinct
+    variants.  Only when the first pass fits the budget does the second
+    build the prefixes, extending each state's list by each of its steps
+    and merging the lists by next state; it reads only the memo.
+
+    The budget counts (marking, prefix) pairs: a state costs its size once
+    per prefix reaching it, and a silent closure raises as soon as the pairs
     charged so far plus its size pass the budget.  So a playout fits its
     budget exactly when a search over pairs would.  ``partial_count`` counts
-    the variants recorded before the budget ran out, in this prefix order.
+    the variants whose pairs fit before the budget ran out, charging the
+    states of each level in the order the walk first reached them.
     """
     if max_len is not None:
         check_count("max_len", max_len)
@@ -344,13 +355,12 @@ def playout_enumerate(
     rows = _PlayoutRows(cn, token_cap)
     # state -> [whether it records, its (label, next state) steps or None]
     memo: dict[frozenset[TokenMarking], list] = {}
-    results: set[Variant] = set()
-    charged = 0
+    charged = recorded = 0
 
-    def over_budget() -> BudgetExceededError:
+    def over_budget(partial_count: int) -> BudgetExceededError:
         return BudgetExceededError(
             f"playout exceeded budget of {budget} expansions",
-            partial_count=len(results),
+            partial_count=partial_count,
         )
 
     def silent_closure(markings: set[TokenMarking]) -> frozenset[TokenMarking]:
@@ -361,43 +371,74 @@ def playout_enumerate(
                 if nxt not in markings:
                     markings.add(nxt)
                     if charged + len(markings) > budget:
-                        raise over_budget()
+                        raise over_budget(recorded)
                     todo.append(nxt)
         return frozenset(markings)
 
     # without silent transitions every set of markings is closed
     close = silent_closure if cn.has_silent else frozenset
     with cn.search():
-        stack = [(close({cn.initial}), ())]
-        while stack:
-            state, prefix = stack.pop()
-            charged += len(state)
-            if charged > budget:
-                raise over_budget()
-            entry = memo.get(state)
-            if entry is None:
-                records = (not finals.isdisjoint(state) if finals
-                           else any(rows[m][0] for m in state))
-                entry = memo[state] = [records, None]
-            if entry[0] and prefix:
-                results.add(prefix)
-            if max_len is not None and len(prefix) >= max_len:
+        start = close({cn.initial})
+        level, depth = {start: 1}, 0
+        while level:
+            below_max = max_len is None or depth < max_len
+            reached: dict[frozenset[TokenMarking], int] = {}
+            for state, count in level.items():
+                entry = memo.get(state)
+                if entry is None:
+                    records = (not finals.isdisjoint(state) if finals
+                               else any(rows[m][0] for m in state))
+                    entry = memo[state] = [records, None]
+                recording = depth > 0 and entry[0]
+                cost = len(state) * count
+                if charged + cost > budget:
+                    fit = (budget - charged) // len(state) if recording else 0
+                    raise over_budget(recorded + fit)
+                charged += cost
+                if recording:
+                    recorded += count
+                if not below_max:
+                    continue
+                steps = entry[1]
+                if steps is None:
+                    by_label: dict[str, set[TokenMarking]] = {}
+                    for m in state:
+                        for label, nxt in rows[m][1]:
+                            targets = by_label.get(label)
+                            if targets is None:
+                                by_label[label] = {nxt}
+                            else:
+                                targets.add(nxt)
+                    steps = entry[1] = [
+                        (label, close(targets)) for label, targets in by_label.items()
+                    ]
+                for _, nxt in steps:
+                    reached[nxt] = reached.get(nxt, 0) + count
+            level, depth = reached, depth + 1
+
+    # The budget held: build the prefixes from the memo alone.  Each one is
+    # built once, from its parent, so the recorded list has no repeats.
+    results: list[Variant] = []
+    prefixes_at: dict[frozenset[TokenMarking], list[Variant]] = {start: [()]}
+    depth = 0
+    while prefixes_at:
+        below_max = max_len is None or depth < max_len
+        extended: dict[frozenset[TokenMarking], list[Variant]] = {}
+        while prefixes_at:
+            state, prefixes = prefixes_at.popitem()
+            records, steps = memo[state]
+            if records and depth:
+                results += prefixes
+            if not below_max:
                 continue
-            steps = entry[1]
-            if steps is None:
-                by_label: dict[str, set[TokenMarking]] = {}
-                for m in state:
-                    for label, nxt in rows[m][1]:
-                        reached = by_label.get(label)
-                        if reached is None:
-                            by_label[label] = {nxt}
-                        else:
-                            reached.add(nxt)
-                steps = entry[1] = [
-                    (label, close(reached)) for label, reached in by_label.items()
-                ]
             for label, nxt in steps:
-                stack.append((nxt, prefix + (label,)))
+                grown = [p + (label,) for p in prefixes]
+                merged = extended.get(nxt)
+                if merged is None:
+                    extended[nxt] = grown
+                else:
+                    merged += grown
+        prefixes_at, depth = extended, depth + 1
     return frozenset(results)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 from datetime import datetime, timezone
 
 import pytest
@@ -21,6 +22,7 @@ from genmine import (
     write_event_log_csv,
     write_variants_tsv,
 )
+from genmine import logs
 
 from .conftest import EPOCH, log_from_variants, trace_from_labels
 
@@ -234,3 +236,26 @@ class TestDomainErrors:
         with pytest.raises(InvalidInputError) as info:
             reader(path)
         assert str(info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_event_log_csv, "case_id,activity,timestamp\nc1,a\nc2,b,2021-01-01T00:00:00Z\n"),
+        (read_event_log_csv,
+         "case_id,activity,timestamp\nc1,a,not-a-time\nc2,b,2021-01-01T00:00:00Z\n"),
+        (read_variants_tsv, "a\tb\na\t\tb\nc\n"),
+    ], ids=["short_csv_row", "bad_timestamp", "tsv_empty_label"])
+    def test_reader_closes_its_file_before_raising(self, tmp_path, monkeypatch, reader, text):
+        # The error is kept, as a caller's traceback keeps it; the file it
+        # was read from is closed all the same.
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        opened = []
+
+        def spy_open(*args, **kwargs):
+            opened.append(builtins.open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(logs, "open", spy_open, raising=False)
+        with pytest.raises(InvalidInputError) as info:
+            reader(path)
+        assert info.value.__traceback__ is not None
+        assert len(opened) == 1 and opened[0].closed

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import json
 import re
@@ -46,6 +47,18 @@ def fire(net, marking, tid):
 
 def encode(net, marking):
     return CompiledNet(net).encode(marking)
+
+
+@functools.cache
+def _boundary_case(seed, finals, max_len, cap):
+    """A net of the playout budget tests, its oracle variants and pairs."""
+    net = build_system(SystemSpec(
+        seed=seed, depth=2, alphabet_budget=10, silent_skip=True, duplicate_label=True,
+        weights={"seq": 1, "xor": 1, "and": 1, "loop": 0.5},
+    ))
+    if not finals:
+        net = dataclasses.replace(net, final_markings=())
+    return (net, *brute_force_playout_pairs(net, max_len, cap))
 
 
 class TestEnabledFire:
@@ -249,7 +262,7 @@ class TestPlayout:
     @pytest.mark.parametrize(
         "kind, budget, partial",
         [("flower", 1, 0), ("flower", 7, 6), ("flower", 50, 49), ("flower", 200, 199),
-         ("system", 1, 0), ("system", 7, 1), ("system", 50, 25), ("system", 200, 108)],
+         ("system", 1, 0), ("system", 7, 4), ("system", 50, 22), ("system", 200, 103)],
     )
     def test_budget_partial_count_pinned(self, kind, budget, partial):
         # Pins how many variants are recorded before the budget runs out;
@@ -287,6 +300,39 @@ class TestPlayout:
             assert playout_enumerate(net, max_len, cap, budget=pairs) == variants
             with pytest.raises(BudgetExceededError):
                 playout_enumerate(net, max_len, cap, budget=pairs - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.tuples(st.sampled_from((0, 3, 11, 13, 22)), st.booleans(),
+                          st.sampled_from((None, 4)), st.sampled_from((2, 3, None))),
+           fractions=st.lists(st.floats(0, 1), min_size=2, max_size=8))
+    def test_partial_count_grows_with_the_budget(self, case, fractions):
+        # Budgets below the oracle's pair count, on the nets of the boundary
+        # test above: the partial count never falls as the budget grows and
+        # never passes the full playout's size.
+        net, variants, pairs = _boundary_case(*case)
+        _, _, max_len, cap = case
+        partials = []
+        for budget in sorted({1 + round(f * (pairs - 2)) for f in fractions}):
+            with pytest.raises(BudgetExceededError) as err:
+                playout_enumerate(net, max_len, cap, budget=budget)
+            partials.append(err.value.partial_count)
+        assert partials == sorted(partials)
+        assert partials[-1] <= len(variants)
+
+    def test_budget_error_builds_no_prefix(self):
+        # Ten labels to length 12 are 10**12 prefixes.  The count runs out of
+        # budget before any prefix is built, and every prefix but the empty
+        # one whose pair fits is counted.
+        net = flower_model([f"a{i}" for i in range(10)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                playout_enumerate(net, max_len=12, budget=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.partial_count == 199_999
+        assert peak < 2**20
 
     @pytest.mark.parametrize("cap, count", [(1, 0), (2, 0), (3, 13), (4, 14)])
     def test_initial_marking_over_token_cap(self, cap, count):
