@@ -16,8 +16,11 @@ stronger metrics can be swapped in without touching the pipeline.
 Replay and precision search markings on the net's compiled form
 (``PetriNet.compiled``).  Like playout, both read enabling and firing from
 its one successor table, which lives as long as the net; only replay's
-force-fires fire outside it.  Their own memos (replay moves, precision's
-continuations per marking set) live for one call only.
+force-fires fire outside it.  Both read one walk over the log's prefixes
+(``_walk_log``), taken inside the calling scorer's ``cn.search()``.  It
+lives for one call only: a scorer called alone takes its own, and one
+``model_generalization`` call takes one for its two scorers, in whichever
+runs first.  Replay's move memo lives for one call too.
 
 Replay's heap order.  Replay is an A* search over (position, marking)
 states for the least pair (cost, firings).  The heap is ordered by two A*
@@ -52,24 +55,29 @@ so the error fires at the same pop limit as Dijkstra's or a lower one,
 never a higher one, and its ``partial_count`` can differ
 (``test_bench_sized_trace_net`` checks this on a trace and a dfg net).
 
-Each prefix's work is done once per distinct set of markings.  Precision
-keeps, per set of markings a prefix reaches, its visible continuations.
-The first prefix to reach a set iterates its own set, as before; a later
-one raises nothing, since the set's closure already fit the limit.  Its
-children get the first prefix's continuation sets, equal as sets to
-recomputed ones, though their iteration order, which a deeper budget
-error's partial count and kind follow, may differ.
+The walk over the log's prefixes.  The walk goes breadth-first over the
+log's prefix trie.  A walk state holds each marking that clean replays of
+a prefix reach, closed under silent moves, with the fewest silent firings
+that reach it; each (state, label) step is taken once per walk.  One scan
+of a state's successor rows closes it and groups the markings its
+labelled moves reach by label, each with the fewest silent firings before
+it.  The groups' labels are precision's continuations of the prefix, so a
+label enabled but never observed escapes, and a group is the seeds of the
+next step: the A*'s moves that advance a label at no cost.  A step into a
+state of more than ``_CLOSURE_LIMIT`` markings is not taken.  Precision
+then raises at the first such state in breadth-first order, with the size
+of the union of its seeds' silent closures once it passes the limit (the
+seeds taken in set order, which that size and the error's kind follow), and
+replay falls back to the A* for the variants below it, so the walk bounds
+its own work and no variant searches more than before.
 
 On a single-output net (``CompiledNet.single_output``: every transition
-puts exactly one token, silent ones included), replay first walks the
-log's prefixes (``_clean_replays``).  One-token nets and the nets built
-without AND blocks are such nets.  A walk state holds each marking that
-clean replays of a prefix reach, with the fewest silent firings that reach
-it; its steps are the A*'s moves that cost nothing, and each (state,
-label) step is taken once per call.  A variant whose state holds a final
+puts exactly one token, silent ones included), replay settles on the walk
+the variants that replay cleanly.  One-token nets and the nets built
+without AND blocks are such nets.  A variant whose state holds a final
 marking replays cleanly, so the search would settle cost 0 with the
-fewest firings F, ``len(v)`` plus those silent firings.  A clean replay
-fires only enabled transitions, so its final marking holds
+fewest firings F, ``len(v)`` plus the silent firings of its steps.  A
+clean replay fires only enabled transitions, so its final marking holds
 ``len(initial) + sum|post| - sum|pre|`` tokens, and the search settles
 consumed ``sum|pre| + len(final)`` and produced ``len(initial) + sum|post|``:
 the two are equal.  With one output place per transition ``sum|post|`` is
@@ -77,18 +85,17 @@ F, so the counts are missing 0, remaining 0 and consumed = produced =
 ``len(initial) + F``, whichever tied path the search settles.  Only the
 other variants run the A*.  On a net with a transition of several output
 places, an AND split's, ``sum|post|`` can differ between tied paths, so
-every variant runs the A*.  A walk state of more than ``_CLOSURE_LIMIT``
-markings is not stepped, and its variants fall back to the A*, so the walk
-bounds its own work and no variant searches more than before; a clean
+every variant runs the A*; precision reads the same walk there.  A clean
 variant settles even where the A* would run out of pops.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .errors import BudgetExceededError, InvalidInputError, check_real
 from .logs import Variant, VariantLog
@@ -142,12 +149,6 @@ class _TokenCounts:
     remaining: int = 0
     consumed: int = 0
     produced: int = 0
-
-    def add(self, other: "_TokenCounts") -> None:
-        self.missing += other.missing
-        self.remaining += other.remaining
-        self.consumed += other.consumed
-        self.produced += other.produced
 
 
 _REPLAY_POP_LIMIT = 200_000
@@ -299,30 +300,34 @@ def _replay_variant(
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 
 
-# A state of the clean-replay walk: each marking that clean replays of one
-# prefix reach, with the fewest silent firings that reach it less the
-# fewest over all of them.  A step gives the next state, the fewest silent
-# firings it adds, and the fewest of the state's at a final marking (None if
-# it holds none); None in place of a step means no clean replay goes on.
+# A state of the prefix walk is the set of markings that clean replays of
+# one prefix reach, each with the fewest silent firings that reach it less
+# the fewest over all of them (``_Walk``).  The walk keeps one entry per
+# distinct state (``_WalkState``): ``end``, the fewest of its firings at a
+# final marking (None if it holds none); ``nexts``, for each label its
+# markings enable, the markings that label reaches, each with the fewest
+# silent firings before it (the seeds of the next step); and ``taken``, for
+# each label stepped so far, the step (None past the closure limit).  A
+# step is the silent firings it adds and the state it reaches.
 _Walk = frozenset[tuple[TokenMarking, int]]
-_WalkStep = tuple[_Walk, int, int | None]
+_WalkState = tuple[int | None, dict[str, dict[TokenMarking, int]], dict]
+_Step = tuple[int, _WalkState]
 
 
-def _walk_step(
-    cn: CompiledNet,
-    seeds: dict[TokenMarking, int],
-    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]],
-) -> _WalkStep | None:
-    """The walk state silent moves reach from ``seeds``, each seed with its
-    silent firings so far; None without seeds or past ``_CLOSURE_LIMIT``
-    markings.  Level by level, so each marking keeps its fewest firings."""
-    if not seeds:
-        return None
+def _walk_step(cn: CompiledNet, seeds: dict[TokenMarking, int],
+               states: dict[_Walk, _WalkState]) -> _Step | None:
+    """The step into the state silent moves reach from ``seeds``, each seed
+    with its silent firings so far; None past ``_CLOSURE_LIMIT`` markings.
+    Level by level, so each marking keeps its fewest firings; one scan of
+    each marking's successor row both closes the state and groups its
+    labelled moves.  ``states`` holds each distinct state once."""
     pending: dict[int, list[TokenMarking]] = {}
     for m, f in seeds.items():
         pending.setdefault(f, []).append(m)
     low = firings = min(pending)
+    labels = cn.labels
     fewest: dict[TokenMarking, int] = {}
+    nexts: dict[str, dict[TokenMarking, int]] = {}
     frontier: list[TokenMarking] = []
     while frontier or pending:
         frontier += pending.pop(firings, ())
@@ -330,63 +335,135 @@ def _walk_step(
         for m in frontier:
             if m in fewest:
                 continue
-            fewest[m] = firings - low
+            f = fewest[m] = firings - low
             if len(fewest) > _CLOSURE_LIMIT:
                 return None
-            moves = memo.get((None, m))
-            if moves is None:
-                moves = memo[(None, m)] = _replay_moves(cn, None, m)
-            reached += [nxt for _, _, nxt, _, _ in moves if nxt not in fewest]
+            # Markings settle in order of firings, so the first entry of a
+            # next marking holds its fewest.
+            for ti, nxt in cn.successors(m):
+                label = labels[ti]
+                if label is None:
+                    if nxt not in fewest:
+                        reached.append(nxt)
+                elif label not in nexts:
+                    nexts[label] = {nxt: f}
+                elif nxt not in nexts[label]:
+                    nexts[label][nxt] = f
         frontier = reached
         firings += 1
-    end = min((fewest[f] for f in cn.finals if f in fewest), default=None)
-    return frozenset(fewest.items()), low, end
+    key = frozenset(fewest.items())
+    state = states.get(key)
+    if state is None:
+        end = min((fewest[m] for m in cn.finals if m in fewest), default=None)
+        state = states[key] = (end, nexts, {})
+    return low, state
 
 
-def _clean_replays(
-    cn: CompiledNet,
-    lstar: VariantLog,
-    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]],
-) -> dict[Variant, _TokenCounts]:
-    """Counts of the variants of ``lstar`` that replay cleanly on a
-    single-output net.
+@dataclass(frozen=True)
+class _LogWalk:
+    """What one walk over a log's prefixes gives both scorers.
 
-    A walk over the variants' prefixes keeps the walk state of each (see
-    ``_Walk``); each (state, label) step is taken once per call.  Labelled
-    steps are the replay moves that advance a label at no cost, and silent
-    steps the silent moves, from ``memo``, which the A* shares.  A variant
-    whose last state holds a final marking settles with the fewest firings
+    ``clean`` maps each variant that replays cleanly on a single-output net
+    to its consumed (= produced) tokens; ``allowed`` and ``escaping`` are
+    the escaping-edges sums; ``gave_up`` holds the seeds of the first state,
+    in breadth-first order, of more than ``_CLOSURE_LIMIT`` markings (None
+    if there is none).
+    """
+
+    clean: dict[Variant, int]
+    allowed: int
+    escaping: int
+    gave_up: frozenset[TokenMarking] | None
+
+
+def _check_variants(variants: Collection[Variant]) -> None:
+    """Variants are non-empty, and their labels non-empty strings."""
+    if not all(variants):
+        raise InvalidInputError("variants must be non-empty")
+    for label in set().union(*variants):
+        if not (isinstance(label, str) and label):
+            raise InvalidInputError(f"variant labels must be non-empty strings, got {label!r}")
+
+
+def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
+    """One breadth-first walk over the prefix trie of ``lstar``.
+
+    A trie node is the distinct variants that share a prefix, with the walk
+    state of the prefix; each (state, label) step is taken once per walk.
+    A node adds its variant count times the labels its state enables to
+    ``allowed``, and times those no variant continues with to ``escaping``;
+    a child whose label the state does not enable is not walked, nor is one
+    past ``_CLOSURE_LIMIT``.  On a single-output net a variant that ends in
+    a state holding a final marking replays cleanly with the fewest firings
     F, ``len(v)`` plus its silent firings: missing 0, remaining 0 and
     consumed = produced = ``len(initial) + F`` (see the module docstring).
     """
-    steps: dict[tuple[_Walk, str], _WalkStep | None] = {}
-    root = _walk_step(cn, {cn.initial: 0}, memo)
-    clean: dict[Variant, _TokenCounts] = {}
-    for v in dict.fromkeys(lstar):
-        state, silent = root, 0
-        for label in v:
-            if state is None:
-                break
-            walk = state[0]
-            key = (walk, label)
-            if key not in steps:
-                seeds: dict[TokenMarking, int] = {}
-                for m, f in walk:
-                    moves = memo.get((label, m))
-                    if moves is None:
-                        moves = memo[(label, m)] = _replay_moves(cn, label, m)
-                    for dcost, dpos, nxt, _, _ in moves:
-                        if dcost == 0 and dpos == 1 and f < seeds.get(nxt, f + 1):
-                            seeds[nxt] = f
-                steps[key] = _walk_step(cn, seeds, memo)
-            state = steps[key]
-            if state is not None:
-                silent += state[1]
-        if state is not None and state[2] is not None:
-            firings = len(v) + silent + state[2]
-            tokens = len(cn.initial) + firings
-            clean[v] = _TokenCounts(0, 0, tokens, tokens)
-    return clean
+    weights = Counter(lstar)
+    _check_variants(weights)
+    unit = len(weights) == len(lstar)
+    settle = cn.single_output
+    tokens = len(cn.initial)
+    states: dict[_Walk, _WalkState] = {}
+    clean: dict[Variant, int] = {}
+    allowed = escaping = 0
+    gave_up = None
+    root = _walk_step(cn, {cn.initial: 0}, states)
+    if root is None:
+        gave_up = frozenset((cn.initial,))
+        level = []
+    else:
+        level = [(root[1], 0, list(weights))]
+    depth = 0
+    while level:
+        below = []
+        for (end, nexts, taken), silent, group in level:
+            children: dict[str, list[Variant]] = {}
+            for v in group:
+                if len(v) > depth:
+                    if v[depth] in children:
+                        children[v[depth]].append(v)
+                    else:
+                        children[v[depth]] = [v]
+                elif settle and end is not None:
+                    clean[v] = tokens + depth + silent + end
+            count = len(group) if unit else sum(map(weights.__getitem__, group))
+            allowed += count * len(nexts)
+            escaping += count * len(nexts)
+            for label, sub in children.items():
+                seeds = nexts.get(label)
+                if seeds is None:
+                    continue
+                escaping -= count
+                if label not in taken:
+                    taken[label] = _walk_step(cn, seeds, states)
+                step = taken[label]
+                if step is None:
+                    if gave_up is None:
+                        gave_up = frozenset(seeds)
+                else:
+                    below.append((step[1], silent + step[0], sub))
+        level = below
+        depth += 1
+    return _LogWalk(clean, allowed, escaping, gave_up)
+
+
+# The walks ``model_generalization`` shares between its two scorers: the log
+# it scores and, per compiled net, its walk.  Set for that one call only.
+_SHARED_WALKS: ContextVar[tuple[VariantLog, dict[CompiledNet, _LogWalk]] | None] = (
+    ContextVar("_SHARED_WALKS", default=None))
+
+
+def _walk_of(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
+    """The walk of ``lstar`` on ``cn``, taken in the calling scorer's search,
+    or the one an earlier scorer of the same ``model_generalization`` call
+    took."""
+    shared = _SHARED_WALKS.get()
+    if shared is None or shared[0] is not lstar:
+        return _walk_log(cn, lstar)
+    walks = shared[1]
+    if cn not in walks:
+        walks[cn] = _walk_log(cn, lstar)
+    return walks[cn]
 
 
 def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
@@ -395,51 +472,30 @@ def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
     Counts are summed over all variants (with multiplicity) before the
     formula is applied; per-trace averaging would differ in the third
     decimal and is deliberately not used.  On a single-output net the
-    variants that replay cleanly settle on one walk over the log's prefixes,
+    variants that replay cleanly settle on the walk over the log's prefixes,
     and only the others run the A* search; on any other net every variant
     does (see the module docstring).
     """
     if len(lstar) == 0:
         raise InvalidInputError("token_replay_fitness requires a non-empty variant log")
     cn = net.compiled
-    total = _TokenCounts()
     memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]] = {}
     with cn.search():
-        cache = _clean_replays(cn, lstar, memo) if cn.single_output else {}
+        # (missing, remaining, consumed, produced) per distinct variant
+        counts = {v: (0, 0, t, t) for v, t in _walk_of(cn, lstar).clean.items()}
         for v in lstar:
-            if v not in cache:
-                cache[v] = _replay_variant(cn, v, memo)
-            total.add(cache[v])
-    miss_term = 1.0 if total.consumed == 0 else 1.0 - total.missing / total.consumed
-    rem_term = 1.0 if total.produced == 0 else 1.0 - total.remaining / total.produced
+            if v not in counts:
+                c = _replay_variant(cn, v, memo)
+                counts[v] = (c.missing, c.remaining, c.consumed, c.produced)
+    missing, remaining, consumed, produced = map(sum, zip(*map(counts.__getitem__, lstar)))
+    miss_term = 1.0 if consumed == 0 else 1.0 - missing / consumed
+    rem_term = 1.0 if produced == 0 else 1.0 - remaining / produced
     return 0.5 * miss_term + 0.5 * rem_term
 
 
 # ---------------------------------------------------------------------------
 # Escaping-edges precision
 # ---------------------------------------------------------------------------
-
-class _TrieNode:
-    __slots__ = ("children", "count")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.count = 0
-
-
-def _build_prefix_trie(lstar: VariantLog) -> _TrieNode:
-    root = _TrieNode()
-    root.count = len(lstar)
-    for v in lstar:
-        node = root
-        for label in v:
-            child = node.children.get(label)
-            if child is None:
-                child = node.children[label] = _TrieNode()
-            node = child
-            node.count += 1
-    return root
-
 
 def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     """Escaping-edges log precision over the prefix automaton of the log.
@@ -448,47 +504,30 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     set of continuations A(s), computed over every marking reachable by
     replaying s including silent closure; labels enabled but never observed
     escape.  Prefixes the net cannot replay are truncated at the first
-    failure and counted up to it.  Each distinct marking set's continuations
-    are computed once per call; visible steps come from the net's successor
-    table.
+    failure and counted up to it.  The sums come from the walk over the
+    log's prefixes, which replay shares within one ``model_generalization``
+    call.  A prefix state of more than ``_CLOSURE_LIMIT`` markings raises,
+    with the size of the union of its markings' silent closures once it
+    passes the limit.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
     cn = net.compiled
-    root = _build_prefix_trie(lstar)
-    # Visible continuations per marking set: label -> markings after firing it.
-    steps: dict[frozenset[TokenMarking], dict[str, set[TokenMarking]]] = {}
-    escaping = 0
-    allowed = 0
-    queue: deque[tuple[_TrieNode, set[TokenMarking]]] = deque([(root, {cn.initial})])
     with cn.search():
-        while queue:
-            node, markings = queue.popleft()
-            key = frozenset(markings)
-            continuations = steps.get(key)
-            if continuations is None:
-                closure: set[TokenMarking] = set()
-                for m in markings:
-                    closure.update(_silent_closure(cn, m))
-                    if len(closure) > _CLOSURE_LIMIT:
-                        raise BudgetExceededError(
-                            "escaping-edges replay exceeded marking limit",
-                            partial_count=len(closure),
-                        )
-                continuations = steps[key] = {}
-                for m in closure:
-                    for ti, nxt in cn.successors(m):
-                        label = cn.labels[ti]
-                        if label is not None:
-                            continuations.setdefault(label, set()).add(nxt)
-            allowed += node.count * len(continuations)
-            escaping += node.count * len(continuations.keys() - node.children.keys())
-            for label, child in node.children.items():
-                if label in continuations:
-                    queue.append((child, continuations[label]))
-    if allowed == 0:
+        walk = _walk_of(cn, lstar)
+        if walk.gave_up is not None:
+            closure: set[TokenMarking] = set()
+            for m in walk.gave_up:
+                closure.update(_silent_closure(cn, m))
+                if len(closure) > _CLOSURE_LIMIT:
+                    break
+            raise BudgetExceededError(
+                "escaping-edges replay exceeded marking limit",
+                partial_count=len(closure),
+            )
+    if walk.allowed == 0:
         return 1.0
-    return 1.0 - escaping / allowed
+    return 1.0 - walk.escaping / walk.allowed
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +561,19 @@ def model_generalization(
     """Generalization of a net against an estimated system variant set.
 
     Scores a log containing each estimated variant exactly once and takes
-    the harmonic mean of log fitness and log precision on it.
+    the harmonic mean of log fitness and log precision on it.  For this one
+    call the default scorers, and any that pass this net and log on to
+    them, share one walk over the log's prefixes.
     """
-    lstar = VariantLog(tuple(sorted(set(map(tuple, v_hat_s)))))
-    if not lstar.variants:
+    variants = set(map(tuple, v_hat_s))
+    if not variants:
         raise InvalidInputError("model_generalization requires a non-empty variant set")
-    if not all(lstar.variants):
-        raise InvalidInputError("variants must be non-empty")
-    fit = fitness_fn(net, lstar)
-    prec = precision_fn(net, lstar)
+    _check_variants(variants)
+    lstar = VariantLog(tuple(sorted(variants)))
+    shared = _SHARED_WALKS.set((lstar, {}))
+    try:
+        fit = fitness_fn(net, lstar)
+        prec = precision_fn(net, lstar)
+    finally:
+        _SHARED_WALKS.reset(shared)
     return GeneralizationResult(generalization_score(fit, prec), ConformanceScores(fit, prec))

@@ -179,10 +179,12 @@ def synth_event_log(variants: Iterable[Variant], seed: int = 0) -> EventLog:
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(unique))
     stamps = [SYNTH_EPOCH + timedelta(seconds=j) for j in range(max(map(len, unique)))]
+    # One frozen event per (position, label), shared by the traces that have it.
+    keys = {key for v in unique for key in enumerate(v)}
+    shared = {(j, label): EventInstance(label, stamps[j]) for j, label in keys}
     traces = []
     for case_no, idx in enumerate(order.tolist()):
-        v = unique[idx]
-        events = tuple(map(EventInstance, v, stamps))
+        events = tuple(map(shared.__getitem__, enumerate(unique[idx])))
         traces.append(Trace(case_id=f"case_{case_no + 1:05d}", events=events))
     return EventLog(tuple(traces))
 

@@ -3,8 +3,15 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import settings
 
 from genmine import EventInstance, EventLog, Trace, make_net
+
+# A failing property test prints its @reproduce_failure line, so a one-off
+# failure can be replayed.  The parent is the active profile (CI's "ci"
+# profile, with its derandomize, or the default), so nothing else changes.
+settings.register_profile("print-blob", parent=settings.default, print_blob=True)
+settings.load_profile("print-blob")
 
 EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter
 from dataclasses import astuple
@@ -193,6 +194,23 @@ class TestModelGeneralization:
         monkeypatch.setattr(petri, "CompiledNet", CountingNet)
         model_generalization(xor_net_abc, {("a", "b"), ("a", "d")})
         assert built == [xor_net_abc]
+
+    @pytest.mark.parametrize("variants, message", [
+        ([("a", 1)], "variant labels must be non-empty strings, got 1"),
+        ([("a",), (1,)], "variant labels must be non-empty strings, got 1"),
+        ([("a", None)], "variant labels must be non-empty strings, got None"),
+        ([("",)], "variant labels must be non-empty strings, got ''"),
+        ([()], "variants must be non-empty"),
+    ], ids=["int_label", "int_variant", "none_label", "empty_label", "empty_variant"])
+    @pytest.mark.parametrize("score", [
+        model_generalization,
+        lambda net, variants: token_replay_fitness(net, VariantLog(tuple(variants))),
+        lambda net, variants: etc_precision(net, VariantLog(tuple(variants))),
+    ], ids=["model_generalization", "token_replay_fitness", "etc_precision"])
+    def test_non_string_or_empty_labels_are_domain_errors(self, score, variants, message):
+        with pytest.raises(InvalidInputError) as info:
+            score(flower_model(["a", "b"]), variants)
+        assert str(info.value) == message
 
 
 class TestSuccessorTable:
@@ -637,9 +655,9 @@ class TestCleanReplays:
                         (other, "a_other"), ("a_other", "r")],
                        {start: 1}, [{"r": 1}])
         lstar = VariantLog((("a",), ("a", "a")))
-        clean = conformance._clean_replays(net.compiled, lstar, {})
-        assert list(clean) == [("a",)]
-        assert astuple(clean[("a",)]) == replay_counts_reference(net, ("a",)) == (0, 0, 2, 2)
+        clean = conformance._walk_log(net.compiled, lstar).clean
+        assert clean == {("a",): 2}
+        assert replay_counts_reference(net, ("a",)) == (0, 0, 2, 2)
         assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
 
     def test_walk_gives_up_past_the_closure_limit(self, monkeypatch):
@@ -714,6 +732,76 @@ class TestCleanReplays:
         assert token_replay_fitness(net, VariantLog(tuple(v_s))) == 1.0
 
 
+@st.composite
+def _and_block_cases(draw):
+    """Built systems with an AND block: a silent split puts several tokens."""
+    net = build_system(SystemSpec(seed=draw(st.integers(0, 60)), depth=2,
+                                  weights={"and": 2, "xor": 1, "loop": 0.3},
+                                  silent_skip=draw(st.booleans()),
+                                  duplicate_label=draw(st.booleans())))
+    assume(not net.compiled.single_output)
+    return net, draw(_logs_for(net))
+
+
+def _fresh(net):
+    """A copy of ``net`` with its own compiled form."""
+    return petri.net_from_dict(petri.net_to_dict(net))
+
+
+class TestSharedWalk:
+    """Within one model_generalization call both scorers read one walk over
+    the log's prefixes; a scorer called alone takes its own."""
+
+    @given(st.one_of(_one_token_cases(), _baseline_cases(), _system_cases(),
+                     _hand_made_cases(), _and_block_cases()), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_scores_equal_each_scorer_alone(self, case, replay_first):
+        net, lstar = case
+        log = VariantLog(tuple(sorted(set(lstar))))
+        order = (token_replay_fitness, etc_precision)
+        if not replay_first:
+            order = order[::-1]
+        want = _outcome(lambda: tuple(score(_fresh(net), log) for score in order))
+
+        def shared(net, variants):
+            return astuple(model_generalization(net, variants, *order).scores)
+
+        assert _outcome(shared, net, lstar) == want
+        # The same net after a different log: no walk outlives its call.
+        other = _fresh(net)
+        _outcome(shared, other, [v[::-1] + ("z",) for v in lstar])
+        assert _outcome(shared, other, lstar) == want
+
+    def test_one_walk_per_call(self, monkeypatch, xor_net_abc):
+        walks = []
+        walk = conformance._walk_log
+
+        def counted(cn, lstar):
+            walks.append(lstar)
+            return walk(cn, lstar)
+
+        monkeypatch.setattr(conformance, "_walk_log", counted)
+        variants = {("a", "b"), ("a", "d")}
+        model_generalization(xor_net_abc, variants)
+        assert len(walks) == 1
+
+        # Scorers wrapped as a tracer wraps them pass the net and log through.
+        def wrapped(score):
+            @functools.wraps(score)
+            def traced(net, lstar):
+                return score(net, lstar)
+            return traced
+
+        model_generalization(xor_net_abc, variants, wrapped(token_replay_fitness),
+                             wrapped(etc_precision))
+        assert len(walks) == 2
+        lstar = VariantLog(tuple(sorted(variants)))
+        token_replay_fitness(xor_net_abc, lstar)
+        etc_precision(xor_net_abc, lstar)
+        assert len(walks) == 4
+        assert walks[2:] == [lstar, lstar]
+
+
 class TestBudgetEdges:
     """Each limit raises with the partial count the dense references report."""
 
@@ -754,11 +842,10 @@ class TestBudgetEdges:
         assert got == _outcome(etc_precision_reference, net, lstar, closure_limit=limit)
         assert got[2] == limit + 1
 
-    @pytest.mark.parametrize("limit, raises", [(2, 3), (3, 6), (5, 6), (6, None)])
-    def test_etc_union_limit(self, monkeypatch, limit, raises):
-        # Two "a" transitions lead to two markings whose silent closures are
-        # disjoint and of size 3 each, so the union's size at the limit does
-        # not depend on which closure is added first.
+    @staticmethod
+    def _union_net():
+        """Two "a" transitions lead to two markings whose silent closures are
+        disjoint and of size 3 each."""
         places = ["p0", "x1", "x2", "x3", "y1", "y2", "y3"]
         transitions = [("t_ax", "a"), ("t_ay", "a"), ("t_b", "b")] + [
             (f"tau_{c}{i}", None) for c in "xy" for i in (1, 2)
@@ -768,7 +855,13 @@ class TestBudgetEdges:
         for c in "xy":
             for i in (1, 2):
                 arcs += [(f"{c}{i}", f"tau_{c}{i}"), (f"tau_{c}{i}", f"{c}{i + 1}")]
-        net = make_net(places, transitions, arcs, {"p0": 1}, [{"y3": 1}])
+        return make_net(places, transitions, arcs, {"p0": 1}, [{"y3": 1}])
+
+    @pytest.mark.parametrize("limit, raises", [(2, 3), (3, 6), (5, 6), (6, None)])
+    def test_etc_union_limit(self, monkeypatch, limit, raises):
+        # The union's size at the limit does not depend on which of the two
+        # closures is added first.
+        net = self._union_net()
         lstar = VariantLog((("a", "b"), ("a",)))
         monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
         got = _outcome(etc_precision, net, lstar)
@@ -778,6 +871,23 @@ class TestBudgetEdges:
         else:
             assert got[2] == raises
 
+
+    @pytest.mark.parametrize("net_of, limit", [("_shuffle_net", 1), ("_shuffle_net", 5),
+                                               ("_shuffle_net", 19), ("_union_net", 2),
+                                               ("_union_net", 3), ("_union_net", 5)])
+    def test_etc_limit_after_a_shared_walk(self, monkeypatch, net_of, limit):
+        # model_generalization replays first, so precision reads a walk that
+        # replay took; it raises what it raises alone.  Replay falls back to
+        # the A* for the variants past the limit instead of raising.
+        net = getattr(self, net_of)()
+        lstar = VariantLog((("a",), ("a", "b")) if net_of == "_union_net" else (("a",),))
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
+        got = _outcome(model_generalization, net, lstar)
+        assert got == _outcome(etc_precision_reference, net, lstar, closure_limit=limit)
+        assert got[0] == "budget"
+        calls = _counting_replays(monkeypatch)
+        assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
+        assert calls == list(lstar)
 
     def test_replay_budget_error_leaves_the_successor_table_as_it_found_it(self, monkeypatch):
         net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,

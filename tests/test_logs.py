@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import builtins
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,25 @@ class TestSynthEventLog:
         log = synth_event_log(variants, seed=seed)
         _, lplus = build_variant_logs(log)
         assert lplus.as_set() == frozenset(variants)
+
+
+    def test_traces_share_each_event(self):
+        # One frozen event per (position, label); the log equals one built
+        # with an event per trace and position.
+        variants = [("a", "b", "c"), ("a", "c"), ("b", "b"), ("a", "b")]
+        log = synth_event_log(variants, seed=3)
+        order = np.random.default_rng(3).permutation(len(variants)).tolist()
+        ordered = sorted(variants)
+        assert log == EventLog(tuple(
+            Trace(f"case_{i + 1:05d}", tuple(
+                EventInstance(label, logs.SYNTH_EPOCH + timedelta(seconds=j))
+                for j, label in enumerate(ordered[k])))
+            for i, k in enumerate(order)))
+        first = {}
+        for trace in log:
+            for j, event in enumerate(trace.events):
+                assert first.setdefault((j, event.label), event) is event
+        assert len(first) == 5
 
 
 class TestCsvInterface:
