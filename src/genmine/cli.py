@@ -195,8 +195,8 @@ def _cmd_conformance(args) -> dict:
     net = petri.load_net(args.net)
     log = logs.read_event_log_csv(args.log)
     lstar, _ = logs.build_variant_logs(log)
-    fitness = conformance.token_replay_fitness(net, lstar)
-    precision = conformance.etc_precision(net, lstar)
+    log_scores = conformance.score_log(net, lstar)
+    fitness, precision = log_scores.fitness, log_scores.precision
     scores = {
         "fitness": fitness,
         "precision": precision,

@@ -14,46 +14,58 @@ each of those variants once.  Both conformance functions are parameters so
 stronger metrics can be swapped in without touching the pipeline.
 
 Replay and precision search markings on the net's compiled form
-(``PetriNet.compiled``).  Like playout, both read enabling and firing from
-its one successor table, which lives as long as the net; only replay's
-force-fires fire outside it.  Both read one walk over the log's prefixes
-(``_walk_log``), taken inside the calling scorer's ``cn.search()``.  It
-lives for one call only: a scorer called alone takes its own, and one
-``model_generalization`` call takes one for its two scorers, in whichever
-runs first.  Replay's move memo lives for one call too.
+(``PetriNet.compiled``).  Like playout, precision, the walk over the log's
+prefixes and replay on a net that is not one-token read enabling and
+firing from its one successor table, which lives as long as the net; only
+replay's force-fires fire outside it.  On a one-token net replay moves
+single tokens along the net's arc table (``CompiledNet.arcs``) and reads
+and writes no successor row.  Both scorers read one walk over the log's
+prefixes (``_walk_log``), taken inside the calling scorer's
+``cn.search()``.  It lives for one call only: a scorer called alone takes
+its own, and one ``score_log`` call, which ``model_generalization`` makes,
+takes one for its two scorers, in whichever runs first.  Replay's move
+memo lives for one call too.
 
-Replay's heap order.  Replay is an A* search over (position, marking)
-states for the least pair (cost, firings).  The heap is ordered by two A*
-keys, then a depth key, then push order.  The cost key is the cost plus
-a lower bound on the cost to come, and the firings key the firings plus a
-lower bound on the firings to come.  On a one-token net (each transition
-moves one token from one place to one place and each final marking holds
-L tokens, ``CompiledNet.token_goal``) the cost bound is the token surplus
-``len(marking) - L``, the firings bound is the ``n - pos`` labels left,
-so up to the constant n the firings key is ``firings - pos``, and the
-depth key is ``-pos``, so among ties the deepest state goes first and a
-variant that replays cleanly follows one chain.  On any other net, a
-built system's among them, both bounds and the depth key are 0: Dijkstra's
-search in the order (cost, firings, push order), the order the reference
-replay of the tests follows.  A replay move (``_Move``) holds only what it
-does on the net, and ``_replay_variant`` alone works out the keys of the
-state it reaches.
+Replay's heap order.  Replay searches (position, marking) states for the
+least pair (cost, firings).  Moves are pushed in one order on every net:
+an unknown label's one missing-token event, the label's enabled
+transitions in ascending index, its cheapest disabled one force-fired
+(the first in ``by_label`` of the least deficit), then the silent
+transitions in ascending index.
+
+On a one-token net (each transition moves one token from one place to
+one place and each final marking holds L tokens,
+``CompiledNet.token_goal``) replay is an A* search.  Its heap is ordered
+by two A* keys, then a depth key, then push order.  The cost key is the
+cost plus the token surplus ``len(marking) - L``, a lower bound on the
+cost to come.  The firings key is the firings plus the ``n - pos`` labels
+left, less the constant n: ``firings - pos``.  The depth key is ``-pos``,
+so among ties the deepest state goes first and a variant that replays
+cleanly follows one chain.  Its moves (``_TokenMove``) come from the arc
+table: each moves one token, or, force-fired, adds one, and holds only its
+added cost, the labels it advances and the marking it reaches.  Heap
+entries carry no token counts; the settled (cost, firings) pair gives
+them (below).  On any other net, a built system's among them, replay is
+Dijkstra's search in the order (cost, firings, push order), the order the
+reference replay of the tests follows.  Its moves (``_Move``) come from
+the successor rows and carry the tokens they consume and produce.
 
 The pair bound is consistent: a labelled or silent move keeps the token
 count, a force-fire adds one token at a cost of at least 1, and settling
 costs ``missing + remaining >= len(marking) - L``; a labelled move, a
 force-fire and an unknown label each add one firing and advance one
-label, and a silent move adds one firing only.  So the search settles the
+label, and a silent move adds one firing only.  So the A* settles the
 same least (cost, firings) pair as Dijkstra's, and on a one-token net the
 counts are functions of that pair and of U, the variant's unknown labels:
-``consumed = firings + L``, ``produced = len(initial) + firings - U`` and
-``missing - remaining = U + L - len(initial)``.  Which tied path it
-settles cannot change them.  A replay ``BudgetExceededError`` follows the
-pop order: on a one-token net the search pops only states a Dijkstra
-search pops before settling, stale entries and ties at the optimum aside,
-so the error fires at the same pop limit as Dijkstra's or a lower one,
-never a higher one, and its ``partial_count`` can differ
-(``test_bench_sized_trace_net`` checks this on a trace and a dfg net).
+``consumed = firings + L``, ``produced = len(initial) + firings - U``,
+``missing + remaining = cost`` and ``missing - remaining = U + L -
+len(initial)``.  Which tied path it settles cannot change them.  A
+replay ``BudgetExceededError`` follows the pop order: the A* pops only
+states a Dijkstra search pops before settling, stale entries and ties at
+the optimum aside, so the error fires at the same pop limit as
+Dijkstra's or a lower one, never a higher one, and its ``partial_count``
+can differ (``test_bench_sized_trace_net`` checks this on a trace and a
+dfg net).
 
 The walk over the log's prefixes.  The walk goes breadth-first over the
 log's prefix trie.  A walk state holds each marking that clean replays of
@@ -91,6 +103,7 @@ variant settles even where the A* would run out of pops.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -153,10 +166,15 @@ class _TokenCounts:
 
 _REPLAY_POP_LIMIT = 200_000
 
-# One replay move, what it does on the net: (added cost, labels advanced,
-# next marking, consumed, produced).  ``_replay_variant`` works out the heap
-# keys from it.
+# One replay move on a one-token net, what it does there: (added cost,
+# labels advanced, next marking).  The counts come from the settled
+# (cost, firings) pair (see the module docstring).
+_TokenMove = tuple[int, int, TokenMarking]
+# One replay move on any other net: (added cost, labels advanced, next
+# marking, consumed, produced).
 _Move = tuple[int, int, TokenMarking, int, int]
+# Replay's move memo: the moves out of each (next label, marking) pair.
+_MoveMemo = dict[tuple[str | None, TokenMarking], tuple]
 
 
 def _overlap(a: TokenMarking, b: TokenMarking) -> int:
@@ -174,13 +192,67 @@ def _overlap(a: TokenMarking, b: TokenMarking) -> int:
     return common
 
 
-def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> tuple[_Move, ...]:
-    """Moves out of a replay state that must next replay ``label``.
+def _arc_moves(arcs: tuple[dict, ...], label: str | None, marking: TokenMarking,
+               dpos: int) -> list[_TokenMove]:
+    """The moves of the transitions of ``label`` that ``marking`` enables,
+    in ascending index: each moves one token from its place to its output
+    place.  They cost nothing and advance ``dpos`` labels."""
+    if len(marking) == 1:
+        out = arcs[marking[0]].get(label)
+        return [(0, dpos, (q,)) for _, q in out] if out else []
+    steps = []
+    for p in dict.fromkeys(marking):
+        out = arcs[p].get(label)
+        if out is None:
+            continue
+        for ti, q in out:
+            if p == q:
+                steps.append((ti, marking))
+            else:
+                nxt = list(marking)
+                nxt.remove(p)
+                insort(nxt, q)
+                steps.append((ti, tuple(nxt)))
+    if len(steps) > 1:
+        steps.sort()
+    return [(0, dpos, nxt) for _, nxt in steps]
 
-    ``label is None`` once the variant is consumed.  Order is push order:
-    an unknown label's one missing-token event, then every enabled
-    transition of the label, from the marking's successor row, then the
-    cheapest force-fired one, then silent transitions.
+
+def _token_moves(cn: CompiledNet, label: str | None,
+                 marking: TokenMarking) -> tuple[_TokenMove, ...]:
+    """Moves out of a replay state of a one-token net that must next replay
+    ``label`` (None once the variant is consumed), read from the arc table.
+
+    Push order: an unknown label's one missing-token event, then every
+    enabled transition of the label in ascending index, then the first
+    disabled one in ``by_label`` force-fired (each takes one token, so a
+    deficit of 1 is the least there is), then silent transitions in
+    ascending index.
+    """
+    moves: list[_TokenMove] = []
+    if label is not None:
+        cands = cn.by_label.get(label)
+        if cands is None:
+            # Unknown label: one missing-token event by convention.
+            moves.append((1, 1, marking))
+        else:
+            moves = _arc_moves(cn.arcs, label, marking, 1)
+            pre = cn.pre
+            for ti in cands:
+                if pre[ti].isdisjoint(marking):
+                    nxt = list(marking)
+                    insort(nxt, cn.post[ti][0])
+                    moves.append((1, 1, tuple(nxt)))
+                    break
+    if cn.has_silent:
+        moves += _arc_moves(cn.arcs, None, marking, 0)
+    return tuple(moves)
+
+
+def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> tuple[_Move, ...]:
+    """Moves out of a replay state of a net that is not one-token, in the
+    push order of ``_token_moves``: enabled transitions come from the
+    marking's successor row, and the cheapest disabled one fires directly.
     """
     moves: list[_Move] = []
     pre, post, labels = cn.pre, cn.post, cn.labels
@@ -219,11 +291,14 @@ def _replay_moves(cn: CompiledNet, label: str | None, marking: TokenMarking) -> 
     return tuple(moves)
 
 
-def _replay_variant(
-    cn: CompiledNet,
-    variant: Variant,
-    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]],
-) -> _TokenCounts:
+def _pop_limit_error(pos: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"token replay exceeded {_REPLAY_POP_LIMIT} state expansions",
+        partial_count=pos,
+    )
+
+
+def _replay_variant(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _TokenCounts:
     """Cheapest token replay of one variant.
 
     Duplicate labels and silent transitions make greedy replay ambiguous,
@@ -234,23 +309,74 @@ def _replay_variant(
     keeps the moves out of each (next label, marking) pair; variants of
     one log share it.
 
-    The heap order, and why it settles the same counts as Dijkstra's
-    search, is set out in the module docstring.
+    A one-token net runs the A* that moves single tokens, any other net
+    Dijkstra's search; the module docstring sets out both heap orders and
+    why they settle the same counts.
     """
-    init_produced = len(cn.initial)
+    if cn.token_goal is not None:
+        return _replay_tokens(cn, variant, memo)
+    return _replay_markings(cn, variant, memo)
+
+
+def _replay_tokens(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _TokenCounts:
+    """The A* replay of a one-token net.  Heap entries: (cost key, firings
+    key, depth key, tiebreak, cost, pos, marking, settled); on a fixed state
+    the firings key differs from the firings by a constant, so ``best``
+    stores (cost, firings key)."""
     goal = cn.token_goal
-    bounded = goal is not None
-    start_key = len(cn.initial) - goal if bounded else 0
-    # heap entries: (cost key, firings key, depth key, tiebreak, cost, pos, marking,
-    # consumed, produced, settled).  On a fixed state the firings key differs
-    # from the firings by a constant, so ``best`` stores (cost, firings key).
+    tokens = len(cn.initial)
+    n = len(variant)
     counter = 0
-    heap = [(start_key, 0, 0, counter, 0, 0, cn.initial, 0, init_produced, None)]
+    heap = [(tokens - goal, 0, 0, counter, 0, 0, cn.initial, False)]
+    best: dict[tuple[int, TokenMarking], tuple[int, int]] = {(0, cn.initial): (0, 0)}
+    pops = 0
+    while heap:
+        _, fkey, depth, _, cost, pos, marking, settled = heappop(heap)
+        if settled:
+            # the counts of (cost, firings, U) (see the module docstring)
+            firings = fkey + n
+            unknown = sum(label not in cn.by_label for label in variant)
+            remaining = (cost - unknown - goal + tokens) // 2
+            return _TokenCounts(missing=cost - remaining, remaining=remaining,
+                                consumed=firings + goal, produced=tokens + firings - unknown)
+        pops += 1
+        if pops > _REPLAY_POP_LIMIT:
+            raise _pop_limit_error(pos)
+        if best.get((pos, marking), (cost + 1, 0)) < (cost, fkey):
+            continue
+        if pos == n:
+            label = None
+            for f in cn.finals or ((),):
+                total = cost + len(f) + len(marking) - 2 * _overlap(f, marking)
+                counter += 1
+                heappush(heap, (total, fkey, depth, counter, total, pos, marking, True))
+        else:
+            label = variant[pos]
+        moves = memo.get((label, marking))
+        if moves is None:
+            moves = memo[(label, marking)] = _token_moves(cn, label, marking)
+        for dcost, dpos, nxt in moves:
+            cost2, pos2, fkey2 = cost + dcost, pos + dpos, fkey + 1 - dpos
+            state = (pos2, nxt)
+            seen = best.get(state)
+            if seen is None or (cost2, fkey2) < seen:
+                best[state] = (cost2, fkey2)
+                counter += 1
+                heappush(heap, (cost2 + len(nxt) - goal, fkey2, -pos2, counter,
+                                cost2, pos2, nxt, False))
+    raise BudgetExceededError("token replay found no settlement", partial_count=0)
+
+
+def _replay_markings(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _TokenCounts:
+    """Dijkstra's replay of any other net.  Heap entries: (cost, firings,
+    tiebreak, cost, pos, marking, consumed, produced, settled)."""
+    counter = 0
+    heap = [(0, 0, counter, 0, 0, cn.initial, 0, len(cn.initial), None)]
     best: dict[tuple[int, TokenMarking], tuple[int, int]] = {(0, cn.initial): (0, 0)}
     pops = 0
     n = len(variant)
     while heap:
-        _, fkey, depth, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
+        _, firings, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
         if settled is not None:
             rem_f, final = settled
             return _TokenCounts(
@@ -261,11 +387,8 @@ def _replay_variant(
             )
         pops += 1
         if pops > _REPLAY_POP_LIMIT:
-            raise BudgetExceededError(
-                f"token replay exceeded {_REPLAY_POP_LIMIT} state expansions",
-                partial_count=pos,
-            )
-        if best.get((pos, marking), (cost + 1, 0)) < (cost, fkey):
+            raise _pop_limit_error(pos)
+        if best.get((pos, marking), (cost + 1, 0)) < (cost, firings):
             continue
         if pos == n:
             # Goal edges: settle against each final marking; without finals,
@@ -276,7 +399,7 @@ def _replay_variant(
                 rem_f = len(marking) - common
                 total = cost + len(f) - common + rem_f
                 counter += 1
-                heappush(heap, (total, fkey, depth, counter, total, pos, marking,
+                heappush(heap, (total, firings, counter, total, pos, marking,
                                 consumed, produced, (rem_f, f)))
         else:
             label = variant[pos]
@@ -284,18 +407,13 @@ def _replay_variant(
         if moves is None:
             moves = memo[(label, marking)] = _replay_moves(cn, label, marking)
         for dcost, dpos, nxt, dconsumed, dproduced in moves:
-            cost2, pos2 = cost + dcost, pos + dpos
-            if bounded:
-                # the heap keys of a one-token net (see the module docstring)
-                key2, fkey2, depth2 = cost2 + len(nxt) - goal, fkey + 1 - dpos, -pos2
-            else:
-                key2, fkey2, depth2 = cost2, fkey + 1, 0
+            cost2, firings2, pos2 = cost + dcost, firings + 1, pos + dpos
             state = (pos2, nxt)
             seen = best.get(state)
-            if seen is None or (cost2, fkey2) < seen:
-                best[state] = (cost2, fkey2)
+            if seen is None or (cost2, firings2) < seen:
+                best[state] = (cost2, firings2)
                 counter += 1
-                heappush(heap, (key2, fkey2, depth2, counter, cost2, pos2, nxt,
+                heappush(heap, (cost2, firings2, counter, cost2, pos2, nxt,
                                 consumed + dconsumed, produced + dproduced, None))
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 
@@ -447,16 +565,15 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     return _LogWalk(clean, allowed, escaping, gave_up)
 
 
-# The walks ``model_generalization`` shares between its two scorers: the log
-# it scores and, per compiled net, its walk.  Set for that one call only.
+# The walks ``score_log`` shares between its two scorers: the log it scores
+# and, per compiled net, its walk.  Set for that one call only.
 _SHARED_WALKS: ContextVar[tuple[VariantLog, dict[CompiledNet, _LogWalk]] | None] = (
     ContextVar("_SHARED_WALKS", default=None))
 
 
 def _walk_of(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     """The walk of ``lstar`` on ``cn``, taken in the calling scorer's search,
-    or the one an earlier scorer of the same ``model_generalization`` call
-    took."""
+    or the one an earlier scorer of the same ``score_log`` call took."""
     shared = _SHARED_WALKS.get()
     if shared is None or shared[0] is not lstar:
         return _walk_log(cn, lstar)
@@ -479,7 +596,7 @@ def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
     if len(lstar) == 0:
         raise InvalidInputError("token_replay_fitness requires a non-empty variant log")
     cn = net.compiled
-    memo: dict[tuple[str | None, TokenMarking], tuple[_Move, ...]] = {}
+    memo: _MoveMemo = {}
     with cn.search():
         # (missing, remaining, consumed, produced) per distinct variant
         counts = {v: (0, 0, t, t) for v, t in _walk_of(cn, lstar).clean.items()}
@@ -505,10 +622,10 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     replaying s including silent closure; labels enabled but never observed
     escape.  Prefixes the net cannot replay are truncated at the first
     failure and counted up to it.  The sums come from the walk over the
-    log's prefixes, which replay shares within one ``model_generalization``
-    call.  A prefix state of more than ``_CLOSURE_LIMIT`` markings raises,
-    with the size of the union of its markings' silent closures once it
-    passes the limit.
+    log's prefixes, which replay shares within one ``score_log`` call.  A
+    prefix state of more than ``_CLOSURE_LIMIT`` markings raises, with the
+    size of the union of its markings' silent closures once it passes the
+    limit.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
@@ -552,6 +669,25 @@ class GeneralizationResult:
 ConformanceFn = Callable[[PetriNet, VariantLog], float]
 
 
+def score_log(
+    net: PetriNet,
+    lstar: VariantLog,
+    fitness_fn: ConformanceFn = token_replay_fitness,
+    precision_fn: ConformanceFn = etc_precision,
+) -> ConformanceScores:
+    """Log fitness and log precision of ``lstar`` on ``net``, the log's
+    multiplicity kept.  For this one call the default scorers, and any that
+    pass this net and log on to them, share one walk over the log's
+    prefixes."""
+    shared = _SHARED_WALKS.set((lstar, {}))
+    try:
+        fit = fitness_fn(net, lstar)
+        prec = precision_fn(net, lstar)
+    finally:
+        _SHARED_WALKS.reset(shared)
+    return ConformanceScores(fit, prec)
+
+
 def model_generalization(
     net: PetriNet,
     v_hat_s: Iterable[Variant],
@@ -560,20 +696,13 @@ def model_generalization(
 ) -> GeneralizationResult:
     """Generalization of a net against an estimated system variant set.
 
-    Scores a log containing each estimated variant exactly once and takes
-    the harmonic mean of log fitness and log precision on it.  For this one
-    call the default scorers, and any that pass this net and log on to
-    them, share one walk over the log's prefixes.
+    Scores a log containing each estimated variant exactly once
+    (``score_log``) and takes the harmonic mean of log fitness and log
+    precision on it.
     """
     variants = set(map(tuple, v_hat_s))
     if not variants:
         raise InvalidInputError("model_generalization requires a non-empty variant set")
     _check_variants(variants)
-    lstar = VariantLog(tuple(sorted(variants)))
-    shared = _SHARED_WALKS.set((lstar, {}))
-    try:
-        fit = fitness_fn(net, lstar)
-        prec = precision_fn(net, lstar)
-    finally:
-        _SHARED_WALKS.reset(shared)
-    return GeneralizationResult(generalization_score(fit, prec), ConformanceScores(fit, prec))
+    scores = score_log(net, VariantLog(tuple(sorted(variants))), fitness_fn, precision_fn)
+    return GeneralizationResult(generalization_score(scores.fitness, scores.precision), scores)

@@ -18,12 +18,14 @@ through one compiled form, :class:`CompiledNet`, built once per net
 tuple of the indices of the places that hold tokens, one entry per token,
 so firing, enabling checks and hashing cost time in the number of tokens,
 not in the number of places.  Its successor table, filled per marking on
-first visit and kept with the net, is the one enabling-and-firing relation
-all three searches read; a search that raises drops the rows it added.
-Rows come from one flat consumer index: per place, the transitions with
-that place in their preset.  Playout filters each marking's row by the
-token cap once per call, and token replay takes the moves of the label it
-replays from the row.
+first visit and kept with the net, is the enabling-and-firing relation
+that playout and precision read, and token replay on a net that is not
+one-token; a search that raises drops the rows it added.  Rows come from
+one flat consumer index: per place, the transitions with that place in
+their preset.  Playout filters each marking's row by the token cap once
+per call.  On a one-token net, where each transition moves one token,
+token replay moves single tokens along a per-place arc table instead and
+adds no row.
 
 State explosion is kept in check three ways: a per-place token cap, a cap
 on the visible sequence length, and a global budget on (marking, prefix)
@@ -179,8 +181,11 @@ class CompiledNet:
     place are checked.  ``consumers[p]`` lists, in index order, the
     transitions with place ``p`` in their preset, and ``unconditional`` the
     empty-preset ones, which every marking enables.  ``successors`` reads
-    both, and its rows are the one enabling relation of playout, token
-    replay and precision.  ``by_label`` lists each label's transitions, for
+    both, and its rows are the enabling relation of playout, precision and
+    token replay on a net that is not one-token.  On a one-token net
+    (``token_goal`` set), ``arcs[p][label]`` lists the ``(ti, q)`` moves of
+    a token on ``p``, and token replay reads it instead, so its force-fired
+    markings get no row.  ``by_label`` lists each label's transitions, for
     replay's unknown labels and force-fires.
     """
 
@@ -214,6 +219,18 @@ class CompiledNet:
         one_token = (self.single_output and len(final_sizes) == 1
                      and all(len(ps) == 1 for ps in self.pre))
         self.token_goal = final_sizes.pop() if one_token else None
+        # On a one-token net, the arc table: ``arcs[p][label]`` lists, in
+        # ascending index, each transition ``ti`` of that label (None for
+        # silent ones) taking its token from place ``p``, as ``(ti, q)``
+        # with ``q`` its output place; token replay moves single tokens
+        # along it.  None on any other net.
+        self.arcs: tuple[dict[str | None, tuple[tuple[int, int], ...]], ...] | None = None
+        if one_token:
+            arcs: list[dict[str | None, list[tuple[int, int]]]] = [{} for _ in self.place_index]
+            for ti, label in enumerate(self.labels):
+                (p,) = pre[ti]
+                arcs[p].setdefault(label, []).append((ti, self.post[ti][0]))
+            self.arcs = tuple({k: tuple(v) for k, v in a.items()} for a in arcs)
         # The consumer index (see the class docstring), and the labeled
         # transitions per label.
         consumers: list[list[int]] = [[] for _ in self.place_index]

@@ -109,3 +109,23 @@ def silent_skip_net():
         initial_marking={"p0": 1},
         final_markings=[{"p2": 1}],
     )
+
+
+@pytest.fixture
+def two_token_net():
+    """A one-token net that starts with two tokens on p: "a" moves a token
+    p -> q or p -> r, and a second "a" q -> r; "b" moves one q -> p and a
+    silent transition r -> q."""
+    return make_net(
+        places=["p", "q", "r"],
+        transitions=[("t_a1", "a"), ("t_a2", "a"), ("t_a3", "a"), ("t_b", "b"), ("tau", None)],
+        arcs=[
+            ("p", "t_a1"), ("t_a1", "q"),
+            ("q", "t_a2"), ("t_a2", "r"),
+            ("p", "t_a3"), ("t_a3", "r"),
+            ("q", "t_b"), ("t_b", "p"),
+            ("r", "tau"), ("tau", "q"),
+        ],
+        initial_marking={"p": 2},
+        final_markings=[{"r": 2}],
+    )

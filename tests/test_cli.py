@@ -12,9 +12,15 @@ from genmine import (
     SamplerModel,
     SystemSpec,
     TrainConfig,
+    VariantLog,
     build_system,
+    build_variant_logs,
+    conformance,
+    dfg_discover,
     genmodel,
+    load_net,
     playout_enumerate,
+    read_event_log_csv,
     read_variants_tsv,
     save_net,
     synth_event_log,
@@ -248,6 +254,44 @@ class TestDiscoverAndConformance:
         assert scores["fitness"] == 1.0  # dfg replays its own log
         assert 0.0 <= scores["precision"] <= 1.0
         assert scores["generalization"] > 0.0
+
+    def test_conformance_walks_the_log_once(self, tmp_path, monkeypatch, capsys):
+        # The dfg of two variants does not fit the log's "c" variants, which
+        # repeat, so the scores depend on the log's multiplicity.
+        net_path, log_path = tmp_path / "dfg.json", tmp_path / "log.csv"
+        save_net(dfg_discover(VariantLog((("a", "b"), ("a", "c", "b")))), net_path)
+        rows = [(case, label, f"2020-01-01T00:00:0{j}")
+                for case, v in enumerate([("a", "b"), ("c",), ("c",), ("c", "a", "b")])
+                for j, label in enumerate(v)]
+        log_path.write_text("case_id,activity,timestamp\n"
+                            + "".join(f"c{case},{label},{stamp}\n" for case, label, stamp in rows))
+        lstar, _ = build_variant_logs(read_event_log_csv(log_path))
+        assert len(lstar) > len(set(lstar))
+        net = load_net(net_path)
+        fitness = conformance.token_replay_fitness(net, lstar)
+        precision = conformance.etc_precision(net, lstar)
+        want = json.dumps({
+            "fitness": fitness,
+            "precision": precision,
+            "generalization": conformance.generalization_score(fitness, precision),
+            "fitness_method": "token_replay",
+            "precision_method": "escaping_edges",
+        }, indent=2, sort_keys=True) + "\n"
+        assert fitness < 1.0
+        walks = []
+        walk = conformance._walk_log
+
+        def counted(cn, log):
+            walks.append(log)
+            return walk(cn, log)
+
+        monkeypatch.setattr(conformance, "_walk_log", counted)
+        scores_out = tmp_path / "scores.json"
+        assert main(["conformance", "--net", str(net_path), "--log", str(log_path),
+                     "--out", str(scores_out)]) == 0
+        assert walks == [lstar]
+        assert scores_out.read_text() == want
+        assert capsys.readouterr().out == want
 
     def test_mixed_timezones_are_domain_error(self, tmp_path, capsys):
         log_path = tmp_path / "mixed.csv"

@@ -216,10 +216,12 @@ class TestModelGeneralization:
 class TestSuccessorTable:
     @pytest.mark.parametrize("case", ["system", "trace", "dfg"])
     def test_force_fired_markings_get_true_rows(self, case):
-        # Replay force-fires disabled transitions and then reads the moves
-        # out of the markings it reaches from their rows, on one-token nets
-        # too; each row it leaves in the net's table must be the enabled
-        # relation of a fresh compiled net.
+        # On a built system replay force-fires disabled transitions and then
+        # reads the moves out of the markings it reaches from their rows; each
+        # row it leaves in the net's table must be the enabled relation of a
+        # fresh compiled net.  On the one-token trace and dfg nets replay
+        # moves tokens along the arc table and adds no row, so the table
+        # holds only the reachable markings the prefix walk read.
         if case == "system":
             net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
                                           weights=SILENT_WEIGHTS, silent_skip=True,
@@ -239,7 +241,11 @@ class TestSuccessorTable:
                     reachable.add(nxt)
                     frontier.append(nxt)
         table = net.compiled._successors
-        assert table.keys() - reachable, "replay touched no force-fired marking"
+        if case == "system":
+            assert table.keys() - reachable, "replay touched no force-fired marking"
+        else:
+            assert net.compiled.token_goal == 1
+            assert table and table.keys() <= reachable
         for m, row in table.items():
             assert row == tuple((ti, fresh.fire(m, ti)) for ti in range(len(fresh.transitions))
                                 if fresh.pre[ti] <= set(m))
@@ -605,6 +611,22 @@ class TestDenseReference:
                 else:
                     want = _outcome(replay_counts_reference, net, v, pop_limit=pop_limit)
                     assert want[:2] == got[:2], v
+
+
+class TestOneTokenMoves:
+    """On a one-token net replay moves single tokens along the arc table."""
+
+    def test_unknown_label_and_force_fire_leave_the_successor_table(self, two_token_net):
+        # Each variant has a "b" with no token on q, which is force-fired,
+        # and a "z", which is no label of the net.
+        cn = two_token_net.compiled
+        cn.successors(cn.initial)
+        kept = dict(cn._successors)
+        for variant in (("b", "z", "a", "a"), ("a", "z", "b", "b", "a", "a")):
+            got = astuple(_replay_variant(cn, variant, {}))
+            assert got == replay_counts_reference(two_token_net, variant), variant
+            assert got[0] >= 2
+        assert cn._successors == kept
 
 
 def _reference_fitness(net, lstar):

@@ -184,6 +184,22 @@ class TestCompiledIndexes:
         net = make_net(["p", "q", "r"], [("t", "a"), ("tau", None)], arcs, {"p": 1}, finals)
         assert net.compiled.token_goal is None
 
+    def test_arc_table_lists_each_place_s_moves_by_label(self, two_token_net):
+        # Places p, q, r are 0, 1, 2 and t_a1, t_a2, t_a3, t_b, tau are 0-4;
+        # silent moves are listed under None, and a label's moves out of one
+        # place in ascending index.
+        cn = two_token_net.compiled
+        assert (cn.token_goal, cn.initial) == (2, (0, 0))
+        assert cn.arcs == ({"a": ((0, 1), (2, 2))},
+                           {"a": ((1, 2),), "b": ((3, 0),)},
+                           {None: ((4, 1),)})
+
+    def test_only_one_token_nets_have_an_arc_table(self):
+        net = make_net(["p", "q", "r"], [("t", "a")], [("p", "t"), ("t", "q"), ("t", "r")],
+                       {"p": 1}, [{"q": 1, "r": 1}])
+        assert net.compiled.token_goal is None
+        assert net.compiled.arcs is None
+
     def test_built_system_with_an_and_block_is_not_a_one_token_net(self):
         net = build_system(SystemSpec(seed=0, depth=1, weights={"and": 1.0}))
         assert net.compiled.token_goal is None
