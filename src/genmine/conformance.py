@@ -369,14 +369,14 @@ def _replay_tokens(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _Token
 
 def _replay_markings(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _TokenCounts:
     """Dijkstra's replay of any other net.  Heap entries: (cost, firings,
-    tiebreak, cost, pos, marking, consumed, produced, settled)."""
+    tiebreak, pos, marking, consumed, produced, settled)."""
     counter = 0
-    heap = [(0, 0, counter, 0, 0, cn.initial, 0, len(cn.initial), None)]
+    heap = [(0, 0, counter, 0, cn.initial, 0, len(cn.initial), None)]
     best: dict[tuple[int, TokenMarking], tuple[int, int]] = {(0, cn.initial): (0, 0)}
     pops = 0
     n = len(variant)
     while heap:
-        _, firings, _, cost, pos, marking, consumed, produced, settled = heappop(heap)
+        cost, firings, _, pos, marking, consumed, produced, settled = heappop(heap)
         if settled is not None:
             rem_f, final = settled
             return _TokenCounts(
@@ -399,7 +399,7 @@ def _replay_markings(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _Tok
                 rem_f = len(marking) - common
                 total = cost + len(f) - common + rem_f
                 counter += 1
-                heappush(heap, (total, firings, counter, total, pos, marking,
+                heappush(heap, (total, firings, counter, pos, marking,
                                 consumed, produced, (rem_f, f)))
         else:
             label = variant[pos]
@@ -413,7 +413,7 @@ def _replay_markings(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _Tok
             if seen is None or (cost2, firings2) < seen:
                 best[state] = (cost2, firings2)
                 counter += 1
-                heappush(heap, (cost2, firings2, counter, cost2, pos2, nxt,
+                heappush(heap, (cost2, firings2, counter, pos2, nxt,
                                 consumed + dconsumed, produced + dproduced, None))
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 

@@ -6,10 +6,13 @@ model against the truth.  Each (system, model) cell does all of that
 model's work and returns its finished report block.  A sampler cell
 trains the built-in generator on the observed variants and estimates the
 system set naively or via Metropolis-Hastings (:func:`estimate`).  A net
-cell builds its net once, plays it out up to the length of the longest
-observed variant, and scores its generalization against every sampler's
-estimated variant set of the same system.  Sampler cells therefore run
-first and net cells second, both through the same executor.
+cell builds its net once and takes its rates from counts and membership:
+it counts the net's playout up to the length of the longest observed
+variant and tests each system variant for membership, both on the net's
+playout automaton, without listing the playout.  It then scores the net's
+generalization against every sampler's estimated variant set of the same
+system.  Sampler cells therefore run first and net cells second, both
+through the same executor.
 
 Reports are plain dicts ready for JSON: all randomness is derived from
 (seed, system index, model index), every set is serialized sorted, and
@@ -140,9 +143,7 @@ def estimate(
     return sample
 
 
-def _rates_block(name: str, kind: str, v_hat: frozenset[Variant], truth: SystemTruth,
-                 lplus_e: frozenset[Variant] | None = None) -> dict:
-    report = metrics.compute_rates(v_hat, truth.v_s, truth.lplus.as_set(), truth.v_u, lplus_e)
+def _rates_block(name: str, kind: str, report: metrics.MetricsReport) -> dict:
     return {"name": name, "kind": kind, "counts": report.counts_dict(),
             "rates": report.rates_dict()}
 
@@ -153,7 +154,9 @@ def _sampler_block(truth: SystemTruth, model: SamplerModel, cfg: ExperimentConfi
     result = genmodel.train_and_select(truth.lplus, tcfg)
     rng = np.random.default_rng([cfg.seed, si, mi, 2])
     sample = estimate(model, result, rng, tcfg.temperature)
-    block = _rates_block(model.name, "sampler", sample.v_hat_s, truth, result.holdout.as_set())
+    report = metrics.compute_rates(sample.v_hat_s, truth.v_s, truth.lplus.as_set(), truth.v_u,
+                                   result.holdout.as_set())
+    block = _rates_block(model.name, "sampler", report)
     block["sampler_meta"] = {
         "mode": model.mode,
         "draws": sample.draw_count,
@@ -178,10 +181,17 @@ def _net_block(truth: SystemTruth, model: NetModel | BaselineModel, cfg: Experim
         net = petri.flower_model({a for v in truth.lplus for a in v})
     else:
         net = petri.dfg_discover(truth.lplus)
-    # A SystemTruth's longest observed variant is a longest one of V_S.
+    # A SystemTruth's longest observed variant is a longest one of V_S, so
+    # the playout at mu holds every variant of V_S that the net accepts.
     mu = max(len(v) for v in truth.lplus)
-    v_hat = petri.playout_enumerate(net, max_len=mu, token_cap=cfg.token_cap)
-    block = _rates_block(model.name, "net", v_hat, truth)
+    hits = [sum(petri.accepts(net, v, mu, cfg.token_cap) for v in part)
+            for part in (truth.lplus, truth.v_u)]
+    report = metrics.MetricsReport(
+        n_sampled=petri.count_playout(net, mu, cfg.token_cap),
+        n_system=len(truth.v_s), n_observed=len(truth.lplus), n_unobserved=len(truth.v_u),
+        hits_system=sum(hits), hits_observed=hits[0], hits_unobserved=hits[1],
+    )
+    block = _rates_block(model.name, "net", report)
     per_sampler = {}
     for sampler_name, variants in sorted(sampler_sets.items()):
         if not variants:

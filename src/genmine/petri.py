@@ -1,16 +1,22 @@
 """Labeled Petri nets with silent transitions and bounded playout.
 
 A net is a bipartite graph of places and transitions; a marking assigns a
-non-negative token count to each place.  Playout walks the visible label
-sequences level by level, one level per length.  A prefix's search state is
-the set of markings it reaches, closed under silent firings; the prefix is
-recorded when its state holds a final marking.  A first pass counts the
-prefixes reaching each state, so the budget is charged with integers; only a
-playout that fits it builds its prefixes, extending all of a state's
-prefixes by each of its steps in one go.  Nets without declared final
-markings are played out in permissive mode: any deadlock with at least one
-emitted label terminates a variant, which is what unsound discovered nets
-need.
+non-negative token count to each place.  A prefix's search state is the set
+of markings it reaches, closed under silent firings; the prefix is a variant
+when its state holds a final marking.  Nets without declared final markings
+are played out in permissive mode: any deadlock with at least one emitted
+label terminates a variant, which is what unsound discovered nets need.
+
+Those states and their visible steps form the net's playout automaton, one
+per (net, token cap), built lazily and kept with the net
+(:class:`PlayoutAutomaton`), and read three ways.  :func:`playout_enumerate`
+lists the variants: a first walk, level by level, counts the prefixes
+reaching each state, so the budget is charged with integers; only a playout
+that fits it builds its prefixes, extending all of a state's prefixes by
+each of its steps in one go.  :func:`count_playout` counts the variants
+without listing any (:func:`playout_extent` also gives the longest one's
+length), and :func:`accepts` tests one variant by walking its labels; an
+experiment's net cells take their rates from counts and membership.
 
 Playout, token replay and escaping-edges precision all search markings
 through one compiled form, :class:`CompiledNet`, built once per net
@@ -22,15 +28,17 @@ first visit and kept with the net, is the enabling-and-firing relation
 that playout and precision read, and token replay on a net that is not
 one-token; a search that raises drops the rows it added.  Rows come from
 one flat consumer index: per place, the transitions with that place in
-their preset.  Playout filters each marking's row by the token cap once
-per call.  On a one-token net, where each transition moves one token,
-token replay moves single tokens along a per-place arc table instead and
-adds no row.
+their preset.  A playout automaton filters each marking's row by its token
+cap once and keeps the result.  On a one-token net, where each transition
+moves one token, token replay moves single tokens along a per-place arc
+table instead and adds no row.
 
-State explosion is kept in check three ways: a per-place token cap, a cap
-on the visible sequence length, and a global budget on (marking, prefix)
-pairs that raises :class:`~genmine.errors.BudgetExceededError` with the
-partial result count.
+State explosion is kept in check by a per-place token cap, a cap on the
+visible sequence length, and, for enumeration, a global budget on
+(marking, prefix) pairs that raises
+:class:`~genmine.errors.BudgetExceededError` with the partial result count.
+A count or membership test has no budget; an automaton it would grow past
+:data:`STATE_LIMIT` markings raises that error instead.
 """
 
 from __future__ import annotations
@@ -52,6 +60,9 @@ TokenMarking = tuple[int, ...]
 
 DEFAULT_TOKEN_CAP = 3
 DEFAULT_BUDGET = 10_000_000
+# The most markings, summed over its states, that a playout automaton built
+# for a count or a membership test may hold.
+STATE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -244,6 +255,7 @@ class CompiledNet:
         self.unconditional = tuple(ti for ti, ps in enumerate(pre) if not ps)
         self.by_label = {k: tuple(v) for k, v in by_label.items()}
         self._successors: dict[TokenMarking, tuple[tuple[int, TokenMarking], ...]] = {}
+        self._playouts: dict[int | None, PlayoutAutomaton] = {}
 
     def encode(self, marking: Mapping[str, int]) -> TokenMarking:
         """The sorted token tuple of a ``{place: count}`` marking."""
@@ -285,6 +297,14 @@ class CompiledNet:
             )
         return row
 
+    def playout(self, token_cap: int | None) -> PlayoutAutomaton:
+        """The playout automaton at ``token_cap``, created empty on first
+        use and kept with the net."""
+        auto = self._playouts.get(token_cap)
+        if auto is None:
+            auto = self._playouts[token_cap] = PlayoutAutomaton(self, token_cap)
+        return auto
+
     @contextmanager
     def search(self):
         """Scope one search: if it raises, the successor rows it added go.
@@ -305,30 +325,165 @@ def _exceeds_cap(marking: TokenMarking, cap: int) -> bool:
     return any(marking[i] == marking[i + cap] for i in range(len(marking) - cap))
 
 
-class _PlayoutRows(dict):
-    """One playout call's rows: marking -> (whether it is a deadlock, its
-    visible (label, next marking) steps, its silent next markings), each
-    next marking within the token cap; a row is worked out on first lookup.
-    A marking whose successors all exceed the cap is not a deadlock."""
+class _Overflow(Exception):
+    """A silent closure or the automaton grew past the limit its caller set."""
+
+
+class PlayoutAutomaton:
+    """A net's playout automaton at one token cap, built lazily and kept.
+
+    It is the subset construction of the net's labelled reachability graph
+    within the cap.  A state is a set of markings closed under silent
+    firings, numbered in the order it was first reached; state 0 is the
+    closure of the initial marking.  ``records[i]`` tells whether a prefix
+    reaching state ``i`` is a variant: the state holds a final marking, or,
+    on a net without finals, a deadlock (a marking with no successor at
+    all, even past the cap).  ``steps[i]`` maps each visible label to the
+    next state, in the order the labels first occur among the state's
+    markings; it is None until a walk first needs it.  ``grown[i]`` is the
+    size of the largest of those next states whose closure grew past its
+    seeds (0 if none), which the playout budget reads.  ``rows`` keeps each
+    marking's cap-filtered successors: whether it is a deadlock, its
+    (label, next marking) steps and its silent next markings.
+
+    The automaton holds no reference to its net: every method that builds
+    takes the :class:`CompiledNet`, so a dropped net is freed at once.
+    States, steps and rows are only added; :meth:`building` scopes a call
+    so that a raise removes what the call added.
+    """
 
     def __init__(self, cn: CompiledNet, token_cap: int | None):
-        super().__init__()
-        self.cn = cn
         self.token_cap = token_cap
+        self.finals = frozenset(cn.finals)
+        self.rows: dict[TokenMarking, tuple] = {}
+        self.index: dict[frozenset[TokenMarking], int] = {}
+        self.states: list[frozenset[TokenMarking]] = []
+        self.records: list[bool] = []
+        self.steps: list[dict[str, int] | None] = []
+        self.grown: list[int] = []
+        self.start_grown = 0
+        self.held = 0  # markings over all states
+        self._filled: list[int] = []  # states whose steps the current call built
 
-    def __missing__(self, marking: TokenMarking):
-        cn, token_cap = self.cn, self.token_cap
-        succ = cn.successors(marking)
-        visible, silent = [], []
-        for ti, nxt in succ:
-            if token_cap is None or not _exceeds_cap(nxt, token_cap):
-                label = cn.labels[ti]
-                if label is None:
-                    silent.append(nxt)
-                else:
-                    visible.append((label, nxt))
-        row = self[marking] = (not succ, tuple(visible), tuple(silent))
+    @contextmanager
+    def building(self, cn: CompiledNet):
+        """Scope one call: if it raises, the states, steps and rows it added
+        go, and so do the successor rows (``cn.search()``)."""
+        states, rows = len(self.states), len(self.rows)
+        self._filled.clear()
+        try:
+            with cn.search():
+                yield
+        except BaseException:
+            for state in self.states[states:]:
+                del self.index[state]
+                self.held -= len(state)
+            for lst in (self.states, self.records, self.steps, self.grown):
+                del lst[states:]
+            for i in self._filled:
+                if i < states:
+                    self.steps[i], self.grown[i] = None, 0
+            while len(self.rows) > rows:
+                self.rows.popitem()
+            raise
+        finally:
+            self._filled.clear()
+
+    def _row(self, cn: CompiledNet, marking: TokenMarking) -> tuple:
+        row = self.rows.get(marking)
+        if row is None:
+            succ = cn.successors(marking)
+            cap = self.token_cap
+            visible, silent = [], []
+            for ti, nxt in succ:
+                if cap is None or not _exceeds_cap(nxt, cap):
+                    label = cn.labels[ti]
+                    if label is None:
+                        silent.append(nxt)
+                    else:
+                        visible.append((label, nxt))
+            row = self.rows[marking] = (not succ, tuple(visible), tuple(silent))
         return row
+
+    def _state(self, cn: CompiledNet, seeds: set[TokenMarking], limit: int,
+               state_limit: int | None) -> tuple[int, int]:
+        """The number of the closure of ``seeds`` under silent firings, and
+        its size if it grew past the seeds (else 0).  A closure that grows
+        past ``limit`` markings, or a new state that takes the automaton past
+        ``state_limit`` markings, raises :class:`_Overflow`."""
+        grew = False
+        if cn.has_silent:
+            todo = list(seeds)
+            while todo:
+                for nxt in self._row(cn, todo.pop())[2]:
+                    if nxt not in seeds:
+                        seeds.add(nxt)
+                        if len(seeds) > limit:
+                            raise _Overflow
+                        todo.append(nxt)
+                        grew = True
+        state = frozenset(seeds)
+        i = self.index.get(state)
+        if i is None:
+            if state_limit is not None and self.held + len(state) > state_limit:
+                raise _Overflow
+            i = self.index[state] = len(self.states)
+            self.states.append(state)
+            self.records.append(not self.finals.isdisjoint(state) if self.finals
+                                else any(self._row(cn, m)[0] for m in state))
+            self.steps.append(None)
+            self.grown.append(0)
+            self.held += len(state)
+        return i, len(state) if grew else 0
+
+    def start(self, cn: CompiledNet, limit: int, state_limit: int | None = None) -> int:
+        """Build state 0 if it is not there yet; return its size if the
+        initial marking's closure grew, else 0."""
+        if not self.states:
+            self.start_grown = self._state(cn, {cn.initial}, limit, state_limit)[1]
+        return self.start_grown
+
+    def expand(self, cn: CompiledNet, i: int, limit: int,
+               state_limit: int | None = None) -> dict[str, int]:
+        """Build and return state ``i``'s steps (see :meth:`_state` for the
+        limits)."""
+        by_label: dict[str, set[TokenMarking]] = {}
+        for m in self.states[i]:
+            for label, nxt in self._row(cn, m)[1]:
+                targets = by_label.get(label)
+                if targets is None:
+                    by_label[label] = {nxt}
+                else:
+                    targets.add(nxt)
+        steps, grown = {}, 0
+        for label, targets in by_label.items():
+            steps[label], size = self._state(cn, targets, limit, state_limit)
+            grown = max(grown, size)
+        self.steps[i], self.grown[i] = steps, grown
+        self._filled.append(i)
+        return steps
+
+
+@contextmanager
+def _within_state_limit(cn: CompiledNet, auto: PlayoutAutomaton):
+    """Scope a read that may build states: an automaton that would pass
+    :data:`STATE_LIMIT` markings raises :class:`BudgetExceededError` and
+    keeps nothing the read added."""
+    with auto.building(cn):
+        try:
+            auto.start(cn, STATE_LIMIT, STATE_LIMIT)
+            yield
+        except _Overflow:
+            raise BudgetExceededError(
+                f"playout automaton exceeded {STATE_LIMIT} markings", partial_count=0
+            ) from None
+
+
+def _check_bounds(max_len: int | None, token_cap: int | None) -> None:
+    if max_len is not None:
+        check_count("max_len", max_len)
+    if token_cap is not None:
+        check_count("token_cap", token_cap)
 
 
 def playout_enumerate(
@@ -343,35 +498,33 @@ def playout_enumerate(
     silent firings; firings past ``token_cap`` and visible steps past
     ``max_len`` are pruned.  A non-empty prefix is recorded when its state
     holds a final marking or, on a net without declared finals, a deadlock
-    (permissive mode).  Per call, each marking's row is filtered by the cap
-    once, and each distinct state works out once whether it records and,
-    when a prefix below ``max_len`` needs them, its visible steps.
+    (permissive mode).  The states and their steps are those of the net's
+    :class:`PlayoutAutomaton` at ``token_cap``, kept with the net, so a
+    later call on the same net reads what an earlier one built.
 
     Two passes walk the states level by level, one level per prefix length.
     The first counts: a level maps each state to the number of prefixes of
-    that length reaching it, and fills the per-state memo.  Each prefix
-    reaches one state, so a recording state's count counts distinct
-    variants.  Only when the first pass fits the budget does the second
-    build the prefixes, extending each state's list by each of its steps
-    and merging the lists by next state; it reads only the memo.
+    that length reaching it, and builds the steps a walk needs that no call
+    has built yet.  Each prefix reaches one state, so a recording state's
+    count counts distinct variants.  Only when the first pass fits the
+    budget does the second build the prefixes, extending each state's list
+    by each of its steps and merging the lists by next state.
 
     The budget counts (marking, prefix) pairs: a state costs its size once
-    per prefix reaching it, and a silent closure raises as soon as the pairs
-    charged so far plus its size pass the budget.  So a playout fits its
-    budget exactly when a search over pairs would.  ``partial_count`` counts
-    the variants whose pairs fit before the budget ran out, charging the
-    states of each level in the order the walk first reached them.
+    per prefix reaching it.  At a state's first visit below ``max_len`` in
+    a call, the call raises when the pairs charged so far plus the size of
+    any of its next states whose silent closure grew past its seeds pass
+    the budget, whether this call or an earlier one built the closure.  So
+    a playout fits its budget exactly when a search over pairs would.
+    ``partial_count`` counts the variants whose pairs fit before the budget
+    ran out, charging the states of each level in the order the walk first
+    reached them.  A call that raises leaves the automaton as it found it.
     """
-    if max_len is not None:
-        check_count("max_len", max_len)
-    if token_cap is not None:
-        check_count("token_cap", token_cap)
+    _check_bounds(max_len, token_cap)
     check_count("budget", budget)
     cn = net.compiled
-    finals = set(cn.finals)
-    rows = _PlayoutRows(cn, token_cap)
-    # state -> [whether it records, its (label, next state) steps or None]
-    memo: dict[frozenset[TokenMarking], list] = {}
+    auto = cn.playout(token_cap)
+    states, records, steps, grown = auto.states, auto.records, auto.steps, auto.grown
     charged = recorded = 0
 
     def over_budget(partial_count: int) -> BudgetExceededError:
@@ -380,83 +533,198 @@ def playout_enumerate(
             partial_count=partial_count,
         )
 
-    def silent_closure(markings: set[TokenMarking]) -> frozenset[TokenMarking]:
-        """The markings and all that silent firings reach from them."""
-        todo = list(markings)
-        while todo:
-            for nxt in rows[todo.pop()][2]:
-                if nxt not in markings:
-                    markings.add(nxt)
-                    if charged + len(markings) > budget:
-                        raise over_budget(recorded)
-                    todo.append(nxt)
-        return frozenset(markings)
+    with auto.building(cn):
+        try:
+            if auto.start(cn, budget) > budget:
+                raise _Overflow
+            level, depth = {0: 1}, 0
+            checked: set[int] = set()  # visited states with a grown closure
+            while level:
+                below_max = max_len is None or depth < max_len
+                reached: dict[int, int] = {}
+                for s, count in level.items():
+                    size = len(states[s])
+                    recording = depth > 0 and records[s]
+                    cost = size * count
+                    if charged + cost > budget:
+                        fit = (budget - charged) // size if recording else 0
+                        raise over_budget(recorded + fit)
+                    charged += cost
+                    if recording:
+                        recorded += count
+                    if not below_max:
+                        continue
+                    nexts = steps[s]
+                    if nexts is None:
+                        nexts = auto.expand(cn, s, budget - charged)
+                        if grown[s]:
+                            checked.add(s)
+                    elif grown[s] and s not in checked:
+                        checked.add(s)
+                        if charged + grown[s] > budget:
+                            raise _Overflow
+                    for nxt in nexts.values():
+                        reached[nxt] = reached.get(nxt, 0) + count
+                level, depth = reached, depth + 1
+        except _Overflow:
+            raise over_budget(recorded) from None
 
-    # without silent transitions every set of markings is closed
-    close = silent_closure if cn.has_silent else frozenset
-    with cn.search():
-        start = close({cn.initial})
-        level, depth = {start: 1}, 0
-        while level:
-            below_max = max_len is None or depth < max_len
-            reached: dict[frozenset[TokenMarking], int] = {}
-            for state, count in level.items():
-                entry = memo.get(state)
-                if entry is None:
-                    records = (not finals.isdisjoint(state) if finals
-                               else any(rows[m][0] for m in state))
-                    entry = memo[state] = [records, None]
-                recording = depth > 0 and entry[0]
-                cost = len(state) * count
-                if charged + cost > budget:
-                    fit = (budget - charged) // len(state) if recording else 0
-                    raise over_budget(recorded + fit)
-                charged += cost
-                if recording:
-                    recorded += count
-                if not below_max:
-                    continue
-                steps = entry[1]
-                if steps is None:
-                    by_label: dict[str, set[TokenMarking]] = {}
-                    for m in state:
-                        for label, nxt in rows[m][1]:
-                            targets = by_label.get(label)
-                            if targets is None:
-                                by_label[label] = {nxt}
-                            else:
-                                targets.add(nxt)
-                    steps = entry[1] = [
-                        (label, close(targets)) for label, targets in by_label.items()
-                    ]
-                for _, nxt in steps:
-                    reached[nxt] = reached.get(nxt, 0) + count
-            level, depth = reached, depth + 1
-
-    # The budget held: build the prefixes from the memo alone.  Each one is
-    # built once, from its parent, so the recorded list has no repeats.
+    # The budget held: build the prefixes from the automaton alone.  Each
+    # one is built once, from its parent, so the recorded list has no
+    # repeats.
     results: list[Variant] = []
-    prefixes_at: dict[frozenset[TokenMarking], list[Variant]] = {start: [()]}
+    prefixes_at: dict[int, list[Variant]] = {0: [()]}
     depth = 0
     while prefixes_at:
         below_max = max_len is None or depth < max_len
-        extended: dict[frozenset[TokenMarking], list[Variant]] = {}
+        extended: dict[int, list[Variant]] = {}
         while prefixes_at:
-            state, prefixes = prefixes_at.popitem()
-            records, steps = memo[state]
-            if records and depth:
+            s, prefixes = prefixes_at.popitem()
+            if records[s] and depth:
                 results += prefixes
             if not below_max:
                 continue
-            for label, nxt in steps:
-                grown = [p + (label,) for p in prefixes]
+            for label, nxt in steps[s].items():
+                grown_prefixes = [p + (label,) for p in prefixes]
                 merged = extended.get(nxt)
                 if merged is None:
-                    extended[nxt] = grown
+                    extended[nxt] = grown_prefixes
                 else:
-                    merged += grown
+                    merged += grown_prefixes
         prefixes_at, depth = extended, depth + 1
     return frozenset(results)
+
+
+def count_playout(net: PetriNet, max_len: int | None,
+                  token_cap: int | None = DEFAULT_TOKEN_CAP) -> int:
+    """The number of variants :func:`playout_enumerate` lists, counted on
+    the net's playout automaton without listing any.
+
+    With a ``max_len``, a walk over lengths maps each state to the number of
+    prefixes reaching it.  Without one, the count is :func:`playout_extent`'s,
+    and an infinite playout raises :class:`InvalidInputError`.  No budget
+    applies: an automaton past :data:`STATE_LIMIT` markings raises
+    :class:`BudgetExceededError`.
+    """
+    _check_bounds(max_len, token_cap)
+    if max_len is None:
+        return playout_extent(net, token_cap)[0]
+    cn = net.compiled
+    auto = cn.playout(token_cap)
+    records, steps = auto.records, auto.steps
+    total = 0
+    with _within_state_limit(cn, auto):
+        level, depth = {0: 1}, 0
+        while level:
+            if depth:
+                total += sum(count for s, count in level.items() if records[s])
+            if depth == max_len:
+                break
+            reached: dict[int, int] = {}
+            for s, count in level.items():
+                nexts = steps[s]
+                if nexts is None:
+                    nexts = auto.expand(cn, s, STATE_LIMIT, STATE_LIMIT)
+                for nxt in nexts.values():
+                    reached[nxt] = reached.get(nxt, 0) + count
+            level, depth = reached, depth + 1
+    return total
+
+
+def playout_extent(net: PetriNet, token_cap: int | None = DEFAULT_TOKEN_CAP) -> tuple[int, int]:
+    """The variant count and the longest variant's length (0 if there is
+    none) of the net's playout without a length bound.
+
+    A dynamic program over the automaton's reachable states from which a
+    recording state is reachable (the live states); if a cycle is among
+    them the playout is infinite, and :class:`InvalidInputError` says so.
+    The automaton is built within :data:`STATE_LIMIT`, as in
+    :func:`count_playout`.
+    """
+    _check_bounds(None, token_cap)
+    cn = net.compiled
+    auto = cn.playout(token_cap)
+    records, steps = auto.records, auto.steps
+    with _within_state_limit(cn, auto):
+        seen, todo = {0}, [0]
+        while todo:
+            s = todo.pop()
+            nexts = steps[s]
+            if nexts is None:
+                nexts = auto.expand(cn, s, STATE_LIMIT, STATE_LIMIT)
+            for nxt in nexts.values():
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    preds: dict[int, list[int]] = {s: [] for s in seen}
+    for s in seen:
+        for nxt in steps[s].values():
+            preds[nxt].append(s)
+    live = {s for s in seen if records[s]}
+    todo = list(live)
+    while todo:
+        for p in preds[todo.pop()]:
+            if p not in live:
+                live.add(p)
+                todo.append(p)
+    # Settle each live state once all its live next states are settled.
+    waiting = {s: sum(nxt in live for nxt in steps[s].values()) for s in live}
+    ready = [s for s, n in waiting.items() if not n]
+    paths: dict[int, int] = {}
+    longest: dict[int, int] = {}
+    while ready:
+        s = ready.pop()
+        nexts = [nxt for nxt in steps[s].values() if nxt in live]
+        paths[s] = records[s] + sum(paths[nxt] for nxt in nexts)
+        longest[s] = max((longest[nxt] + 1 for nxt in nexts), default=0)
+        for p in preds[s]:
+            if p in live:
+                waiting[p] -= 1
+                if not waiting[p]:
+                    ready.append(p)
+    if len(paths) < len(live):
+        raise InvalidInputError(
+            "the playout is infinite: a cycle of its automaton reaches an accepting "
+            "state; give max_len"
+        )
+    if 0 not in live:
+        return 0, 0
+    return paths[0] - records[0], longest[0]
+
+
+def _walk(auto: PlayoutAutomaton, variant: Variant, cn: CompiledNet | None = None) -> int | None:
+    """The state ``variant`` reaches, or None if it reaches no marking.
+    Without ``cn`` nothing is built, and a step not built yet gives -1."""
+    s = 0
+    for label in variant:
+        nexts = auto.steps[s]
+        if nexts is None:
+            if cn is None:
+                return -1
+            nexts = auto.expand(cn, s, STATE_LIMIT, STATE_LIMIT)
+        s = nexts.get(label)
+        if s is None:
+            return None
+    return s
+
+
+def accepts(net: PetriNet, variant: Variant, max_len: int | None = None,
+            token_cap: int | None = DEFAULT_TOKEN_CAP) -> bool:
+    """Whether :func:`playout_enumerate` with these bounds lists ``variant``,
+    read by walking its labels through the net's playout automaton.  Steps
+    no walk has needed yet are built within :data:`STATE_LIMIT`, as in
+    :func:`count_playout`."""
+    _check_bounds(max_len, token_cap)
+    if not variant or (max_len is not None and len(variant) > max_len):
+        return False
+    cn = net.compiled
+    auto = cn.playout(token_cap)
+    s = _walk(auto, variant) if auto.states else -1
+    if s == -1:
+        # a step no walk has needed yet: walk again, building what is missing
+        with _within_state_limit(cn, auto):
+            s = _walk(auto, variant, cn)
+    return s is not None and auto.records[s]
 
 
 # ---------------------------------------------------------------------------

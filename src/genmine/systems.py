@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BuildError, InvalidInputError, check_count
-from .petri import DEFAULT_BUDGET, DEFAULT_TOKEN_CAP, PetriNet, make_net, playout_enumerate
+from .petri import DEFAULT_TOKEN_CAP, PetriNet, make_net, playout_extent
 
 OPERATORS = ("seq", "xor", "and", "loop")
 
@@ -186,17 +186,13 @@ class ComplexityProfile:
 
 
 def complexity_profile(net: PetriNet) -> ComplexityProfile:
-    """Alphabet size, maximal variant length, and playout cardinality.
+    """Alphabet size, longest variant length and variant count of the net's
+    unbounded playout at the default token cap.
 
-    Unbounded playout at the default token cap and budget, as for a system.
+    Both come from the net's playout automaton, counted without listing a
+    variant; an infinite playout raises :class:`InvalidInputError`, and an
+    automaton past ``petri.STATE_LIMIT`` markings
+    :class:`BudgetExceededError`.
     """
-    variants = playout_enumerate(
-        net, max_len=None, token_cap=DEFAULT_TOKEN_CAP, budget=DEFAULT_BUDGET
-    )
-    if not variants:
-        return ComplexityProfile(len(net.labels()), 0, 0)
-    return ComplexityProfile(
-        alphabet_size=len(net.labels()),
-        max_variant_len=max(len(v) for v in variants),
-        variant_count=len(variants),
-    )
+    variant_count, max_variant_len = playout_extent(net, DEFAULT_TOKEN_CAP)
+    return ComplexityProfile(len(net.labels()), max_variant_len, variant_count)

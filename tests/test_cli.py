@@ -493,6 +493,14 @@ class TestGenSystemCommand:
         assert summary["variant_count"] >= 1
         assert out.exists()
 
+    def test_profile_counts_a_playout_past_the_budget(self, tmp_path, capsys):
+        # Seed 9 has far more variants than the playout budget allows to
+        # list; the profile counts them instead.
+        assert main(["gen-system", "--seed", "9", "--out", str(tmp_path / "n.json"),
+                     "--profile"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["max_variant_len"], summary["variant_count"]) == (17, 32_691_859_200)
+
     def test_deterministic_net_file(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["gen-system", "--seed", "9", "--out", str(out1)])

@@ -565,8 +565,9 @@ class TestDenseReference:
     def test_system_nets_pop_in_the_reference_order(self, monkeypatch):
         # A built system is not a one-token net, so replay is Dijkstra's
         # search in the reference's order: each pop has the same cost,
-        # position and token counts on both sides.  Entries of both heaps end
-        # with (pos, marking, consumed, produced, settled).
+        # position and token counts on both sides.  Entries of both heaps
+        # start with the cost and end with (pos, marking, consumed, produced,
+        # settled).
         net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,
                                       weights=SILENT_WEIGHTS, silent_skip=True,
                                       duplicate_label=True))
@@ -575,16 +576,16 @@ class TestDenseReference:
         variants.append(tuple(sorted(net.labels(), reverse=True)) * 3 + ("z",))
         pops: dict = {"replay": [], "reference": []}
 
-        def recorded(side, cost_at):
+        def recorded(side):
             def pop(heap):
                 e = heapq.heappop(heap)
-                pops[side].append((e[cost_at], e[-5], e[-3], e[-2]))
+                pops[side].append((e[0], e[-5], e[-3], e[-2]))
                 return e
             return pop
 
-        monkeypatch.setattr(conformance, "heappop", recorded("replay", -6))
+        monkeypatch.setattr(conformance, "heappop", recorded("replay"))
         monkeypatch.setattr(oracles, "heapq", SimpleNamespace(
-            heappop=recorded("reference", 0), heappush=heapq.heappush))
+            heappop=recorded("reference"), heappush=heapq.heappush))
         for v in variants:
             assert astuple(_replay_variant(net.compiled, v, {})) == replay_counts_reference(net, v)
         assert pops["replay"] == pops["reference"]

@@ -6,6 +6,7 @@ import gc
 import json
 import re
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,15 @@ from genmine import (
     playout_enumerate,
     trace_model,
 )
-from genmine.petri import CompiledNet, PetriNet, Transition
+from genmine import petri
+from genmine.petri import (
+    DEFAULT_TOKEN_CAP,
+    CompiledNet,
+    PetriNet,
+    Transition,
+    accepts,
+    count_playout,
+)
 
 from .conftest import BAD_NAME_NETS
 from .oracles import brute_force_playout, brute_force_playout_pairs
@@ -388,6 +397,149 @@ class TestPlayout:
         small = playout_enumerate(net, max_len=6, token_cap=1)
         large = playout_enumerate(net, max_len=6, token_cap=2)
         assert small <= large
+
+
+def _generator_net():
+    """An empty-preset generator and no token cap: every expansion reaches a
+    new marking, so each one adds a successor row and an automaton state."""
+    return make_net({"p0", "p1"}, [("t_gen", "a"), ("t_b", "b")],
+                    [("t_gen", "p0"), ("p0", "t_b"), ("t_b", "p1")], {"p1": 1}, [])
+
+
+def _automaton_snapshot(auto):
+    return (list(auto.states), list(auto.records), [None if s is None else dict(s)
+                                                    for s in auto.steps],
+            list(auto.grown), dict(auto.index), dict(auto.rows), auto.held)
+
+
+@functools.cache
+def _language_case(seed, loop_unroll, finals, max_len, cap):
+    """A built system with silent skips, duplicate labels, AND blocks and
+    loops, and the oracle's playout of it.  Three redo tokens on a loop's
+    budget place pass cap 2, so such a net plays out nothing at that cap."""
+    net = build_system(SystemSpec(
+        seed=seed, depth=2, alphabet_budget=10, silent_skip=True, duplicate_label=True,
+        loop_unroll=loop_unroll, weights={"seq": 1, "xor": 1, "and": 1, "loop": 0.5},
+    ))
+    if not finals:
+        net = dataclasses.replace(net, final_markings=())
+    return net, brute_force_playout(net, max_len, cap)
+
+
+class TestPlayoutAutomaton:
+    def test_a_second_playout_reads_the_kept_automaton(self):
+        net = build_system(SystemSpec(
+            seed=1, depth=2, alphabet_budget=24, silent_skip=True, duplicate_label=True,
+            weights={"seq": 1, "xor": 1, "and": 1, "loop": 0.3},
+        ))
+        first = playout_enumerate(net, max_len=None)
+        cn = net.compiled
+        auto = cn.playout(DEFAULT_TOKEN_CAP)
+        built = (len(auto.states), len(cn._successors))
+        assert built[0] > 10
+        assert playout_enumerate(net, max_len=None) == first
+        assert (len(auto.states), len(cn._successors)) == built
+
+    def test_budget_error_leaves_the_automaton_as_it_found_it(self):
+        # The first call builds three levels; the raising one expands the
+        # third level's states and adds 1,000 more before the budget runs
+        # out, and all of that goes.
+        net = _generator_net()
+        cn = net.compiled
+        playout_enumerate(net, max_len=2, token_cap=None)
+        auto = cn.playout(None)
+        kept = _automaton_snapshot(auto), dict(cn._successors)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(BudgetExceededError):
+                playout_enumerate(net, max_len=None, token_cap=None, budget=1_000)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (_automaton_snapshot(auto), cn._successors) == kept
+        assert retained < 2**20
+
+    def test_state_limit_error_leaves_the_automaton_as_it_found_it(self, monkeypatch):
+        net = _generator_net()
+        cn = net.compiled
+        # t_gen is always enabled, so no marking is a deadlock: nothing plays
+        # out, but the count builds a state per level.
+        assert count_playout(net, 3, token_cap=None) == 0
+        auto = cn.playout(None)
+        kept = _automaton_snapshot(auto), dict(cn._successors)
+        monkeypatch.setattr(petri, "STATE_LIMIT", 50)
+        with pytest.raises(BudgetExceededError, match="^playout automaton exceeded 50 markings$"):
+            count_playout(net, 40, token_cap=None)
+        with pytest.raises(BudgetExceededError):
+            accepts(net, ("a",) * 40 + ("b",), token_cap=None)
+        assert (_automaton_snapshot(auto), cn._successors) == kept
+
+    def test_a_dropped_net_is_freed_without_the_cycle_collector(self):
+        # The automaton keeps no reference back to its net, so dropping the
+        # net frees its compiled form and automata by reference counting.
+        net = build_system(SystemSpec(seed=4, depth=2, weights={"and": 1}, silent_skip=True))
+        gc.disable()
+        try:
+            playout_enumerate(net, max_len=None)
+            count_playout(net, 4)
+            accepts(net, ("a01",))
+            compiled = weakref.ref(net.compiled)
+            automaton = weakref.ref(net.compiled.playout(DEFAULT_TOKEN_CAP))
+            del net
+            assert compiled() is None
+            assert automaton() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("max_len", [None, 1, 3])
+    def test_flower_counts(self, max_len):
+        net = flower_model(["a", "b", "c"])
+        if max_len is None:
+            with pytest.raises(InvalidInputError, match="^the playout is infinite: "):
+                count_playout(net, None)
+        else:
+            assert count_playout(net, max_len) == sum(3 ** i for i in range(1, max_len + 1))
+        assert accepts(net, ("c", "a", "b"), max_len) == (max_len != 1)
+        assert not accepts(net, ())
+        assert not accepts(net, ("d",))
+
+    @pytest.mark.parametrize("bounds, message", [
+        ({"max_len": 0}, "max_len must be >= 1"),
+        ({"max_len": 2.5}, "max_len must be an integer, got 2.5"),
+        ({"token_cap": 0}, "token_cap must be >= 1"),
+        ({"token_cap": True}, "token_cap must be an integer, got True"),
+    ])
+    def test_bounds_must_be_integer_counts(self, bounds, message):
+        net = flower_model(["a"])
+        for call in (lambda: count_playout(net, **{"max_len": 2, **bounds}),
+                     lambda: accepts(net, ("a",), **bounds)):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                call()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.tuples(st.sampled_from((1, 3, 4, 9, 11, 13, 15, 21, 22, 28, 30)),
+                          st.sampled_from((1, 2, 3)), st.booleans(),
+                          st.sampled_from((None, 1, 2, 4, 6)), st.sampled_from((2, 3, None))),
+           data=st.data())
+    def test_count_and_membership_agree_with_the_oracle(self, case, data):
+        # Finals and permissive mode, several length bounds and caps.  Each
+        # member is accepted; a member with one label changed, or with one
+        # label appended, is accepted exactly when the oracle lists it.
+        net, variants = _language_case(*case)
+        *_, max_len, cap = case
+        assert count_playout(net, max_len, cap) == len(variants)
+        assert playout_enumerate(net, max_len, cap) == variants
+        labels = sorted(net.labels()) + ["zz"]
+        for v in sorted(variants):
+            assert accepts(net, v, max_len, cap)
+            i = data.draw(st.integers(0, len(v) - 1), label="changed position")
+            label = data.draw(st.sampled_from([a for a in labels if a != v[i]]), label="to")
+            changed = v[:i] + (label,) + v[i + 1:]
+            appended = v + (data.draw(st.sampled_from(labels), label="appended"),)
+            for other in (changed, appended):
+                assert accepts(net, other, max_len, cap) == (other in variants), other
 
 
 class TestTraceModel:

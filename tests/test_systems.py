@@ -6,6 +6,7 @@ import pytest
 
 from genmine import (
     BuildError,
+    ComplexityProfile,
     InvalidInputError,
     SystemSpec,
     build_system,
@@ -156,12 +157,34 @@ class TestComplexityProfile:
         assert profile.alphabet_size <= 11
         assert profile.variant_count >= 1
 
-    def test_budget_error_propagates(self, monkeypatch):
-        from genmine import BudgetExceededError, flower_model, systems
+    def test_budget_error_propagates(self):
+        # The profile counts under no playout budget, so a DEFAULT_BUDGET
+        # patch no longer bounds it; a flower's unbounded playout is infinite
+        # (its one state loops on every label and accepts), a domain error.
+        from genmine import flower_model
 
-        monkeypatch.setattr(systems, "DEFAULT_BUDGET", 100)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(InvalidInputError, match="^the playout is infinite: "):
             complexity_profile(flower_model(list("abcdef")))
+
+    def test_state_limit_error_propagates(self, monkeypatch):
+        # An automaton that would pass the state limit raises the budget
+        # error and keeps no state.
+        from genmine import BudgetExceededError, petri
+
+        net = build_system(SystemSpec(seed=9))
+        monkeypatch.setattr(petri, "STATE_LIMIT", 1_000)
+        with pytest.raises(BudgetExceededError,
+                           match="^playout automaton exceeded 1000 markings$"):
+            complexity_profile(net)
+        assert net.compiled.playout(3).states == []
+
+    def test_seed_9_is_counted_not_enumerated(self):
+        # 32,691,859,200 variants: far past any playout budget, counted on
+        # 9,720 automaton states.
+        net = build_system(SystemSpec(seed=9))
+        assert complexity_profile(net) == ComplexityProfile(
+            alphabet_size=19, max_variant_len=17, variant_count=32_691_859_200)
+        assert len(net.compiled.playout(3).states) == 9_720
 
 
 class TestOracleEquivalence:
