@@ -68,20 +68,29 @@ can differ (``test_bench_sized_trace_net`` checks this on a trace and a
 dfg net).
 
 The walk over the log's prefixes.  The walk goes breadth-first over the
-log's prefix trie.  A walk state holds each marking that clean replays of
-a prefix reach, closed under silent moves, with the fewest silent firings
-that reach it; each (state, label) step is taken once per walk.  One scan
-of a state's successor rows closes it and groups the markings its
-labelled moves reach by label, each with the fewest silent firings before
-it.  The groups' labels are precision's continuations of the prefix, so a
-label enabled but never observed escapes, and a group is the seeds of the
-next step: the A*'s moves that advance a label at no cost.  A step into a
+log's prefix trie.  It sorts the log's distinct variants once, so a trie
+node is a range of that list whose variants share a prefix; a child's
+range ends where a bisection on its label puts it, and a node's count is
+the length of its range, or a difference of prefix sums of the variants'
+multiplicities when the log repeats some.  A walk state holds each
+marking that clean replays of a prefix reach, closed under silent moves,
+with the fewest silent firings that reach it; each (state, label) step is
+taken once per walk, and steps from equal seeds close once.  One scan of
+a state's successor rows closes it and groups the markings its labelled
+moves reach by label, each with the fewest silent firings before it.  The
+groups' labels are precision's continuations of the prefix, so a label
+enabled but never observed escapes, and a group is the seeds of the next
+step: the A*'s moves that advance a label at no cost.  A step into a
 state of more than ``_CLOSURE_LIMIT`` markings is not taken.  Precision
 then raises at the first such state in breadth-first order, with the size
 of the union of its seeds' silent closures once it passes the limit (the
 seeds taken in set order, which that size and the error's kind follow), and
 replay falls back to the A* for the variants below it, so the walk bounds
-its own work and no variant searches more than before.
+its own work and no variant searches more than before.  Breadth-first
+order takes shallower nodes first and siblings in the order their first
+variants occur in the log, not in sorted order, so a node's place is the
+first-occurrence ranks of its prefixes, compared in turn; the walk works
+that place out only for the nodes whose step fails.
 
 On a single-output net (``CompiledNet.single_output``: every transition
 puts exactly one token, silent ones included), replay settles on the walk
@@ -103,11 +112,13 @@ variant settles even where the A* would run out of pops.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Collection, Iterable
 
 from .errors import BudgetExceededError, InvalidInputError, check_real
@@ -495,7 +506,11 @@ class _LogWalk:
 
 
 def _check_variants(variants: Collection[Variant]) -> None:
-    """Variants are non-empty, and their labels non-empty strings."""
+    """Variants are non-empty tuples, and their labels non-empty strings."""
+    if set(map(type, variants)) - {tuple}:
+        for v in variants:
+            if not isinstance(v, tuple):
+                raise InvalidInputError(f"variants must be tuples of labels, got {v!r}")
     if not all(variants):
         raise InvalidInputError("variants must be non-empty")
     for label in set().union(*variants):
@@ -503,25 +518,57 @@ def _check_variants(variants: Collection[Variant]) -> None:
             raise InvalidInputError(f"variant labels must be non-empty strings, got {label!r}")
 
 
+def _first_failed(vs: list[Variant], weights: Counter, depth: int,
+                  failed: list[tuple[int, dict[TokenMarking, int]]]) -> frozenset[TokenMarking]:
+    """The seeds of the failed step whose trie node, at ``depth``, comes
+    first in breadth-first order.  ``failed`` holds each such node as the
+    start of its range of ``vs`` and its seeds.  Siblings come in the order
+    their first variants occur in the log (``weights`` keeps that order),
+    so a node's place is the first-occurrence ranks of its prefixes."""
+    rank = {v: i for i, v in enumerate(weights)}
+
+    def place(lo: int) -> list[int]:
+        ranks = []
+        for k in range(1, depth + 1):
+            prefix, cut = vs[lo][:k], itemgetter(slice(k))
+            a = bisect_left(vs, prefix, key=cut)
+            b = bisect_right(vs, prefix, a, key=cut)
+            ranks.append(min(map(rank.__getitem__, vs[a:b])))
+        return ranks
+
+    return frozenset(min(failed, key=lambda f: place(f[0]))[1])
+
+
 def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     """One breadth-first walk over the prefix trie of ``lstar``.
 
-    A trie node is the distinct variants that share a prefix, with the walk
-    state of the prefix; each (state, label) step is taken once per walk.
-    A node adds its variant count times the labels its state enables to
+    The log's distinct variants are sorted once, so a trie node is a range
+    ``[lo, hi)`` of them that shares a prefix, with the walk state of the
+    prefix; the variant that ends at the node, if any, sorts first, and each
+    child's range ends where a bisection on its label puts it.  A node's
+    count is ``hi - lo``, or a difference of prefix sums of the variants'
+    multiplicities when the log repeats some.  Each (state, label) step is
+    taken once per walk, and steps from equal seeds close once.
+
+    A node adds its count times the labels its state enables to
     ``allowed``, and times those no variant continues with to ``escaping``;
     a child whose label the state does not enable is not walked, nor is one
-    past ``_CLOSURE_LIMIT``.  On a single-output net a variant that ends in
-    a state holding a final marking replays cleanly with the fewest firings
+    past ``_CLOSURE_LIMIT``.  Of the latter, ``gave_up`` is the first in
+    breadth-first order, siblings taken in the order their first variants
+    occur in the log; that order is worked out only when a step fails
+    (``_first_failed``).  On a single-output net a variant that ends in a
+    state holding a final marking replays cleanly with the fewest firings
     F, ``len(v)`` plus its silent firings: missing 0, remaining 0 and
     consumed = produced = ``len(initial) + F`` (see the module docstring).
     """
+    _check_variants(lstar)
     weights = Counter(lstar)
-    _check_variants(weights)
-    unit = len(weights) == len(lstar)
+    vs = sorted(weights)
+    sums = None if len(vs) == len(lstar) else [0, *accumulate(map(weights.__getitem__, vs))]
     settle = cn.single_output
     tokens = len(cn.initial)
     states: dict[_Walk, _WalkState] = {}
+    steps: dict[_Walk, _Step | None] = {}
     clean: dict[Variant, int] = {}
     allowed = escaping = 0
     gave_up = None
@@ -530,36 +577,40 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
         gave_up = frozenset((cn.initial,))
         level = []
     else:
-        level = [(root[1], 0, list(weights))]
+        level = [(root[1], 0, 0, len(vs))]
     depth = 0
     while level:
         below = []
-        for (end, nexts, taken), silent, group in level:
-            children: dict[str, list[Variant]] = {}
-            for v in group:
-                if len(v) > depth:
-                    if v[depth] in children:
-                        children[v[depth]].append(v)
-                    else:
-                        children[v[depth]] = [v]
-                elif settle and end is not None:
-                    clean[v] = tokens + depth + silent + end
-            count = len(group) if unit else sum(map(weights.__getitem__, group))
-            allowed += count * len(nexts)
-            escaping += count * len(nexts)
-            for label, sub in children.items():
+        failed = []
+        at = itemgetter(depth)
+        for (end, nexts, taken), silent, lo, hi in level:
+            count = hi - lo if sums is None else sums[hi] - sums[lo]
+            unseen = len(nexts)
+            allowed += count * unseen
+            if len(vs[lo]) == depth:
+                if settle and end is not None:
+                    clean[vs[lo]] = tokens + depth + silent + end
+                lo += 1
+            while lo < hi:
+                label = vs[lo][depth]
+                mid = hi if vs[hi - 1][depth] == label else bisect_right(vs, label, lo, hi, key=at)
                 seeds = nexts.get(label)
-                if seeds is None:
-                    continue
-                escaping -= count
-                if label not in taken:
-                    taken[label] = _walk_step(cn, seeds, states)
-                step = taken[label]
-                if step is None:
-                    if gave_up is None:
-                        gave_up = frozenset(seeds)
-                else:
-                    below.append((step[1], silent + step[0], sub))
+                if seeds is not None:
+                    unseen -= 1
+                    step = taken.get(label)
+                    if step is None and label not in taken:
+                        key = frozenset(seeds.items())
+                        if key not in steps:
+                            steps[key] = _walk_step(cn, seeds, states)
+                        step = taken[label] = steps[key]
+                    if step is None:
+                        failed.append((lo, seeds))
+                    else:
+                        below.append((step[1], silent + step[0], lo, mid))
+                lo = mid
+            escaping += count * unseen
+        if failed and gave_up is None:
+            gave_up = _first_failed(vs, weights, depth + 1, failed)
         level = below
         depth += 1
     return _LogWalk(clean, allowed, escaping, gave_up)
@@ -698,9 +749,14 @@ def model_generalization(
 
     Scores a log containing each estimated variant exactly once
     (``score_log``) and takes the harmonic mean of log fitness and log
-    precision on it.
+    precision on it.  A variant may be any sequence of labels but a string,
+    which would be read as one label per character.
     """
-    variants = set(map(tuple, v_hat_s))
+    given = list(v_hat_s)
+    for v in given:
+        if isinstance(v, str):
+            raise InvalidInputError(f"variants must be tuples of labels, got {v!r}")
+    variants = set(map(tuple, given))
     if not variants:
         raise InvalidInputError("model_generalization requires a non-empty variant set")
     _check_variants(variants)

@@ -17,8 +17,9 @@ class InvalidInputError(GenmineError, ValueError):
 
 def check_count(name: str, value: int, minimum: int = 1) -> None:
     """Reject a count or seed that is not an integer >= ``minimum``; a bool
-    is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    is not one.  An exact ``int``, the common case, skips the type checks."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, (int, np.integer))):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}")

@@ -201,15 +201,23 @@ class TestModelGeneralization:
         ([("a", None)], "variant labels must be non-empty strings, got None"),
         ([("",)], "variant labels must be non-empty strings, got ''"),
         ([()], "variants must be non-empty"),
-    ], ids=["int_label", "int_variant", "none_label", "empty_label", "empty_variant"])
+        ([("a",), "ab"], "variants must be tuples of labels, got 'ab'"),
+        ([("a",), ["b", "a"]], "variants must be tuples of labels, got ['b', 'a']"),
+    ], ids=["int_label", "int_variant", "none_label", "empty_label", "empty_variant",
+            "str_variant", "list_variant"])
     @pytest.mark.parametrize("score", [
         model_generalization,
         lambda net, variants: token_replay_fitness(net, VariantLog(tuple(variants))),
         lambda net, variants: etc_precision(net, VariantLog(tuple(variants))),
     ], ids=["model_generalization", "token_replay_fitness", "etc_precision"])
     def test_non_string_or_empty_labels_are_domain_errors(self, score, variants, message):
+        net = flower_model(["a", "b"])
+        if score is model_generalization and isinstance(variants[-1], list):
+            # model_generalization reads a list variant as a tuple
+            assert score(net, variants) == score(net, [tuple(v) for v in variants])
+            return
         with pytest.raises(InvalidInputError) as info:
-            score(flower_model(["a", "b"]), variants)
+            score(net, variants)
         assert str(info.value) == message
 
 
@@ -769,6 +777,67 @@ def _and_block_cases(draw):
 def _fresh(net):
     """A copy of ``net`` with its own compiled form."""
     return petri.net_from_dict(petri.net_to_dict(net))
+
+
+@st.composite
+def _repeating_system_cases(draw):
+    """A built system with silent skips and duplicate labels, and a shuffled
+    log in which variants repeat."""
+    net, lstar = draw(_system_cases())
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(lstar), max_size=len(lstar)))
+    log = [v for v, r in zip(lstar, repeats) for _ in range(r)]
+    return net, VariantLog(tuple(draw(st.permutations(log))))
+
+
+class TestSortedWalk:
+    """The walk keeps each trie node as a range of the log's sorted distinct
+    variants, yet scores an unsorted log with repeats as the references do,
+    and gives up at the first node past the closure limit in breadth-first
+    order, siblings in the order their first variants occur in the log."""
+
+    @given(_repeating_system_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_logs_with_repeats_match_the_references(self, case):
+        net, lstar = case
+        assert _outcome(etc_precision, net, lstar) == _outcome(etc_precision_reference, net, lstar)
+        try:
+            want = _reference_fitness(net, lstar)
+        except BudgetExceededError:
+            assume(False)
+        assert token_replay_fitness(net, lstar) == want
+
+    @staticmethod
+    def _two_failures_net():
+        """After "a", two "q" transitions reach two silent chains of two
+        markings each; after "c", "p" ends cleanly and two "r" transitions
+        reach silent chains of three and two markings."""
+        chains = {"x": 2, "u": 2, "y": 3, "w": 2}
+        places = ["s", "A", "C", "P"] + [f"{c}{i}" for c, n in chains.items() for i in range(n)]
+        transitions = [("t_a", "a"), ("t_c", "c"), ("t_p", "p"), ("t_qx", "q"), ("t_qu", "q"),
+                       ("t_ry", "r"), ("t_rw", "r")]
+        arcs = [("s", "t_a"), ("t_a", "A"), ("s", "t_c"), ("t_c", "C"), ("C", "t_p"), ("t_p", "P"),
+                ("A", "t_qx"), ("t_qx", "x0"), ("A", "t_qu"), ("t_qu", "u0"),
+                ("C", "t_ry"), ("t_ry", "y0"), ("C", "t_rw"), ("t_rw", "w0")]
+        for c, n in chains.items():
+            for i in range(n - 1):
+                transitions.append((f"tau_{c}{i}", None))
+                arcs += [(f"{c}{i}", f"tau_{c}{i}"), (f"tau_{c}{i}", f"{c}{i + 1}")]
+        return make_net(places, transitions, arcs, {"s": 1}, [{"P": 1}])
+
+    def test_unsorted_log_gives_up_in_breadth_first_order(self, monkeypatch):
+        # With a limit of 3 the steps of ("a", "q") and ("c", "r") both fail,
+        # with unions of 4 and 5 markings.  Breadth-first, ("c", "r") comes
+        # first: its parent ("c",) occurs before ("a",) in the log, though
+        # ("a", "q") occurs before ("c", "r") and sorts before it.
+        net = self._two_failures_net()
+        lstar = VariantLog((("c", "p"), ("a", "q"), ("c", "r")))
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", 3)
+        got = _outcome(etc_precision, net, lstar)
+        assert got == _outcome(etc_precision_reference, net, lstar, closure_limit=3)
+        assert got == ("budget", "escaping-edges replay exceeded marking limit", 5)
+        sorted_log = VariantLog(tuple(sorted(lstar)))
+        assert _outcome(etc_precision, net, sorted_log)[2] == 4
+        assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
 
 
 class TestSharedWalk:

@@ -37,14 +37,21 @@ SEEDED = {
 
 @pytest.mark.parametrize("seed, message", [
     (1.5, "seed must be an integer, got 1.5"),
+    (2.0, "seed must be an integer, got 2.0"),
     (-1, "seed must be >= 0"),
+    (np.int64(-1), "seed must be >= 0"),
     (True, "seed must be an integer, got True"),
-], ids=["fraction", "negative", "bool"])
+], ids=["fraction", "integral_float", "negative", "numpy_negative", "bool"])
 @pytest.mark.parametrize("entry", list(SEEDED))
 def test_bad_seed_is_a_domain_error(entry, seed, message):
     with pytest.raises(InvalidInputError) as info:
         SEEDED[entry](seed)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_numpy_integer_seed_acts_as_its_int(entry):
+    assert SEEDED[entry](np.int64(3)) == SEEDED[entry](3)
 
 
 # entry point -> (the setting's name in the message, a call with the value in its place)
