@@ -583,7 +583,7 @@ def train_and_select(lplus: UniqueVariantLog, cfg: TrainConfig) -> TrainResult:
     train_list = list(train)
     for r in range(1, cfg.rounds + 1):
         gen, d_p, samples = _refinement_step(gen, d_p, train_list, cfg, rng)
-        # Unused draws: seeded reports stay byte-identical until the ROADMAP item 6 stream break.
+        # Unused draws: seeded reports stay byte-identical until the ROADMAP item 8 stream break.
         for _ in _minibatches(len(train_list), len(samples), rng):
             pass
         evaluate(r)

@@ -37,8 +37,9 @@ State explosion is kept in check by a per-place token cap, a cap on the
 visible sequence length, and, for enumeration, a global budget on
 (marking, prefix) pairs that raises
 :class:`~genmine.errors.BudgetExceededError` with the partial result count.
-A count or membership test has no budget; an automaton it would grow past
-:data:`STATE_LIMIT` markings raises that error instead.
+Every read, enumeration included, builds the automaton within
+:data:`STATE_LIMIT` markings; one that would grow past it raises that error
+instead, whatever the budget.  A count or membership test has no budget.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ TokenMarking = tuple[int, ...]
 
 DEFAULT_TOKEN_CAP = 3
 DEFAULT_BUDGET = 10_000_000
-# The most markings, summed over its states, that a playout automaton built
-# for a count or a membership test may hold.
+# The most markings, summed over its states, that a playout automaton may
+# hold.
 STATE_LIMIT = 2_000_000
 
 
@@ -189,7 +190,7 @@ class CompiledNet:
     exactly one such tuple, so hashing and equality cost O(tokens), not
     O(places).  Arcs carry no weights: a transition is enabled when every
     place of its preset holds a token, so only transitions next to a marked
-    place are checked.  ``consumers[p]`` lists, in index order, the
+    place are tested.  ``consumers[p]`` lists, in index order, the
     transitions with place ``p`` in their preset, and ``unconditional`` the
     empty-preset ones, which every marking enables.  ``successors`` reads
     both, and its rows are the enabling relation of playout, precision and
@@ -326,7 +327,7 @@ def _exceeds_cap(marking: TokenMarking, cap: int) -> bool:
 
 
 class _Overflow(Exception):
-    """A silent closure or the automaton grew past the limit its caller set."""
+    """A silent closure or the automaton grew past :data:`STATE_LIMIT`."""
 
 
 class PlayoutAutomaton:
@@ -340,16 +341,15 @@ class PlayoutAutomaton:
     on a net without finals, a deadlock (a marking with no successor at
     all, even past the cap).  ``steps[i]`` maps each visible label to the
     next state, in the order the labels first occur among the state's
-    markings; it is None until a walk first needs it.  ``grown[i]`` is the
-    size of the largest of those next states whose closure grew past its
-    seeds (0 if none), which the playout budget reads.  ``rows`` keeps each
+    markings; it is None until a walk first needs it.  ``rows`` keeps each
     marking's cap-filtered successors: whether it is a deadlock, its
-    (label, next marking) steps and its silent next markings.
+    (label, next marking) steps and its silent next markings.  The states
+    hold at most :data:`STATE_LIMIT` markings in all.
 
     The automaton holds no reference to its net: every method that builds
     takes the :class:`CompiledNet`, so a dropped net is freed at once.
-    States, steps and rows are only added; :meth:`building` scopes a call
-    so that a raise removes what the call added.
+    States, steps and rows are only added; :func:`_within_state_limit`
+    scopes a read so that a raise removes what the read added.
     """
 
     def __init__(self, cn: CompiledNet, token_cap: int | None):
@@ -360,34 +360,8 @@ class PlayoutAutomaton:
         self.states: list[frozenset[TokenMarking]] = []
         self.records: list[bool] = []
         self.steps: list[dict[str, int] | None] = []
-        self.grown: list[int] = []
-        self.start_grown = 0
         self.held = 0  # markings over all states
         self._filled: list[int] = []  # states whose steps the current call built
-
-    @contextmanager
-    def building(self, cn: CompiledNet):
-        """Scope one call: if it raises, the states, steps and rows it added
-        go, and so do the successor rows (``cn.search()``)."""
-        states, rows = len(self.states), len(self.rows)
-        self._filled.clear()
-        try:
-            with cn.search():
-                yield
-        except BaseException:
-            for state in self.states[states:]:
-                del self.index[state]
-                self.held -= len(state)
-            for lst in (self.states, self.records, self.steps, self.grown):
-                del lst[states:]
-            for i in self._filled:
-                if i < states:
-                    self.steps[i], self.grown[i] = None, 0
-            while len(self.rows) > rows:
-                self.rows.popitem()
-            raise
-        finally:
-            self._filled.clear()
 
     def _row(self, cn: CompiledNet, marking: TokenMarking) -> tuple:
         row = self.rows.get(marking)
@@ -405,48 +379,34 @@ class PlayoutAutomaton:
             row = self.rows[marking] = (not succ, tuple(visible), tuple(silent))
         return row
 
-    def _state(self, cn: CompiledNet, seeds: set[TokenMarking], limit: int,
-               state_limit: int | None) -> tuple[int, int]:
-        """The number of the closure of ``seeds`` under silent firings, and
-        its size if it grew past the seeds (else 0).  A closure that grows
-        past ``limit`` markings, or a new state that takes the automaton past
-        ``state_limit`` markings, raises :class:`_Overflow`."""
-        grew = False
+    def _state(self, cn: CompiledNet, seeds: set[TokenMarking]) -> int:
+        """The number of the closure of ``seeds`` under silent firings.  A
+        closure, or a new state, that takes the automaton past
+        :data:`STATE_LIMIT` markings raises :class:`_Overflow`."""
         if cn.has_silent:
             todo = list(seeds)
             while todo:
                 for nxt in self._row(cn, todo.pop())[2]:
                     if nxt not in seeds:
                         seeds.add(nxt)
-                        if len(seeds) > limit:
+                        if len(seeds) > STATE_LIMIT:
                             raise _Overflow
                         todo.append(nxt)
-                        grew = True
         state = frozenset(seeds)
         i = self.index.get(state)
         if i is None:
-            if state_limit is not None and self.held + len(state) > state_limit:
+            if self.held + len(state) > STATE_LIMIT:
                 raise _Overflow
             i = self.index[state] = len(self.states)
             self.states.append(state)
             self.records.append(not self.finals.isdisjoint(state) if self.finals
                                 else any(self._row(cn, m)[0] for m in state))
             self.steps.append(None)
-            self.grown.append(0)
             self.held += len(state)
-        return i, len(state) if grew else 0
+        return i
 
-    def start(self, cn: CompiledNet, limit: int, state_limit: int | None = None) -> int:
-        """Build state 0 if it is not there yet; return its size if the
-        initial marking's closure grew, else 0."""
-        if not self.states:
-            self.start_grown = self._state(cn, {cn.initial}, limit, state_limit)[1]
-        return self.start_grown
-
-    def expand(self, cn: CompiledNet, i: int, limit: int,
-               state_limit: int | None = None) -> dict[str, int]:
-        """Build and return state ``i``'s steps (see :meth:`_state` for the
-        limits)."""
+    def expand(self, cn: CompiledNet, i: int) -> dict[str, int]:
+        """Build and return state ``i``'s steps."""
         by_label: dict[str, set[TokenMarking]] = {}
         for m in self.states[i]:
             for label, nxt in self._row(cn, m)[1]:
@@ -455,28 +415,66 @@ class PlayoutAutomaton:
                     by_label[label] = {nxt}
                 else:
                     targets.add(nxt)
-        steps, grown = {}, 0
-        for label, targets in by_label.items():
-            steps[label], size = self._state(cn, targets, limit, state_limit)
-            grown = max(grown, size)
-        self.steps[i], self.grown[i] = steps, grown
+        steps = self.steps[i] = {
+            label: self._state(cn, targets) for label, targets in by_label.items()
+        }
         self._filled.append(i)
         return steps
 
 
 @contextmanager
 def _within_state_limit(cn: CompiledNet, auto: PlayoutAutomaton):
-    """Scope a read that may build states: an automaton that would pass
-    :data:`STATE_LIMIT` markings raises :class:`BudgetExceededError` and
-    keeps nothing the read added."""
-    with auto.building(cn):
-        try:
-            auto.start(cn, STATE_LIMIT, STATE_LIMIT)
+    """Scope one read of ``auto``, building state 0 if it is not there yet.
+    An automaton that would pass :data:`STATE_LIMIT` markings raises
+    :class:`BudgetExceededError`.  A read that raises leaves the automaton
+    as it found it, and the successor table too (``cn.search()``)."""
+    states, rows = len(auto.states), len(auto.rows)
+    auto._filled.clear()
+    try:
+        with cn.search():
+            if not states:
+                auto._state(cn, {cn.initial})
             yield
-        except _Overflow:
+    except BaseException as exc:
+        for state in auto.states[states:]:
+            del auto.index[state]
+            auto.held -= len(state)
+        for lst in (auto.states, auto.records, auto.steps):
+            del lst[states:]
+        for i in auto._filled:
+            if i < states:
+                auto.steps[i] = None
+        while len(auto.rows) > rows:
+            auto.rows.popitem()
+        if isinstance(exc, _Overflow):
             raise BudgetExceededError(
                 f"playout automaton exceeded {STATE_LIMIT} markings", partial_count=0
             ) from None
+        raise
+    finally:
+        auto._filled.clear()
+
+
+def _levels(cn: CompiledNet, auto: PlayoutAutomaton, max_len: int | None):
+    """Yield, for each prefix length from 0 up to ``max_len``, the map from
+    each state to the number of prefixes of that length reaching it, in the
+    order the walk first reached the states.  A level is built only when
+    asked for, expanding the states no call has expanded yet, so run the
+    walk within :func:`_within_state_limit`."""
+    steps = auto.steps
+    level, depth = {0: 1}, 0
+    while level:
+        yield level
+        if depth == max_len:
+            return
+        reached: dict[int, int] = {}
+        for s, count in level.items():
+            nexts = steps[s]
+            if nexts is None:
+                nexts = auto.expand(cn, s)
+            for nxt in nexts.values():
+                reached[nxt] = reached.get(nxt, 0) + count
+        level, depth = reached, depth + 1
 
 
 def _check_bounds(max_len: int | None, token_cap: int | None) -> None:
@@ -511,63 +509,35 @@ def playout_enumerate(
     by each of its steps and merging the lists by next state.
 
     The budget counts (marking, prefix) pairs: a state costs its size once
-    per prefix reaching it.  At a state's first visit below ``max_len`` in
-    a call, the call raises when the pairs charged so far plus the size of
-    any of its next states whose silent closure grew past its seeds pass
-    the budget, whether this call or an earlier one built the closure.  So
-    a playout fits its budget exactly when a search over pairs would.
-    ``partial_count`` counts the variants whose pairs fit before the budget
-    ran out, charging the states of each level in the order the walk first
-    reached them.  A call that raises leaves the automaton as it found it.
+    per prefix reaching it, and each level is charged in full before the
+    next one is built.  So a playout fits its budget exactly when a search
+    over pairs would.  ``partial_count`` counts the variants whose pairs fit
+    before the budget ran out, charging the states of each level in the
+    order the walk first reached them.  Whatever the budget, the automaton
+    is built within :data:`STATE_LIMIT` markings, as for
+    :func:`count_playout`.  A call that raises leaves the automaton as it
+    found it.
     """
     _check_bounds(max_len, token_cap)
     check_count("budget", budget)
     cn = net.compiled
     auto = cn.playout(token_cap)
-    states, records, steps, grown = auto.states, auto.records, auto.steps, auto.grown
+    states, records, steps = auto.states, auto.records, auto.steps
     charged = recorded = 0
-
-    def over_budget(partial_count: int) -> BudgetExceededError:
-        return BudgetExceededError(
-            f"playout exceeded budget of {budget} expansions",
-            partial_count=partial_count,
-        )
-
-    with auto.building(cn):
-        try:
-            if auto.start(cn, budget) > budget:
-                raise _Overflow
-            level, depth = {0: 1}, 0
-            checked: set[int] = set()  # visited states with a grown closure
-            while level:
-                below_max = max_len is None or depth < max_len
-                reached: dict[int, int] = {}
-                for s, count in level.items():
-                    size = len(states[s])
-                    recording = depth > 0 and records[s]
-                    cost = size * count
-                    if charged + cost > budget:
-                        fit = (budget - charged) // size if recording else 0
-                        raise over_budget(recorded + fit)
-                    charged += cost
-                    if recording:
-                        recorded += count
-                    if not below_max:
-                        continue
-                    nexts = steps[s]
-                    if nexts is None:
-                        nexts = auto.expand(cn, s, budget - charged)
-                        if grown[s]:
-                            checked.add(s)
-                    elif grown[s] and s not in checked:
-                        checked.add(s)
-                        if charged + grown[s] > budget:
-                            raise _Overflow
-                    for nxt in nexts.values():
-                        reached[nxt] = reached.get(nxt, 0) + count
-                level, depth = reached, depth + 1
-        except _Overflow:
-            raise over_budget(recorded) from None
+    with _within_state_limit(cn, auto):
+        for depth, level in enumerate(_levels(cn, auto, max_len)):
+            for s, count in level.items():
+                size = len(states[s])
+                recording = depth > 0 and records[s]
+                if charged + size * count > budget:
+                    fit = (budget - charged) // size if recording else 0
+                    raise BudgetExceededError(
+                        f"playout exceeded budget of {budget} expansions",
+                        partial_count=recorded + fit,
+                    )
+                charged += size * count
+                if recording:
+                    recorded += count
 
     # The budget held: build the prefixes from the automaton alone.  Each
     # one is built once, from its parent, so the recorded list has no
@@ -611,24 +581,11 @@ def count_playout(net: PetriNet, max_len: int | None,
         return playout_extent(net, token_cap)[0]
     cn = net.compiled
     auto = cn.playout(token_cap)
-    records, steps = auto.records, auto.steps
-    total = 0
+    records = auto.records
     with _within_state_limit(cn, auto):
-        level, depth = {0: 1}, 0
-        while level:
-            if depth:
-                total += sum(count for s, count in level.items() if records[s])
-            if depth == max_len:
-                break
-            reached: dict[int, int] = {}
-            for s, count in level.items():
-                nexts = steps[s]
-                if nexts is None:
-                    nexts = auto.expand(cn, s, STATE_LIMIT, STATE_LIMIT)
-                for nxt in nexts.values():
-                    reached[nxt] = reached.get(nxt, 0) + count
-            level, depth = reached, depth + 1
-    return total
+        levels = _levels(cn, auto, max_len)
+        next(levels)  # the empty prefix is no variant
+        return sum(count for level in levels for s, count in level.items() if records[s])
 
 
 def playout_extent(net: PetriNet, token_cap: int | None = DEFAULT_TOKEN_CAP) -> tuple[int, int]:
@@ -651,7 +608,7 @@ def playout_extent(net: PetriNet, token_cap: int | None = DEFAULT_TOKEN_CAP) -> 
             s = todo.pop()
             nexts = steps[s]
             if nexts is None:
-                nexts = auto.expand(cn, s, STATE_LIMIT, STATE_LIMIT)
+                nexts = auto.expand(cn, s)
             for nxt in nexts.values():
                 if nxt not in seen:
                     seen.add(nxt)
@@ -701,7 +658,7 @@ def _walk(auto: PlayoutAutomaton, variant: Variant, cn: CompiledNet | None = Non
         if nexts is None:
             if cn is None:
                 return -1
-            nexts = auto.expand(cn, s, STATE_LIMIT, STATE_LIMIT)
+            nexts = auto.expand(cn, s)
         s = nexts.get(label)
         if s is None:
             return None

@@ -501,6 +501,22 @@ class TestGenSystemCommand:
         summary = json.loads(capsys.readouterr().out)
         assert (summary["max_variant_len"], summary["variant_count"]) == (17, 32_691_859_200)
 
+    def test_playout_past_the_budget_is_a_domain_error(self, tmp_path, capsys):
+        # The same net listed to its longest variant's length runs out of
+        # the default budget: a one-line JSON error and exit code 1.
+        net = tmp_path / "n.json"
+        assert main(["gen-system", "--seed", "9", "--out", str(net)]) == 0
+        capsys.readouterr()
+        code = main(["--error-json", "playout", "--net", str(net), "--max-len", "17",
+                     "--out", str(tmp_path / "v.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        error = json.loads(err)["error"]
+        assert error["type"] == "BudgetExceededError"
+        assert error["message"] == "playout exceeded budget of 10000000 expansions"
+        assert "Traceback" not in err
+        assert not (tmp_path / "v.tsv").exists()
+
     def test_deterministic_net_file(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["gen-system", "--seed", "9", "--out", str(out1)])

@@ -36,6 +36,7 @@ from genmine.petri import (
     Transition,
     accepts,
     count_playout,
+    playout_extent,
 )
 
 from .conftest import BAD_NAME_NETS
@@ -409,7 +410,7 @@ def _generator_net():
 def _automaton_snapshot(auto):
     return (list(auto.states), list(auto.records), [None if s is None else dict(s)
                                                     for s in auto.steps],
-            list(auto.grown), dict(auto.index), dict(auto.rows), auto.held)
+            dict(auto.index), dict(auto.rows), auto.held)
 
 
 @functools.cache
@@ -442,8 +443,8 @@ class TestPlayoutAutomaton:
 
     def test_budget_error_leaves_the_automaton_as_it_found_it(self):
         # The first call builds three levels; the raising one expands the
-        # third level's states and adds 1,000 more before the budget runs
-        # out, and all of that goes.
+        # third level's states and builds 45 more, with their successor
+        # rows, before its 1,000 pairs run out, and all of that goes.
         net = _generator_net()
         cn = net.compiled
         playout_enumerate(net, max_len=2, token_cap=None)
@@ -475,6 +476,52 @@ class TestPlayoutAutomaton:
         with pytest.raises(BudgetExceededError):
             accepts(net, ("a",) * 40 + ("b",), token_cap=None)
         assert (_automaton_snapshot(auto), cn._successors) == kept
+
+    def test_playout_enumerate_keeps_the_state_limit(self, monkeypatch):
+        # The budget is far off, but the automaton passes 50 markings first:
+        # enumeration builds it within the same limit as a count.
+        net = _generator_net()
+        cn = net.compiled
+        assert count_playout(net, 3, token_cap=None) == 0
+        auto = cn.playout(None)
+        kept = _automaton_snapshot(auto), dict(cn._successors)
+        monkeypatch.setattr(petri, "STATE_LIMIT", 50)
+        with pytest.raises(BudgetExceededError, match="^playout automaton exceeded 50 markings$"):
+            playout_enumerate(net, 40, token_cap=None)
+        assert (_automaton_snapshot(auto), cn._successors) == kept
+
+    @pytest.mark.parametrize("first", ["count", "extent", "enumerate"])
+    @pytest.mark.parametrize("case", [(0, True, 4, 2), (3, False, None, 3), (11, True, 4, None),
+                                      (13, False, 4, 3), (22, True, None, 2)])
+    def test_a_budget_error_does_not_depend_on_earlier_calls(self, case, first):
+        # Budgets below the oracle's pair count give the same message and
+        # partial count on a fresh net as on one whose automaton an earlier
+        # count, extent or full enumeration built.
+        net, _, pairs = _boundary_case(*case)
+        _, _, max_len, cap = case
+        budgets = sorted({1, 2, 3, 5, 8, pairs // 3, pairs // 2, pairs - 1})
+
+        def outcomes(net):
+            got = []
+            for budget in budgets:
+                with pytest.raises(BudgetExceededError) as err:
+                    playout_enumerate(net, max_len, cap, budget=budget)
+                got.append((str(err.value), err.value.partial_count))
+            return got
+
+        fresh = outcomes(dataclasses.replace(net))
+        built = dataclasses.replace(net)
+        if first == "count":
+            count_playout(built, 6, cap)
+        elif first == "extent":
+            try:
+                playout_extent(built, cap)
+            except InvalidInputError:  # an infinite playout still builds its states
+                pass
+        else:
+            playout_enumerate(built, max_len, cap, budget=pairs)
+        assert len(built.compiled.playout(cap).states) > 1
+        assert outcomes(built) == fresh
 
     def test_a_dropped_net_is_freed_without_the_cycle_collector(self):
         # The automaton keeps no reference back to its net, so dropping the
