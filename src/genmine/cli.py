@@ -5,7 +5,9 @@ calls the corresponding functions, writes artifacts to disk, and prints a
 small JSON summary (or a human-readable block with ``--pretty``).
 
 Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.  With
-``--error-json`` domain errors are printed as machine-readable JSON.
+``--error-json`` domain errors are printed as machine-readable JSON: the
+error's type and message, and a ``BudgetExceededError``'s
+``partial_count``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import conformance, experiment, genmodel, logs, metrics, petri, systems
-from .errors import GenmineError, check_count
+from .errors import BudgetExceededError, GenmineError, check_count
 
 JSON_KW = {"indent": 2, "sort_keys": True}
 
@@ -317,10 +319,10 @@ def main(argv: list[str] | None = None) -> int:
         summary = args.run(args)
     except (GenmineError, OSError) as exc:
         if args.error_json:
-            print(
-                json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-                file=sys.stderr,
-            )
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            if isinstance(exc, BudgetExceededError):
+                error["partial_count"] = exc.partial_count
+            print(json.dumps({"error": error}), file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,35 +37,46 @@ On a one-token net (each transition moves one token from one place to
 one place and each final marking holds L tokens,
 ``CompiledNet.token_goal``) replay is an A* search.  Its heap is ordered
 by two A* keys, then a depth key, then push order.  The cost key is the
-cost plus the token surplus ``len(marking) - L``, a lower bound on the
-cost to come.  The firings key is the firings plus the ``n - pos`` labels
-left, less the constant n: ``firings - pos``.  The depth key is ``-pos``,
-so among ties the deepest state goes first and a variant that replays
-cleanly follows one chain.  Its moves (``_TokenMove``) come from the arc
-table: each moves one token, or, force-fired, adds one, and holds only its
-added cost, the labels it advances and the marking it reaches.  Heap
-entries carry no token counts; the settled (cost, firings) pair gives
-them (below).  On any other net, a built system's among them, replay is
-Dijkstra's search in the order (cost, firings, push order), the order the
-reference replay of the tests follows.  Its moves (``_Move``) come from
-the successor rows and carry the tokens they consume and produce.
+cost plus two lower bounds on the cost to come: the token surplus
+``len(marking) - L``, and a next-label bound of 2 when no token of the
+marking can fire the next label, even after silent moves
+(``CompiledNet.label_places``, built on a net's first A* replay).  That
+bound is 0 for an unknown label and once the variant is consumed.  A
+label no token can move has to be force-fired, which costs 1 and adds a
+token that the surplus then counts, so 2 is a lower bound.  The firings
+key is the firings plus the ``n - pos`` labels left, less the constant n:
+``firings - pos``.  The depth key is ``-pos``, so among ties the deepest
+state goes first and a variant that replays cleanly follows one chain.
+Its moves (``_TokenMove``) come from the arc table: each moves one token,
+or, force-fired, adds one, and holds only its added cost, the labels it
+advances and the marking it reaches.  Heap entries carry no token counts;
+the settled (cost, firings) pair gives them (below).  On any other net, a
+built system's among them, replay is Dijkstra's search in the order
+(cost, firings, push order), the order the reference replay of the tests
+follows.  Its moves (``_Move``) come from the successor rows and carry
+the tokens they consume and produce.
 
 The pair bound is consistent: a labelled or silent move keeps the token
 count, a force-fire adds one token at a cost of at least 1, and settling
 costs ``missing + remaining >= len(marking) - L``; a labelled move, a
 force-fire and an unknown label each add one firing and advance one
-label, and a silent move adds one firing only.  So the A* settles the
-same least (cost, firings) pair as Dijkstra's, and on a one-token net the
-counts are functions of that pair and of U, the variant's unknown labels:
-``consumed = firings + L``, ``produced = len(initial) + firings - U``,
-``missing + remaining = cost`` and ``missing - remaining = U + L -
-len(initial)``.  Which tied path it settles cannot change them.  A
-replay ``BudgetExceededError`` follows the pop order: the A* pops only
-states a Dijkstra search pops before settling, stale entries and ties at
-the optimum aside, so the error fires at the same pop limit as
-Dijkstra's or a lower one, never a higher one, and its ``partial_count``
-can differ (``test_bench_sized_trace_net`` checks this on a trace and a
-dfg net).
+label, and a silent move adds one firing only.  The next-label bound
+keeps it so: a labelled move that costs nothing exists only where the
+bound is 0; a silent move keeps the next label and moves a token to a
+place whose silent reach is part of its old place's, so the bound does
+not fall; a force-fire pays the 2 itself, 1 in cost and 1 in surplus; an
+unknown label costs 1 from a bound of 0; and settling happens where the
+bound is 0.  So the A* settles the same least (cost, firings) pair as
+Dijkstra's, and on a one-token net the counts are functions of that pair
+and of U, the variant's unknown labels: ``consumed = firings + L``,
+``produced = len(initial) + firings - U``, ``missing + remaining = cost``
+and ``missing - remaining = U + L - len(initial)``.  Which tied path it
+settles cannot change them.  A replay ``BudgetExceededError`` follows the
+pop order: the A* pops only states a Dijkstra search pops before
+settling, stale entries and ties at the optimum aside, so the error fires
+at the same pop limit as Dijkstra's or a lower one, never a higher one,
+and its ``partial_count`` can differ (``test_bench_sized_trace_net``
+checks this on a trace and a dfg net).
 
 The walk over the log's prefixes.  The walk goes breadth-first over the
 log's prefix trie.  It sorts the log's distinct variants once, so a trie
@@ -333,12 +344,22 @@ def _replay_tokens(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _Token
     """The A* replay of a one-token net.  Heap entries: (cost key, firings
     key, depth key, tiebreak, cost, pos, marking, settled); on a fixed state
     the firings key differs from the firings by a constant, so ``best``
-    stores (cost, firings key)."""
+    stores (cost, firings key).  The cost key is the cost plus the token
+    surplus, plus 2 when the marking holds none of the places listed for
+    ``variant[pos]`` in ``cn.label_places``: that label must be force-fired,
+    at a cost of 1 and one more token.  The bound stays consistent, so the
+    settled pair is Dijkstra's (see the module docstring)."""
     goal = cn.token_goal
     tokens = len(cn.initial)
     n = len(variant)
+    # needs[pos]: the places whose token can fire variant[pos] after silent
+    # moves alone; None for an unknown label and at pos == n.
+    needs = [*map(cn.label_places.get, variant), None]
+    key = tokens - goal
+    if needs[0] is not None and needs[0].isdisjoint(cn.initial):
+        key += 2
     counter = 0
-    heap = [(tokens - goal, 0, 0, counter, 0, 0, cn.initial, False)]
+    heap = [(key, 0, 0, counter, 0, 0, cn.initial, False)]
     best: dict[tuple[int, TokenMarking], tuple[int, int]] = {(0, cn.initial): (0, 0)}
     pops = 0
     while heap:
@@ -373,8 +394,11 @@ def _replay_tokens(cn: CompiledNet, variant: Variant, memo: _MoveMemo) -> _Token
             if seen is None or (cost2, fkey2) < seen:
                 best[state] = (cost2, fkey2)
                 counter += 1
-                heappush(heap, (cost2 + len(nxt) - goal, fkey2, -pos2, counter,
-                                cost2, pos2, nxt, False))
+                key = cost2 + len(nxt) - goal
+                need = needs[pos2]
+                if need is not None and need.isdisjoint(nxt):
+                    key += 2
+                heappush(heap, (key, fkey2, -pos2, counter, cost2, pos2, nxt, False))
     raise BudgetExceededError("token replay found no settlement", partial_count=0)
 
 

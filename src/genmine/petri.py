@@ -31,7 +31,8 @@ one flat consumer index: per place, the transitions with that place in
 their preset.  A playout automaton filters each marking's row by its token
 cap once and keeps the result.  On a one-token net, where each transition
 moves one token, token replay moves single tokens along a per-place arc
-table instead and adds no row.
+table instead and adds no row; a per-label table of the places that can
+fire each label, built on the first replay, bounds its search.
 
 State explosion is kept in check by a per-place token cap, a cap on the
 visible sequence length, and, for enumeration, a global budget on
@@ -197,8 +198,10 @@ class CompiledNet:
     token replay on a net that is not one-token.  On a one-token net
     (``token_goal`` set), ``arcs[p][label]`` lists the ``(ti, q)`` moves of
     a token on ``p``, and token replay reads it instead, so its force-fired
-    markings get no row.  ``by_label`` lists each label's transitions, for
-    replay's unknown labels and force-fires.
+    markings get no row; ``label_places``, built on replay's first use,
+    lists per label the places whose token can fire it after silent moves
+    alone, replay's next-label bound.  ``by_label`` lists each label's
+    transitions, for replay's unknown labels and force-fires.
     """
 
     def __init__(self, net: PetriNet):
@@ -297,6 +300,30 @@ class CompiledNet:
                 (ti, self.fire(marking, ti)) for ti in sorted(cands) if pre[ti] <= held
             )
         return row
+
+    @cached_property
+    def label_places(self) -> dict[str, frozenset[int]] | None:
+        """On a one-token net, for each label the places whose token can
+        fire it after silent moves alone: the preset places of its
+        transitions and every place with a silent path to one.  Built on
+        first use and kept; None on any other net."""
+        if self.arcs is None:
+            return None
+        silent_into: list[list[int]] = [[] for _ in self.arcs]
+        for p, out in enumerate(self.arcs):
+            for _, q in out.get(None, ()):
+                silent_into[q].append(p)
+        table = {}
+        for label, tis in self.by_label.items():
+            found = set().union(*(self.pre[ti] for ti in tis))
+            frontier = list(found)
+            while frontier:
+                for p in silent_into[frontier.pop()]:
+                    if p not in found:
+                        found.add(p)
+                        frontier.append(p)
+            table[label] = frozenset(found)
+        return table
 
     def playout(self, token_cap: int | None) -> PlayoutAutomaton:
         """The playout automaton at ``token_cap``, created empty on first

@@ -8,6 +8,7 @@ from typing import get_type_hints
 import pytest
 
 from genmine import (
+    BudgetExceededError,
     ExperimentConfig,
     SamplerModel,
     SystemSpec,
@@ -213,7 +214,21 @@ class TestPlayoutCommand:
                      "--max-len", "3", "--out", str(tmp_path / "o.tsv")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
-        assert "error" in err
+        assert set(err["error"]) == {"type", "message"}
+
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_budget_error_json_carries_the_partial_count(self, tmp_path, tiny_net_file,
+                                                         capsys, budget):
+        net_path, net = tiny_net_file
+        with pytest.raises(BudgetExceededError) as want:
+            playout_enumerate(net, max_len=5, budget=budget)
+        code = main(["--error-json", "playout", "--net", str(net_path), "--max-len", "5",
+                     "--budget", str(budget), "--out", str(tmp_path / "o.tsv")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "BudgetExceededError", "message": str(want.value),
+                         "partial_count": want.value.partial_count}
+        assert type(error["partial_count"]) is int
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

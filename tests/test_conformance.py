@@ -539,11 +539,11 @@ class TestDenseReference:
         _assert_matches_reference(net, lstar)
 
     def test_bound_pops_fewer_states_on_the_bench_sized_trace_net(self, monkeypatch):
-        # The reference is a Dijkstra search; the token-surplus bound skips
-        # the states it expands below the cost of an unfit variant's replay,
-        # and the firings bound with the deepest-first tie-break follows one
-        # chain of a variant that replays cleanly.  The pinned count shows a
-        # change of pop order.
+        # The reference is a Dijkstra search; the token-surplus bound and
+        # the next-label bound skip the states it expands below the cost of
+        # an unfit variant's replay, and the firings bound with the
+        # deepest-first tie-break follows one chain of a variant that
+        # replays cleanly.  The pinned count shows a change of pop order.
         net, _, variants = _bench_sized_case()
         assert net.compiled.token_goal == 1
         pops: Counter = Counter()
@@ -562,7 +562,7 @@ class TestDenseReference:
             got = astuple(_replay_variant(net.compiled, v, memo))
             assert got == replay_counts_reference(net, v), v
         assert pops["replay"] < pops["reference"]
-        assert pops["replay"] == 816
+        assert pops["replay"] == 598
 
     def test_one_token_replay_settles_the_fewest_firings(self):
         net = _LATE_SILENT_NET
@@ -636,6 +636,80 @@ class TestOneTokenMoves:
             assert got == replay_counts_reference(two_token_net, variant), variant
             assert got[0] >= 2
         assert cn._successors == kept
+
+
+def _silent_first_net():
+    """A fresh one-token net whose label fires only after a silent move:
+    p -tau-> q -a-> r."""
+    return make_net(["p", "q", "r"], [("tau", None), ("t_a", "a")],
+                    [("p", "tau"), ("tau", "q"), ("q", "t_a"), ("t_a", "r")],
+                    {"p": 1}, [{"r": 1}])
+
+
+def _recording_pops(monkeypatch, sides=("replay",)):
+    """Record the cost key of each pop, per side: ``replay`` is the A*'s
+    heap, ``reference`` the dense reference's."""
+    keys: dict = {side: [] for side in sides}
+
+    def recorded(side):
+        def pop(heap):
+            e = heapq.heappop(heap)
+            keys[side].append(e[0])
+            return e
+        return pop
+
+    monkeypatch.setattr(conformance, "heappop", recorded("replay"))
+    if "reference" in sides:
+        monkeypatch.setattr(oracles, "heapq", SimpleNamespace(
+            heappop=recorded("reference"), heappush=heapq.heappush))
+    return keys
+
+
+class TestNextLabelBound:
+    """The A* adds 2 to the cost key of a state whose marking holds no token
+    that can fire the next label, even after silent moves."""
+
+    @given(_one_token_cases())
+    @example(case=(_LATE_SILENT_NET, _SHAPED_LOG))
+    @example(case=(_silent_first_net(), _SHAPED_LOG))
+    @settings(max_examples=80, deadline=None)
+    def test_cost_keys_never_decrease_within_a_replay(self, case):
+        # A consistent bound pops its cost keys in order; an inadmissible
+        # one pops a key below one popped before it in the same replay.
+        net, lstar = case
+        cn = net.compiled
+        assert cn.token_goal is not None
+        memo: dict = {}
+        for v in lstar:
+            with pytest.MonkeyPatch.context() as mp:
+                keys = _recording_pops(mp)["replay"]
+                got = _outcome(lambda: astuple(_replay_variant(cn, v, memo)))
+            assert got == _outcome(replay_counts_reference, net, v), v
+            assert keys == sorted(keys), v
+
+    def test_table_lists_the_places_before_a_silent_move(self, monkeypatch):
+        net = _silent_first_net()
+        cn = net.compiled
+        assert cn.token_goal == 1
+        playout_enumerate(net, max_len=3)
+        assert "label_places" not in vars(cn)
+        p, q = cn.place_index["p"], cn.place_index["q"]
+        assert cn.label_places == {"a": frozenset({p, q})}
+        keys = _recording_pops(monkeypatch, ("replay", "reference"))
+        for v in (("a",), ("b", "a")):
+            keys["replay"].clear()
+            keys["reference"].clear()
+            got = astuple(_replay_variant(cn, v, {}))
+            assert got == replay_counts_reference(net, v), v
+            assert len(keys["replay"]) <= len(keys["reference"]), v
+
+    def test_no_table_on_a_net_that_is_not_one_token(self):
+        cn = _TIE_NET.compiled
+        assert cn.token_goal is None
+        for v in (("a",), ("a", "a"), ("z",)):
+            assert astuple(_replay_variant(cn, v, {})) == replay_counts_reference(_TIE_NET, v)
+        assert "label_places" not in vars(cn)
+        assert cn.label_places is None
 
 
 def _reference_fitness(net, lstar):
