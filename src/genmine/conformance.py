@@ -92,16 +92,11 @@ moves reach by label, each with the fewest silent firings before it.  The
 groups' labels are precision's continuations of the prefix, so a label
 enabled but never observed escapes, and a group is the seeds of the next
 step: the A*'s moves that advance a label at no cost.  A step into a
-state of more than ``_CLOSURE_LIMIT`` markings is not taken.  Precision
-then raises at the first such state in breadth-first order, with the size
-of the union of its seeds' silent closures once it passes the limit (the
-seeds taken in set order, which that size and the error's kind follow), and
-replay falls back to the A* for the variants below it, so the walk bounds
-its own work and no variant searches more than before.  Breadth-first
-order takes shallower nodes first and siblings in the order their first
-variants occur in the log, not in sorted order, so a node's place is the
-first-occurrence ranks of its prefixes, compared in turn; the walk works
-that place out only for the nodes whose step fails.
+state of more than ``_CLOSURE_LIMIT`` markings is not taken: the walk
+stops closing it at the limit + 1, the count precision's error carries,
+whatever the log's order, and replay falls back to the A* for the
+variants below it, so the walk bounds its own work and no variant
+searches more than before.
 
 On a single-output net (``CompiledNet.single_output``: every transition
 puts exactly one token, silent ones included), replay settles on the walk
@@ -123,7 +118,7 @@ variant settles even where the A* would run out of pops.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -147,31 +142,6 @@ class ConformanceScores:
     def __post_init__(self):
         for name, value in (("fitness", self.fitness), ("precision", self.precision)):
             check_real(name, value, "[0,1]")
-
-
-# ---------------------------------------------------------------------------
-# Silent-transition closure
-# ---------------------------------------------------------------------------
-
-def _silent_closure(cn: CompiledNet, marking: TokenMarking) -> set[TokenMarking]:
-    """All markings reachable from ``marking`` by firing only silent transitions."""
-    seen = {marking}
-    if not cn.has_silent:
-        return seen
-    frontier = [marking]
-    while frontier:
-        cur = frontier.pop()
-        for si, nxt in cn.successors(cur):
-            if cn.labels[si] is not None or nxt in seen:
-                continue
-            seen.add(nxt)
-            if len(seen) > _CLOSURE_LIMIT:
-                raise BudgetExceededError(
-                    "silent-transition closure exceeded marking limit",
-                    partial_count=len(seen),
-                )
-            frontier.append(nxt)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +488,14 @@ class _LogWalk:
 
     ``clean`` maps each variant that replays cleanly on a single-output net
     to its consumed (= produced) tokens; ``allowed`` and ``escaping`` are
-    the escaping-edges sums; ``gave_up`` holds the seeds of the first state,
-    in breadth-first order, of more than ``_CLOSURE_LIMIT`` markings (None
-    if there is none).
+    the escaping-edges sums; ``gave_up`` tells whether some step reached a
+    state of more than ``_CLOSURE_LIMIT`` markings.
     """
 
     clean: dict[Variant, int]
     allowed: int
     escaping: int
-    gave_up: frozenset[TokenMarking] | None
+    gave_up: bool
 
 
 def _check_variants(variants: Collection[Variant]) -> None:
@@ -540,27 +509,6 @@ def _check_variants(variants: Collection[Variant]) -> None:
     for label in set().union(*variants):
         if not (isinstance(label, str) and label):
             raise InvalidInputError(f"variant labels must be non-empty strings, got {label!r}")
-
-
-def _first_failed(vs: list[Variant], weights: Counter, depth: int,
-                  failed: list[tuple[int, dict[TokenMarking, int]]]) -> frozenset[TokenMarking]:
-    """The seeds of the failed step whose trie node, at ``depth``, comes
-    first in breadth-first order.  ``failed`` holds each such node as the
-    start of its range of ``vs`` and its seeds.  Siblings come in the order
-    their first variants occur in the log (``weights`` keeps that order),
-    so a node's place is the first-occurrence ranks of its prefixes."""
-    rank = {v: i for i, v in enumerate(weights)}
-
-    def place(lo: int) -> list[int]:
-        ranks = []
-        for k in range(1, depth + 1):
-            prefix, cut = vs[lo][:k], itemgetter(slice(k))
-            a = bisect_left(vs, prefix, key=cut)
-            b = bisect_right(vs, prefix, a, key=cut)
-            ranks.append(min(map(rank.__getitem__, vs[a:b])))
-        return ranks
-
-    return frozenset(min(failed, key=lambda f: place(f[0]))[1])
 
 
 def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
@@ -577,13 +525,11 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     A node adds its count times the labels its state enables to
     ``allowed``, and times those no variant continues with to ``escaping``;
     a child whose label the state does not enable is not walked, nor is one
-    past ``_CLOSURE_LIMIT``.  Of the latter, ``gave_up`` is the first in
-    breadth-first order, siblings taken in the order their first variants
-    occur in the log; that order is worked out only when a step fails
-    (``_first_failed``).  On a single-output net a variant that ends in a
-    state holding a final marking replays cleanly with the fewest firings
-    F, ``len(v)`` plus its silent firings: missing 0, remaining 0 and
-    consumed = produced = ``len(initial) + F`` (see the module docstring).
+    past ``_CLOSURE_LIMIT``, which sets ``gave_up``, as does a root state
+    past it.  On a single-output net a variant that ends in a state holding
+    a final marking replays cleanly with the fewest firings F, ``len(v)``
+    plus its silent firings: missing 0, remaining 0 and consumed = produced
+    = ``len(initial) + F`` (see the module docstring).
     """
     _check_variants(lstar)
     weights = Counter(lstar)
@@ -595,17 +541,12 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     steps: dict[_Walk, _Step | None] = {}
     clean: dict[Variant, int] = {}
     allowed = escaping = 0
-    gave_up = None
     root = _walk_step(cn, {cn.initial: 0}, states)
-    if root is None:
-        gave_up = frozenset((cn.initial,))
-        level = []
-    else:
-        level = [(root[1], 0, 0, len(vs))]
+    gave_up = root is None
+    level = [] if gave_up else [(root[1], 0, 0, len(vs))]
     depth = 0
     while level:
         below = []
-        failed = []
         at = itemgetter(depth)
         for (end, nexts, taken), silent, lo, hi in level:
             count = hi - lo if sums is None else sums[hi] - sums[lo]
@@ -628,13 +569,11 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
                             steps[key] = _walk_step(cn, seeds, states)
                         step = taken[label] = steps[key]
                     if step is None:
-                        failed.append((lo, seeds))
+                        gave_up = True
                     else:
                         below.append((step[1], silent + step[0], lo, mid))
                 lo = mid
             escaping += count * unseen
-        if failed and gave_up is None:
-            gave_up = _first_failed(vs, weights, depth + 1, failed)
         level = below
         depth += 1
     return _LogWalk(clean, allowed, escaping, gave_up)
@@ -698,25 +637,17 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     escape.  Prefixes the net cannot replay are truncated at the first
     failure and counted up to it.  The sums come from the walk over the
     log's prefixes, which replay shares within one ``score_log`` call.  A
-    prefix state of more than ``_CLOSURE_LIMIT`` markings raises, with the
-    size of the union of its markings' silent closures once it passes the
-    limit.
+    prefix state of more than ``_CLOSURE_LIMIT`` markings raises, with
+    ``partial_count`` the limit + 1, whatever the log's order.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
     cn = net.compiled
     with cn.search():
         walk = _walk_of(cn, lstar)
-        if walk.gave_up is not None:
-            closure: set[TokenMarking] = set()
-            for m in walk.gave_up:
-                closure.update(_silent_closure(cn, m))
-                if len(closure) > _CLOSURE_LIMIT:
-                    break
-            raise BudgetExceededError(
-                "escaping-edges replay exceeded marking limit",
-                partial_count=len(closure),
-            )
+        if walk.gave_up:
+            raise BudgetExceededError("escaping-edges replay exceeded marking limit",
+                                      partial_count=_CLOSURE_LIMIT + 1)
     if walk.allowed == 0:
         return 1.0
     return 1.0 - walk.escaping / walk.allowed

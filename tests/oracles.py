@@ -267,7 +267,7 @@ class DenseNet:
         return [i for i in range(len(self.transitions)) if self.is_enabled(vec, i)]
 
 
-def _dense_silent_closure(cn, vec, closure_limit):
+def _dense_silent_closure(cn, vec):
     seen = {vec}
     frontier = [vec]
     while frontier:
@@ -279,11 +279,6 @@ def _dense_silent_closure(cn, vec, closure_limit):
             if nxt in seen:
                 continue
             seen.add(nxt)
-            if len(seen) > closure_limit:
-                raise BudgetExceededError(
-                    "silent-transition closure exceeded marking limit",
-                    partial_count=len(seen),
-                )
             frontier.append(nxt)
     return seen
 
@@ -387,12 +382,12 @@ def etc_precision_reference(net, lstar, closure_limit=CLOSURE_LIMIT):
         node, markings = queue.popleft()
         closure = set()
         for m in markings:
-            closure.update(_dense_silent_closure(cn, m, closure_limit))
-            if len(closure) > closure_limit:
-                raise BudgetExceededError(
-                    "escaping-edges replay exceeded marking limit",
-                    partial_count=len(closure),
-                )
+            closure.update(_dense_silent_closure(cn, m))
+        if len(closure) > closure_limit:
+            raise BudgetExceededError(
+                "escaping-edges replay exceeded marking limit",
+                partial_count=closure_limit + 1,
+            )
         enabled_labels = set()
         for m in closure:
             for ti in cn.enabled_indices(m):

@@ -31,6 +31,7 @@ from genmine import (
 from genmine.cli import build_parser, main
 from genmine.genmodel import CHECKPOINT_VERSION
 
+from . import test_conformance
 from .conftest import BAD_NAME_NETS
 
 SAMPLER_FLAGS = ("k", "kappa", "patience", "strict_pseudocode", "union_observed")
@@ -307,6 +308,27 @@ class TestDiscoverAndConformance:
         assert walks == [lstar]
         assert scores_out.read_text() == want
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("limit", [1, 19])
+    def test_precision_past_the_closure_limit_is_a_domain_error(self, tmp_path, monkeypatch,
+                                                                capsys, limit):
+        # Three tokens that silent moves walk along four places reach 20
+        # markings before the log's one "a": a one-line JSON error carrying
+        # the limit + 1, and exit code 1.
+        net_path, log_path = tmp_path / "n.json", tmp_path / "l.csv"
+        save_net(test_conformance.TestBudgetEdges._shuffle_net(), net_path)
+        log_path.write_text("case_id,activity,timestamp\nc1,a,2020-01-01T00:00:00\n")
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
+        code = main(["--error-json", "conformance", "--net", str(net_path),
+                     "--log", str(log_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert json.loads(err)["error"] == {
+            "type": "BudgetExceededError",
+            "message": "escaping-edges replay exceeded marking limit",
+            "partial_count": limit + 1,
+        }
+        assert "Traceback" not in err and out == ""
 
     def test_mixed_timezones_are_domain_error(self, tmp_path, capsys):
         log_path = tmp_path / "mixed.csv"

@@ -31,7 +31,7 @@ from genmine import (
     token_replay_fitness,
     trace_model,
 )
-from genmine.conformance import _replay_variant, _silent_closure
+from genmine.conformance import _replay_variant
 
 from . import oracles
 from .oracles import etc_precision_reference, replay_counts_reference
@@ -853,21 +853,36 @@ def _fresh(net):
     return petri.net_from_dict(petri.net_to_dict(net))
 
 
+def _with_repeats(draw, lstar):
+    """The variants of ``lstar``, each one to three times, in its order."""
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(lstar), max_size=len(lstar)))
+    return [v for v, r in zip(lstar, repeats) for _ in range(r)]
+
+
 @st.composite
 def _repeating_system_cases(draw):
     """A built system with silent skips and duplicate labels, and a shuffled
     log in which variants repeat."""
     net, lstar = draw(_system_cases())
-    repeats = draw(st.lists(st.integers(1, 3), min_size=len(lstar), max_size=len(lstar)))
-    log = [v for v, r in zip(lstar, repeats) for _ in range(r)]
-    return net, VariantLog(tuple(draw(st.permutations(log))))
+    return net, VariantLog(tuple(draw(st.permutations(_with_repeats(draw, lstar)))))
+
+
+@st.composite
+def _reordered_logs(draw):
+    """A built system with silent skips and duplicate labels or with an AND
+    block, and orders of one log in which variants repeat: sorted, as
+    drawn and reversed, then other shuffles."""
+    net, lstar = draw(st.one_of(_system_cases(), _and_block_cases()))
+    log = _with_repeats(draw, lstar)
+    shuffles = draw(st.lists(st.permutations(log), max_size=3))
+    return net, [VariantLog(tuple(o)) for o in (sorted(log), log, log[::-1], *shuffles)]
 
 
 class TestSortedWalk:
     """The walk keeps each trie node as a range of the log's sorted distinct
     variants, yet scores an unsorted log with repeats as the references do,
-    and gives up at the first node past the closure limit in breadth-first
-    order, siblings in the order their first variants occur in the log."""
+    and past the closure limit raises the same error whatever the log's
+    order."""
 
     @given(_repeating_system_cases())
     @settings(max_examples=60, deadline=None)
@@ -898,20 +913,31 @@ class TestSortedWalk:
                 arcs += [(f"{c}{i}", f"tau_{c}{i}"), (f"tau_{c}{i}", f"{c}{i + 1}")]
         return make_net(places, transitions, arcs, {"s": 1}, [{"P": 1}])
 
-    def test_unsorted_log_gives_up_in_breadth_first_order(self, monkeypatch):
+    def test_limit_error_does_not_depend_on_the_log_order(self, monkeypatch):
         # With a limit of 3 the steps of ("a", "q") and ("c", "r") both fail,
-        # with unions of 4 and 5 markings.  Breadth-first, ("c", "r") comes
-        # first: its parent ("c",) occurs before ("a",) in the log, though
-        # ("a", "q") occurs before ("c", "r") and sorts before it.
+        # with unions of 4 and 5 markings.  The error carries the limit + 1
+        # whichever of the two comes first in the log.
         net = self._two_failures_net()
         lstar = VariantLog((("c", "p"), ("a", "q"), ("c", "r")))
         monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", 3)
         got = _outcome(etc_precision, net, lstar)
         assert got == _outcome(etc_precision_reference, net, lstar, closure_limit=3)
-        assert got == ("budget", "escaping-edges replay exceeded marking limit", 5)
+        assert got == ("budget", "escaping-edges replay exceeded marking limit", 4)
         sorted_log = VariantLog(tuple(sorted(lstar)))
-        assert _outcome(etc_precision, net, sorted_log)[2] == 4
+        assert _outcome(etc_precision, net, sorted_log) == got
         assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
+
+    @given(_reordered_logs(), st.integers(1, 8))
+    @example(case=(_two_failures_net(), [VariantLog((("c", "p"), ("a", "q"), ("c", "r"))),
+                                         VariantLog((("a", "q"), ("c", "p"), ("c", "r")))]),
+             limit=3)
+    @settings(max_examples=60, deadline=None)
+    def test_no_log_order_changes_the_precision_outcome(self, case, limit):
+        net, orders = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conformance, "_CLOSURE_LIMIT", limit)
+            got = {_outcome(etc_precision, net, lstar) for lstar in orders}
+        assert got == {_outcome(etc_precision_reference, net, orders[0], closure_limit=limit)}
 
 
 class TestSharedWalk:
@@ -997,13 +1023,8 @@ class TestBudgetEdges:
     @pytest.mark.parametrize("limit", [1, 5, 19])
     def test_closure_limit(self, monkeypatch, limit):
         net = self._shuffle_net()
-        cn = net.compiled
         lstar = VariantLog((("a",),))
-        assert len(_silent_closure(cn, cn.initial)) == 20
         monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
-        with pytest.raises(BudgetExceededError) as closure:
-            _silent_closure(cn, cn.initial)
-        assert closure.value.partial_count == limit + 1
         got = _outcome(etc_precision, net, lstar)
         assert got == _outcome(etc_precision_reference, net, lstar, closure_limit=limit)
         assert got[2] == limit + 1
@@ -1023,10 +1044,10 @@ class TestBudgetEdges:
                 arcs += [(f"{c}{i}", f"tau_{c}{i}"), (f"tau_{c}{i}", f"{c}{i + 1}")]
         return make_net(places, transitions, arcs, {"p0": 1}, [{"y3": 1}])
 
-    @pytest.mark.parametrize("limit, raises", [(2, 3), (3, 6), (5, 6), (6, None)])
+    @pytest.mark.parametrize("limit, raises", [(2, 3), (3, 4), (5, 6), (6, None)])
     def test_etc_union_limit(self, monkeypatch, limit, raises):
-        # The union's size at the limit does not depend on which of the two
-        # closures is added first.
+        # The union of the two closures holds 6 markings, so every limit
+        # below 6 raises, with the limit + 1.
         net = self._union_net()
         lstar = VariantLog((("a", "b"), ("a",)))
         monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
