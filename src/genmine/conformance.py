@@ -22,8 +22,8 @@ single tokens along the net's arc table (``CompiledNet.arcs``) and reads
 and writes no successor row.  Both scorers read one walk over the log's
 prefixes (``_walk_log``), taken inside the calling scorer's
 ``cn.search()``.  It lives for one call only: a scorer called alone takes
-its own, and one ``score_log`` call, which ``model_generalization`` makes,
-takes one for its two scorers, in whichever runs first.  Replay's move
+its own, and one ``score_log`` or ``model_generalization`` call takes
+one for its two scorers, in whichever runs first.  Replay's move
 memo lives for one call too.
 
 Replay's heap order.  Replay searches (position, marking) states for the
@@ -79,16 +79,18 @@ and its ``partial_count`` can differ (``test_bench_sized_trace_net``
 checks this on a trace and a dfg net).
 
 The walk over the log's prefixes.  The walk goes breadth-first over the
-log's prefix trie.  It sorts the log's distinct variants once, so a trie
-node is a range of that list whose variants share a prefix; a child's
-range ends where a bisection on its label puts it, and a node's count is
-the length of its range, or a difference of prefix sums of the variants'
-multiplicities when the log repeats some.  A walk state holds each
-marking that clean replays of a prefix reach, closed under silent moves,
-with the fewest silent firings that reach it; each (state, label) step is
-taken once per walk, and steps from equal seeds close once.  One scan of
-a state's successor rows closes it and groups the markings its labelled
-moves reach by label, each with the fewest silent firings before it.  The
+log's prefix trie.  It checks, counts and sorts the log's distinct
+variants once, or takes ``model_generalization``'s log, which is checked,
+distinct and sorted already, as it is; a trie node is a range of that
+list whose variants share a prefix; a child's range ends where a
+bisection on its label puts it, and a node's count is the length of its
+range, or a difference of prefix sums of the variants' multiplicities
+when the log repeats some.  A walk state holds each marking that clean
+replays of a prefix reach, closed under silent moves, with the fewest
+silent firings that reach it; each (state, label) step is taken once per
+walk, and steps from equal seeds close once.  One scan of a state's
+successor rows closes it and groups the markings its labelled moves
+reach by label, each with the fewest silent firings before it.  The
 groups' labels are precision's continuations of the prefix, so a label
 enabled but never observed escapes, and a group is the seeds of the next
 step: the A*'s moves that advance a label at no cost.  A step into a
@@ -109,10 +111,11 @@ clean replay fires only enabled transitions, so its final marking holds
 consumed ``sum|pre| + len(final)`` and produced ``len(initial) + sum|post|``:
 the two are equal.  With one output place per transition ``sum|post|`` is
 F, so the counts are missing 0, remaining 0 and consumed = produced =
-``len(initial) + F``, whichever tied path the search settles.  Only the
-other variants run the A*.  On a net with a transition of several output
+``len(initial) + F``, whichever tied path the search settles.  The walk
+sums them over the log's traces; only the other variants, its misfits,
+run the A*, once each.  On a net with a transition of several output
 places, an AND split's, ``sum|post|`` can differ between tied paths, so
-every variant runs the A*; precision reads the same walk there.  A clean
+every variant is a misfit; precision reads the same walk there.  A clean
 variant settles even where the A* would run out of pops.
 """
 
@@ -128,7 +131,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable
 
 from .errors import BudgetExceededError, InvalidInputError, check_real
-from .logs import Variant, VariantLog
+from .logs import Variant, VariantLog, variant_tuples
 from .petri import CompiledNet, PetriNet, TokenMarking
 
 _CLOSURE_LIMIT = 20_000
@@ -486,13 +489,17 @@ def _walk_step(cn: CompiledNet, seeds: dict[TokenMarking, int],
 class _LogWalk:
     """What one walk over a log's prefixes gives both scorers.
 
-    ``clean`` maps each variant that replays cleanly on a single-output net
-    to its consumed (= produced) tokens; ``allowed`` and ``escaping`` are
-    the escaping-edges sums; ``gave_up`` tells whether some step reached a
-    state of more than ``_CLOSURE_LIMIT`` markings.
+    ``clean_tokens`` sums the consumed (= produced) tokens of the traces
+    that replay cleanly on a single-output net; ``misfits`` lists the other
+    variants in the order they first occur in the log, and ``repeats`` how
+    often each occurs; ``allowed`` and ``escaping`` are the escaping-edges
+    sums; ``gave_up`` tells whether some step reached a state of more than
+    ``_CLOSURE_LIMIT`` markings.
     """
 
-    clean: dict[Variant, int]
+    clean_tokens: int
+    misfits: list[Variant]
+    repeats: list[int]
     allowed: int
     escaping: int
     gave_up: bool
@@ -514,13 +521,15 @@ def _check_variants(variants: Collection[Variant]) -> None:
 def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     """One breadth-first walk over the prefix trie of ``lstar``.
 
-    The log's distinct variants are sorted once, so a trie node is a range
-    ``[lo, hi)`` of them that shares a prefix, with the walk state of the
-    prefix; the variant that ends at the node, if any, sorts first, and each
-    child's range ends where a bisection on its label puts it.  A node's
-    count is ``hi - lo``, or a difference of prefix sums of the variants'
-    multiplicities when the log repeats some.  Each (state, label) step is
-    taken once per walk, and steps from equal seeds close once.
+    The log's distinct variants are sorted once, unless ``lstar`` is the
+    checked, distinct and sorted log of a ``model_generalization`` call, so
+    a trie node is a range ``[lo, hi)`` of them that shares a prefix, with
+    the walk state of the prefix; the variant that ends at the node, if any,
+    sorts first, and each child's range ends where a bisection on its label
+    puts it.  A node's count is ``hi - lo``, or a difference of prefix sums
+    of the variants' multiplicities when the log repeats some.  Each (state,
+    label) step is taken once per walk, and steps from equal seeds close
+    once.
 
     A node adds its count times the labels its state enables to
     ``allowed``, and times those no variant continues with to ``escaping``;
@@ -529,20 +538,26 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     past it.  On a single-output net a variant that ends in a state holding
     a final marking replays cleanly with the fewest firings F, ``len(v)``
     plus its silent firings: missing 0, remaining 0 and consumed = produced
-    = ``len(initial) + F`` (see the module docstring).
+    = ``len(initial) + F`` (see the module docstring).  Every other variant
+    is a misfit, and so is each variant below a child that is not walked.
     """
-    _check_variants(lstar)
-    weights = Counter(lstar)
-    vs = sorted(weights)
-    sums = None if len(vs) == len(lstar) else [0, *accumulate(map(weights.__getitem__, vs))]
+    shared = _SHARED_WALKS.get()
+    if shared is not None and shared[0] is lstar and shared[2]:
+        weights, vs, sums = None, lstar.variants, None
+    else:
+        _check_variants(lstar)
+        weights = Counter(lstar)
+        vs = sorted(weights)
+        sums = None if len(vs) == len(lstar) else [0, *accumulate(map(weights.__getitem__, vs))]
     settle = cn.single_output
     tokens = len(cn.initial)
     states: dict[_Walk, _WalkState] = {}
     steps: dict[_Walk, _Step | None] = {}
-    clean: dict[Variant, int] = {}
-    allowed = escaping = 0
+    clean_tokens = allowed = escaping = 0
     root = _walk_step(cn, {cn.initial: 0}, states)
     gave_up = root is None
+    # the ranges of ``vs`` the walk does not settle
+    missed = [(0, len(vs))] if gave_up else []
     level = [] if gave_up else [(root[1], 0, 0, len(vs))]
     depth = 0
     while level:
@@ -554,12 +569,16 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
             allowed += count * unseen
             if len(vs[lo]) == depth:
                 if settle and end is not None:
-                    clean[vs[lo]] = tokens + depth + silent + end
+                    used = tokens + depth + silent + end
+                    clean_tokens += used if sums is None else used * (sums[lo + 1] - sums[lo])
+                else:
+                    missed.append((lo, lo + 1))
                 lo += 1
             while lo < hi:
                 label = vs[lo][depth]
                 mid = hi if vs[hi - 1][depth] == label else bisect_right(vs, label, lo, hi, key=at)
                 seeds = nexts.get(label)
+                step = None
                 if seeds is not None:
                     unseen -= 1
                     step = taken.get(label)
@@ -568,20 +587,28 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
                         if key not in steps:
                             steps[key] = _walk_step(cn, seeds, states)
                         step = taken[label] = steps[key]
-                    if step is None:
-                        gave_up = True
-                    else:
-                        below.append((step[1], silent + step[0], lo, mid))
+                    gave_up |= step is None
+                if step is None:
+                    missed.append((lo, mid))
+                else:
+                    below.append((step[1], silent + step[0], lo, mid))
                 lo = mid
             escaping += count * unseen
         level = below
         depth += 1
-    return _LogWalk(clean, allowed, escaping, gave_up)
+    misfits = [v for lo, hi in sorted(missed) for v in vs[lo:hi]]
+    repeats = [1] * len(misfits)
+    if weights is not None and misfits:
+        unsettled = set(misfits)  # put in the order they first occur in the log
+        misfits = [v for v in weights if v in unsettled]
+        repeats = list(map(weights.__getitem__, misfits))
+    return _LogWalk(clean_tokens, misfits, repeats, allowed, escaping, gave_up)
 
 
-# The walks ``score_log`` shares between its two scorers: the log it scores
-# and, per compiled net, its walk.  Set for that one call only.
-_SHARED_WALKS: ContextVar[tuple[VariantLog, dict[CompiledNet, _LogWalk]] | None] = (
+# The walks ``score_log`` shares between its two scorers: the log it scores,
+# per compiled net its walk, and whether ``model_generalization`` checked,
+# deduplicated and sorted the log.  Set for that one call only.
+_SHARED_WALKS: ContextVar[tuple[VariantLog, dict[CompiledNet, _LogWalk], bool] | None] = (
     ContextVar("_SHARED_WALKS", default=None))
 
 
@@ -600,25 +627,27 @@ def _walk_of(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
 def token_replay_fitness(net: PetriNet, lstar: VariantLog) -> float:
     """Token-based log fitness, aggregated at the log level.
 
-    Counts are summed over all variants (with multiplicity) before the
+    Counts are summed over all traces (with multiplicity) before the
     formula is applied; per-trace averaging would differ in the third
-    decimal and is deliberately not used.  On a single-output net the
-    variants that replay cleanly settle on the walk over the log's prefixes,
-    and only the others run the A* search; on any other net every variant
-    does (see the module docstring).
+    decimal and is deliberately not used.  The walk over the log's prefixes
+    sums the clean traces of a single-output net; each of its misfits runs
+    the A* search once and counts as often as it occurs (see the module
+    docstring).
     """
     if len(lstar) == 0:
         raise InvalidInputError("token_replay_fitness requires a non-empty variant log")
     cn = net.compiled
     memo: _MoveMemo = {}
+    missing = remaining = 0
     with cn.search():
-        # (missing, remaining, consumed, produced) per distinct variant
-        counts = {v: (0, 0, t, t) for v, t in _walk_of(cn, lstar).clean.items()}
-        for v in lstar:
-            if v not in counts:
-                c = _replay_variant(cn, v, memo)
-                counts[v] = (c.missing, c.remaining, c.consumed, c.produced)
-    missing, remaining, consumed, produced = map(sum, zip(*map(counts.__getitem__, lstar)))
+        walk = _walk_of(cn, lstar)
+        consumed = produced = walk.clean_tokens
+        for v, times in zip(walk.misfits, walk.repeats):
+            c = _replay_variant(cn, v, memo)
+            missing += times * c.missing
+            remaining += times * c.remaining
+            consumed += times * c.consumed
+            produced += times * c.produced
     miss_term = 1.0 if consumed == 0 else 1.0 - missing / consumed
     rem_term = 1.0 if produced == 0 else 1.0 - remaining / produced
     return 0.5 * miss_term + 0.5 * rem_term
@@ -685,7 +714,13 @@ def score_log(
     multiplicity kept.  For this one call the default scorers, and any that
     pass this net and log on to them, share one walk over the log's
     prefixes."""
-    shared = _SHARED_WALKS.set((lstar, {}))
+    return _score(net, lstar, fitness_fn, precision_fn, False)
+
+
+def _score(net: PetriNet, lstar: VariantLog, fitness_fn: ConformanceFn,
+           precision_fn: ConformanceFn, prepared: bool) -> ConformanceScores:
+    """``score_log``, told whether ``lstar`` is checked, distinct and sorted."""
+    shared = _SHARED_WALKS.set((lstar, {}, prepared))
     try:
         fit = fitness_fn(net, lstar)
         prec = precision_fn(net, lstar)
@@ -702,18 +737,17 @@ def model_generalization(
 ) -> GeneralizationResult:
     """Generalization of a net against an estimated system variant set.
 
-    Scores a log containing each estimated variant exactly once
-    (``score_log``) and takes the harmonic mean of log fitness and log
+    Scores a log containing each estimated variant exactly once, as
+    ``score_log`` does, and takes the harmonic mean of log fitness and log
     precision on it.  A variant may be any sequence of labels but a string,
-    which would be read as one label per character.
+    which would be read as one label per character.  The set is checked,
+    deduplicated and sorted once, here; the walk takes that log as it is.
     """
-    given = list(v_hat_s)
-    for v in given:
-        if isinstance(v, str):
-            raise InvalidInputError(f"variants must be tuples of labels, got {v!r}")
-    variants = set(map(tuple, given))
+    variants = variant_tuples(v_hat_s)
     if not variants:
         raise InvalidInputError("model_generalization requires a non-empty variant set")
     _check_variants(variants)
-    scores = score_log(net, VariantLog(tuple(sorted(variants))), fitness_fn, precision_fn)
+    variants.sort()
+    log = VariantLog(tuple(dict.fromkeys(variants)))
+    scores = _score(net, log, fitness_fn, precision_fn, True)
     return GeneralizationResult(generalization_score(scores.fitness, scores.precision), scores)

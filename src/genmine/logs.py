@@ -125,6 +125,18 @@ def variant_of(trace: Trace) -> Variant:
     return tuple(e.label for e in trace.events)
 
 
+def variant_tuples(variants: Iterable) -> list[Variant]:
+    """Each of ``variants`` as a tuple of labels.  Any sequence of labels
+    will do but a string, which would read as one label per character."""
+    given = list(variants)
+    if set(map(type, given)) - {tuple}:
+        for v in given:
+            if isinstance(v, str):
+                raise InvalidInputError(f"variants must be tuples of labels, got {v!r}")
+        given = list(map(tuple, given))
+    return given
+
+
 def build_variant_logs(log: EventLog) -> tuple[VariantLog, UniqueVariantLog]:
     """Map every trace to its variant and deduplicate in first-occurrence order."""
     if not log.traces:

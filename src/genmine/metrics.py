@@ -22,7 +22,7 @@ from typing import Collection
 import numpy as np
 
 from .errors import InvalidInputError, check_count, check_real
-from .logs import UniqueVariantLog, Variant
+from .logs import UniqueVariantLog, Variant, variant_tuples
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,17 +156,18 @@ def compute_rates(
     """Exact set-intersection rates of an estimated variant set.
 
     An empty estimate yields tp = 0 and fp = 1 rather than an error, which
-    matches how models that play out nothing are reported.
+    matches how models that play out nothing are reported.  A string variant
+    is refused (``logs.variant_tuples``).
     """
-    v_hat = frozenset(tuple(v) for v in v_hat_s)
-    system = frozenset(tuple(v) for v in v_s)
-    observed = frozenset(tuple(v) for v in lplus)
-    unobserved = frozenset(tuple(v) for v in v_u)
+    v_hat = frozenset(variant_tuples(v_hat_s))
+    system = frozenset(variant_tuples(v_s))
+    observed = frozenset(variant_tuples(lplus))
+    unobserved = frozenset(variant_tuples(v_u))
     if not system:
         raise InvalidInputError("compute_rates requires a non-empty system set")
     if observed | unobserved != system or (observed & unobserved):
         raise InvalidInputError("lplus and v_u must partition v_s")
-    holdout = frozenset(tuple(v) for v in lplus_e) if lplus_e is not None else frozenset()
+    holdout = frozenset(variant_tuples(lplus_e)) if lplus_e is not None else frozenset()
     return MetricsReport(
         n_sampled=len(v_hat),
         n_system=len(system),

@@ -309,6 +309,30 @@ class TestDiscoverAndConformance:
         assert scores_out.read_text() == want
         assert capsys.readouterr().out == want
 
+    def test_conformance_on_a_log_with_repeats_scores_by_hand(self, tmp_path, capsys):
+        # On p0 -a-> p1 -b-> p2 the two "a b" traces replay cleanly, 3 tokens
+        # consumed and produced each; the misfit "b" consumes and produces 2,
+        # with 1 missing and 1 remaining.  So fitness is 1 - 1/8 = 0.875.  The
+        # net enables only "a" at the start and "b" after "a", and the log
+        # takes both, so no edge escapes.  Case c2's rows come out of order.
+        net_path, log_path = tmp_path / "n.json", tmp_path / "l.csv"
+        net_path.write_text(json.dumps({
+            "places": ["p0", "p1", "p2"],
+            "transitions": [{"id": "t_a", "label": "a"}, {"id": "t_b", "label": "b"}],
+            "arcs": [{"from": "p0", "to": "t_a"}, {"from": "t_a", "to": "p1"},
+                     {"from": "p1", "to": "t_b"}, {"from": "t_b", "to": "p2"}],
+            "initial_marking": {"p0": 1}, "final_markings": [{"p2": 1}]}))
+        log_path.write_text("case_id,activity,timestamp\n"
+                            "c3,b,2020-01-01T00:00:00\n"
+                            "c1,a,2020-01-01T00:00:00\n"
+                            "c1,b,2020-01-01T00:00:01\n"
+                            "c2,b,2020-01-01T00:00:01\n"
+                            "c2,a,2020-01-01T00:00:00\n")
+        assert main(["conformance", "--net", str(net_path), "--log", str(log_path)]) == 0
+        scores = json.loads(capsys.readouterr().out)
+        assert (scores["fitness"], scores["precision"]) == (0.875, 1.0)
+        assert scores["generalization"] == 14 / 15
+
     @pytest.mark.parametrize("limit", [1, 19])
     def test_precision_past_the_closure_limit_is_a_domain_error(self, tmp_path, monkeypatch,
                                                                 capsys, limit):

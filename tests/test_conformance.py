@@ -760,8 +760,9 @@ class TestCleanReplays:
                         (other, "a_other"), ("a_other", "r")],
                        {start: 1}, [{"r": 1}])
         lstar = VariantLog((("a",), ("a", "a")))
-        clean = conformance._walk_log(net.compiled, lstar).clean
-        assert clean == {("a",): 2}
+        walk = conformance._walk_log(net.compiled, lstar)
+        assert walk.clean_tokens == 2
+        assert walk.misfits == [("a", "a")]
         assert replay_counts_reference(net, ("a",)) == (0, 0, 2, 2)
         assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
 
@@ -860,11 +861,16 @@ def _with_repeats(draw, lstar):
 
 
 @st.composite
-def _repeating_system_cases(draw):
+def _repeating(draw, cases):
+    """A case of ``cases`` whose log is shuffled and repeats variants."""
+    net, lstar = draw(cases)
+    return net, VariantLog(tuple(draw(st.permutations(_with_repeats(draw, lstar)))))
+
+
+def _repeating_system_cases():
     """A built system with silent skips and duplicate labels, and a shuffled
     log in which variants repeat."""
-    net, lstar = draw(_system_cases())
-    return net, VariantLog(tuple(draw(st.permutations(_with_repeats(draw, lstar)))))
+    return _repeating(_system_cases())
 
 
 @st.composite
@@ -894,6 +900,30 @@ class TestSortedWalk:
         except BudgetExceededError:
             assume(False)
         assert token_replay_fitness(net, lstar) == want
+
+    @given(st.one_of(_repeating_system_cases(), _repeating(_one_token_cases()),
+                     _repeating(_and_block_cases())))
+    @settings(max_examples=60, deadline=None)
+    def test_each_misfit_replays_once_in_first_occurrence_order(self, case):
+        # The walk settles the clean traces of a single-output net by their
+        # ranges; each other distinct variant reaches the A* once, in the
+        # order it first occurs in the log, and counts as often as it occurs.
+        net, lstar = case
+        try:
+            want = _reference_fitness(net, lstar)
+        except BudgetExceededError:
+            assume(False)
+        settle = net.compiled.single_output
+        misfits = [v for v in dict.fromkeys(lstar)
+                   if not settle or replay_counts_reference(net, v)[:2] != (0, 0)]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_replays(mp)
+            assert token_replay_fitness(net, lstar) == want
+            assert calls == misfits
+            calls.clear()
+            got = _outcome(lambda: astuple(conformance.score_log(net, lstar)))
+            assert got == _outcome(lambda: (want, etc_precision_reference(net, lstar)))
+            assert calls == misfits
 
     @staticmethod
     def _two_failures_net():
@@ -992,6 +1022,57 @@ class TestSharedWalk:
         etc_precision(xor_net_abc, lstar)
         assert len(walks) == 4
         assert walks[2:] == [lstar, lstar]
+
+
+class TestOneCheck:
+    """model_generalization checks, deduplicates and sorts its set once, and
+    the walk takes that log as given; a log scored any other way is checked
+    in the walk."""
+
+    @staticmethod
+    def _counting_checks(monkeypatch):
+        checked = []
+        check = conformance._check_variants
+
+        def counted(variants):
+            checked.append(variants)
+            return check(variants)
+
+        monkeypatch.setattr(conformance, "_check_variants", counted)
+        return checked
+
+    def test_one_check_per_model_generalization_call(self, monkeypatch, xor_net_abc):
+        checked = self._counting_checks(monkeypatch)
+        variants = [("a", "d"), ("a", "b"), ("a", "d")]
+        result = model_generalization(xor_net_abc, variants)
+        assert len(checked) == 1
+        lstar = VariantLog(tuple(variants))
+        assert token_replay_fitness(xor_net_abc, lstar) < 1.0
+        assert len(checked) == 2
+        etc_precision(xor_net_abc, lstar)
+        assert len(checked) == 3
+        distinct = VariantLog(tuple(sorted(set(variants))))
+        assert conformance.score_log(xor_net_abc, distinct) == result.scores
+        assert len(checked) == 4
+
+    def test_custom_scorers_receive_the_checked_sorted_distinct_log(self, monkeypatch,
+                                                                    xor_net_abc):
+        checked = self._counting_checks(monkeypatch)
+        logs = []
+
+        def recorded(score):
+            def traced(net, lstar):
+                logs.append(lstar)
+                return score(net, lstar)
+            return traced
+
+        variants = [["a", "d"], ("a", "b"), ("a", "d")]
+        result = model_generalization(xor_net_abc, variants, recorded(token_replay_fitness),
+                                      recorded(etc_precision))
+        assert result == model_generalization(xor_net_abc, variants)
+        assert logs == [VariantLog((("a", "b"), ("a", "d")))] * 2
+        assert logs[0] is logs[1]
+        assert len(checked) == 2
 
 
 class TestBudgetEdges:

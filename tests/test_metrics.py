@@ -124,6 +124,16 @@ class TestComputeRates:
         with pytest.raises(InvalidInputError):
             compute_rates(set(), variants("v", 4), variants("v", 4), variants("v", 2))
 
+    @pytest.mark.parametrize("slot", [0, 1, 4], ids=["v_hat_s", "v_s", "lplus_e"])
+    def test_string_variant_is_a_domain_error(self, slot):
+        # Read as a tuple, "ab" would be the variant ("a", "b") and count as a hit.
+        args = [{("a", "b")}, {("a", "b"), ("c",)}, {("a", "b")}, {("c",)}, {("a", "b")}]
+        assert compute_rates(*args).hits_system == 1
+        args[slot] = args[slot] - {("a", "b")} | {"ab"}
+        with pytest.raises(InvalidInputError) as info:
+            compute_rates(*args)
+        assert str(info.value) == "variants must be tuples of labels, got 'ab'"
+
 
 class TestScoreS:
     def test_reference_line(self):
