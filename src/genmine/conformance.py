@@ -10,8 +10,9 @@ ratios between a net's playout and a known variant set are
 
 The generalization of a net against an estimated system variant set is the
 harmonic mean of log fitness and log precision measured on a log holding
-each of those variants once.  Both conformance functions are parameters so
-stronger metrics can be swapped in without touching the pipeline.
+each of those variants once.  ``model_generalization`` takes both
+conformance functions as parameters so stronger metrics can be swapped in
+without touching the pipeline.
 
 Replay and precision search markings on the net's compiled form
 (``PetriNet.compiled``).  Like playout, precision, the walk over the log's
@@ -23,7 +24,7 @@ and writes no successor row.  Both scorers read one walk over the log's
 prefixes (``_walk_log``), taken inside the calling scorer's
 ``cn.search()``.  It lives for one call only: a scorer called alone takes
 its own, and one ``score_log`` or ``model_generalization`` call takes
-one for its two scorers, in whichever runs first.  Replay's move
+one for its two scorers, in precision, which runs first.  Replay's move
 memo lives for one call too.
 
 Replay's heap order.  Replay searches (position, marking) states for the
@@ -128,10 +129,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Collection, Iterable
+from typing import Callable, Iterable
 
 from .errors import BudgetExceededError, InvalidInputError, check_real
-from .logs import Variant, VariantLog, variant_tuples
+from .logs import Variant, VariantLog, check_variants
 from .petri import CompiledNet, PetriNet, TokenMarking
 
 _CLOSURE_LIMIT = 20_000
@@ -505,19 +506,6 @@ class _LogWalk:
     gave_up: bool
 
 
-def _check_variants(variants: Collection[Variant]) -> None:
-    """Variants are non-empty tuples, and their labels non-empty strings."""
-    if set(map(type, variants)) - {tuple}:
-        for v in variants:
-            if not isinstance(v, tuple):
-                raise InvalidInputError(f"variants must be tuples of labels, got {v!r}")
-    if not all(variants):
-        raise InvalidInputError("variants must be non-empty")
-    for label in set().union(*variants):
-        if not (isinstance(label, str) and label):
-            raise InvalidInputError(f"variant labels must be non-empty strings, got {label!r}")
-
-
 def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     """One breadth-first walk over the prefix trie of ``lstar``.
 
@@ -545,8 +533,7 @@ def _walk_log(cn: CompiledNet, lstar: VariantLog) -> _LogWalk:
     if shared is not None and shared[0] is lstar and shared[2]:
         weights, vs, sums = None, lstar.variants, None
     else:
-        _check_variants(lstar)
-        weights = Counter(lstar)
+        weights = Counter(check_variants(lstar))
         vs = sorted(weights)
         sums = None if len(vs) == len(lstar) else [0, *accumulate(map(weights.__getitem__, vs))]
     settle = cn.single_output
@@ -665,9 +652,9 @@ def etc_precision(net: PetriNet, lstar: VariantLog) -> float:
     replaying s including silent closure; labels enabled but never observed
     escape.  Prefixes the net cannot replay are truncated at the first
     failure and counted up to it.  The sums come from the walk over the
-    log's prefixes, which replay shares within one ``score_log`` call.  A
-    prefix state of more than ``_CLOSURE_LIMIT`` markings raises, with
-    ``partial_count`` the limit + 1, whatever the log's order.
+    log's prefixes, which it shares with replay within one ``score_log``
+    call.  A prefix state of more than ``_CLOSURE_LIMIT`` markings raises,
+    with ``partial_count`` the limit + 1, whatever the log's order.
     """
     if len(lstar) == 0:
         raise InvalidInputError("etc_precision requires a non-empty variant log")
@@ -704,26 +691,22 @@ class GeneralizationResult:
 ConformanceFn = Callable[[PetriNet, VariantLog], float]
 
 
-def score_log(
-    net: PetriNet,
-    lstar: VariantLog,
-    fitness_fn: ConformanceFn = token_replay_fitness,
-    precision_fn: ConformanceFn = etc_precision,
-) -> ConformanceScores:
+def score_log(net: PetriNet, lstar: VariantLog) -> ConformanceScores:
     """Log fitness and log precision of ``lstar`` on ``net``, the log's
-    multiplicity kept.  For this one call the default scorers, and any that
-    pass this net and log on to them, share one walk over the log's
-    prefixes."""
-    return _score(net, lstar, fitness_fn, precision_fn, False)
+    multiplicity kept, from one walk over the log's prefixes."""
+    return _score(net, lstar, token_replay_fitness, etc_precision, False)
 
 
 def _score(net: PetriNet, lstar: VariantLog, fitness_fn: ConformanceFn,
            precision_fn: ConformanceFn, prepared: bool) -> ConformanceScores:
-    """``score_log``, told whether ``lstar`` is checked, distinct and sorted."""
+    """Both scores of ``lstar``, told whether it is checked, distinct and
+    sorted.  The default scorers, and any that pass this net and log on to
+    them, share one walk.  Precision goes first: when the walk passes the
+    closure limit it raises before replay runs an A* search."""
     shared = _SHARED_WALKS.set((lstar, {}, prepared))
     try:
-        fit = fitness_fn(net, lstar)
         prec = precision_fn(net, lstar)
+        fit = fitness_fn(net, lstar)
     finally:
         _SHARED_WALKS.reset(shared)
     return ConformanceScores(fit, prec)
@@ -739,14 +722,12 @@ def model_generalization(
 
     Scores a log containing each estimated variant exactly once, as
     ``score_log`` does, and takes the harmonic mean of log fitness and log
-    precision on it.  A variant may be any sequence of labels but a string,
-    which would be read as one label per character.  The set is checked,
+    precision on it.  The set is checked (``logs.check_variants``),
     deduplicated and sorted once, here; the walk takes that log as it is.
     """
-    variants = variant_tuples(v_hat_s)
+    variants = check_variants(v_hat_s)
     if not variants:
         raise InvalidInputError("model_generalization requires a non-empty variant set")
-    _check_variants(variants)
     variants.sort()
     log = VariantLog(tuple(dict.fromkeys(variants)))
     scores = _score(net, log, fitness_fn, precision_fn, True)

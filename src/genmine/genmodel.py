@@ -675,8 +675,8 @@ def load_checkpoint(path: str | Path) -> TrainResult:
         return TrainResult(
             generator=gen,
             d_p=_scorer_from_dict(data["d_p"]),
-            train=UniqueVariantLog(tuple(tuple(v) for v in data["train_variants"])),
-            holdout=UniqueVariantLog(tuple(tuple(v) for v in data["holdout_variants"])),
+            train=UniqueVariantLog(data["train_variants"]),
+            holdout=UniqueVariantLog(data["holdout_variants"]),
             candidates=tuple(
                 CandidateEval(int(c["round"]), float(c["tp_e"]), int(c["sample_count"]))
                 for c in data["candidates"]

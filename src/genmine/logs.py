@@ -15,6 +15,7 @@ silently reordered.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
@@ -100,6 +101,7 @@ class UniqueVariantLog:
     _index: frozenset[Variant] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "variants", tuple(check_variants(self.variants)))
         index = frozenset(self.variants)
         if len(index) != len(self.variants):
             raise InvalidInputError("unique variant log contains repeats")
@@ -125,15 +127,31 @@ def variant_of(trace: Trace) -> Variant:
     return tuple(e.label for e in trace.events)
 
 
-def variant_tuples(variants: Iterable) -> list[Variant]:
-    """Each of ``variants`` as a tuple of labels.  Any sequence of labels
-    will do but a string, which would read as one label per character."""
+def check_variants(variants: Iterable) -> list[Variant]:
+    """``variants`` as a list of tuples: the one definition of a variant.
+
+    A variant is any sequence of labels but a string, which would read as one
+    label per character; it must be non-empty, and each label a non-empty
+    string.  Anything else raises ``InvalidInputError``.  The variants of a
+    ``UniqueVariantLog`` were checked when it was built.
+    """
+    if isinstance(variants, UniqueVariantLog):
+        return list(variants.variants)
     given = list(variants)
     if set(map(type, given)) - {tuple}:
         for v in given:
-            if isinstance(v, str):
+            if isinstance(v, str) or not isinstance(v, Sequence):
                 raise InvalidInputError(f"variants must be tuples of labels, got {v!r}")
         given = list(map(tuple, given))
+    if not all(given):
+        raise InvalidInputError("variants must be non-empty")
+    try:
+        labels = set().union(*given)
+    except TypeError:  # an unhashable label
+        labels = [label for v in given for label in v]
+    for label in labels:
+        if not (isinstance(label, str) and label):
+            raise InvalidInputError(f"variant labels must be non-empty strings, got {label!r}")
     return given
 
 
@@ -147,7 +165,7 @@ def build_variant_logs(log: EventLog) -> tuple[VariantLog, UniqueVariantLog]:
 
 def unique_variants(variants: Iterable[Variant]) -> UniqueVariantLog:
     """Deduplicate variants, keeping the first occurrence of each."""
-    return UniqueVariantLog(tuple(dict.fromkeys(variants)))
+    return UniqueVariantLog(tuple(dict.fromkeys(check_variants(variants))))
 
 
 def split_holdout(
@@ -182,11 +200,9 @@ def synth_event_log(variants: Iterable[Variant], seed: int = 0) -> EventLog:
     strict-ordering invariant without pretending to model real durations.
     The seed only shuffles trace order.
     """
-    unique = sorted(set(tuple(v) for v in variants))
+    unique = sorted(set(check_variants(variants)))
     if not unique:
         raise InvalidInputError("synth_event_log requires a non-empty variant set")
-    if any(len(v) == 0 for v in unique):
-        raise InvalidInputError("variants must be non-empty")
     check_count("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(unique))
@@ -290,7 +306,7 @@ def read_variants_tsv(path: str | Path) -> tuple[Variant, ...]:
 
 
 def write_variants_tsv(variants: Iterable[Variant], path: str | Path) -> None:
-    ordered = sorted(set(tuple(v) for v in variants))
+    ordered = sorted(set(check_variants(variants)))
     with open(path, "w", encoding="utf-8") as fh:
         for v in ordered:
             fh.write("\t".join(v) + "\n")

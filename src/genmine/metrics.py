@@ -22,7 +22,7 @@ from typing import Collection
 import numpy as np
 
 from .errors import InvalidInputError, check_count, check_real
-from .logs import UniqueVariantLog, Variant, variant_tuples
+from .logs import UniqueVariantLog, Variant, check_variants
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,6 +36,7 @@ class SystemTruth:
     v_u: frozenset[Variant]
 
     def __post_init__(self):
+        check_variants(self.v_s)
         observed = self.lplus.as_set()
         if observed | self.v_u != self.v_s:
             raise InvalidInputError("observed and unobserved parts must cover the system set")
@@ -43,8 +44,6 @@ class SystemTruth:
             raise InvalidInputError("observed and unobserved parts must be disjoint")
         if not observed or not self.v_u:
             raise InvalidInputError("both observed and unobserved parts must be non-empty")
-        if () in self.v_s:
-            raise InvalidInputError("variants must be non-empty")
         max_len = max(len(v) for v in self.v_s)
         if not any(len(v) == max_len for v in observed):
             raise InvalidInputError("observed part must contain a maximal-length variant")
@@ -57,7 +56,7 @@ def split_system(v_s: Collection[Variant], ratio: float, seed: int) -> SystemTru
     in deterministically so the observed log preserves the system's length
     bound.
     """
-    ordered = sorted(set(tuple(v) for v in v_s))
+    ordered = sorted(set(check_variants(v_s)))
     n = len(ordered)
     if n < 2:
         raise InvalidInputError("split_system requires at least 2 variants")
@@ -156,18 +155,18 @@ def compute_rates(
     """Exact set-intersection rates of an estimated variant set.
 
     An empty estimate yields tp = 0 and fp = 1 rather than an error, which
-    matches how models that play out nothing are reported.  A string variant
-    is refused (``logs.variant_tuples``).
+    matches how models that play out nothing are reported.  Each set holds
+    variants as ``logs.check_variants`` defines them.
     """
-    v_hat = frozenset(variant_tuples(v_hat_s))
-    system = frozenset(variant_tuples(v_s))
-    observed = frozenset(variant_tuples(lplus))
-    unobserved = frozenset(variant_tuples(v_u))
+    v_hat = frozenset(check_variants(v_hat_s))
+    system = frozenset(check_variants(v_s))
+    observed = frozenset(check_variants(lplus))
+    unobserved = frozenset(check_variants(v_u))
     if not system:
         raise InvalidInputError("compute_rates requires a non-empty system set")
     if observed | unobserved != system or (observed & unobserved):
         raise InvalidInputError("lplus and v_u must partition v_s")
-    holdout = frozenset(variant_tuples(lplus_e)) if lplus_e is not None else frozenset()
+    holdout = frozenset(check_variants(lplus_e)) if lplus_e is not None else frozenset()
     return MetricsReport(
         n_sampled=len(v_hat),
         n_system=len(system),

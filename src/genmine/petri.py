@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceededError, InvalidInputError, check_count
-from .logs import UniqueVariantLog, Variant, VariantLog
+from .logs import UniqueVariantLog, Variant, VariantLog, check_variants
 
 Marking = dict[str, int]
 # A marking in CompiledNet's form: sorted place indices, one per token.
@@ -763,15 +763,14 @@ def dfg_discover(lstar: VariantLog | UniqueVariantLog) -> PetriNet:
     replayable by construction; the closure of the DF relation may play out
     more.
     """
-    if len(lstar) == 0:
+    variants = check_variants(lstar)
+    if not variants:
         raise InvalidInputError("dfg_discover requires a non-empty variant log")
-    if not all(lstar):
-        raise InvalidInputError("dfg_discover requires non-empty variants")
     starts: set[str] = set()
     ends: set[str] = set()
     pairs: set[tuple[str, str]] = set()
     activities: set[str] = set()
-    for v in lstar:
+    for v in variants:
         starts.add(v[0])
         ends.add(v[-1])
         activities.update(v)

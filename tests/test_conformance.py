@@ -212,8 +212,8 @@ class TestModelGeneralization:
     ], ids=["model_generalization", "token_replay_fitness", "etc_precision"])
     def test_non_string_or_empty_labels_are_domain_errors(self, score, variants, message):
         net = flower_model(["a", "b"])
-        if score is model_generalization and isinstance(variants[-1], list):
-            # model_generalization reads a list variant as a tuple
+        if isinstance(variants[-1], list):
+            # a list variant reads as its tuple
             assert score(net, variants) == score(net, [tuple(v) for v in variants])
             return
         with pytest.raises(InvalidInputError) as info:
@@ -978,12 +978,19 @@ class TestSharedWalk:
                      _hand_made_cases(), _and_block_cases()), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_scores_equal_each_scorer_alone(self, case, replay_first):
+        # model_generalization runs the scorer in its precision slot first:
+        # that one takes the walk and, when both raise, its error wins.
         net, lstar = case
         log = VariantLog(tuple(sorted(set(lstar))))
         order = (token_replay_fitness, etc_precision)
-        if not replay_first:
+        if replay_first:
             order = order[::-1]
-        want = _outcome(lambda: tuple(score(_fresh(net), log) for score in order))
+
+        def alone():
+            second = order[1](_fresh(net), log)
+            return order[0](_fresh(net), log), second
+
+        want = _outcome(alone)
 
         def shared(net, variants):
             return astuple(model_generalization(net, variants, *order).scores)
@@ -1032,13 +1039,13 @@ class TestOneCheck:
     @staticmethod
     def _counting_checks(monkeypatch):
         checked = []
-        check = conformance._check_variants
+        check = conformance.check_variants
 
         def counted(variants):
             checked.append(variants)
             return check(variants)
 
-        monkeypatch.setattr(conformance, "_check_variants", counted)
+        monkeypatch.setattr(conformance, "check_variants", counted)
         return checked
 
     def test_one_check_per_model_generalization_call(self, monkeypatch, xor_net_abc):
@@ -1144,9 +1151,9 @@ class TestBudgetEdges:
                                                ("_shuffle_net", 19), ("_union_net", 2),
                                                ("_union_net", 3), ("_union_net", 5)])
     def test_etc_limit_after_a_shared_walk(self, monkeypatch, net_of, limit):
-        # model_generalization replays first, so precision reads a walk that
-        # replay took; it raises what it raises alone.  Replay falls back to
-        # the A* for the variants past the limit instead of raising.
+        # model_generalization runs precision first, on the walk it shares
+        # with replay; it raises what it raises alone.  Replay alone falls
+        # back to the A* for the variants past the limit instead of raising.
         net = getattr(self, net_of)()
         lstar = VariantLog((("a",), ("a", "b")) if net_of == "_union_net" else (("a",),))
         monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
@@ -1156,6 +1163,19 @@ class TestBudgetEdges:
         calls = _counting_replays(monkeypatch)
         assert token_replay_fitness(net, lstar) == _reference_fitness(net, lstar)
         assert calls == list(lstar)
+
+    @pytest.mark.parametrize("limit", [1, 5, 19])
+    def test_precision_raises_before_replay_searches(self, monkeypatch, limit):
+        # Past the closure limit both scores of one call raise precision's
+        # error from the shared walk, before replay runs any A* search.
+        net = self._shuffle_net()
+        lstar = VariantLog((("a",),))
+        monkeypatch.setattr(conformance, "_CLOSURE_LIMIT", limit)
+        calls = _counting_replays(monkeypatch)
+        want = ("budget", "escaping-edges replay exceeded marking limit", limit + 1)
+        assert _outcome(conformance.score_log, net, lstar) == want
+        assert _outcome(model_generalization, net, lstar) == want
+        assert calls == []
 
     def test_replay_budget_error_leaves_the_successor_table_as_it_found_it(self, monkeypatch):
         net = build_system(SystemSpec(seed=1, depth=2, alphabet_budget=24,

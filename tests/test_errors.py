@@ -1,10 +1,12 @@
-"""The shared argument checks of `genmine.errors`, through the entry points
-that use them: a bad seed, a non-number or a real value outside its unit
-interval is a domain error, never a bare `TypeError` or `ValueError`, and a
+"""The shared argument checks of `genmine.errors` and the one definition of
+a variant (`logs.check_variants`), through the entry points that use them: a
+bad seed, a non-number, a real value outside its unit interval or a malformed
+variant is a domain error, never a bare `TypeError` or `ValueError`, and a
 bool is neither a seed nor a real number."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -14,16 +16,31 @@ from genmine import (
     ConformanceScores,
     ExperimentConfig,
     InvalidInputError,
+    SystemTruth,
     TrainConfig,
     UniqueVariantLog,
+    VariantLog,
+    compute_rates,
+    dfg_discover,
+    etc_precision,
     fit_mle,
+    flower_model,
     generalization_score,
+    load_checkpoint,
+    model_generalization,
     sample_variant,
+    save_checkpoint,
     score_s,
     split_holdout,
     split_system,
     synth_event_log,
+    token_replay_fitness,
+    trace_model,
+    train_and_select,
+    write_variants_tsv,
 )
+from genmine.conformance import score_log
+from genmine.logs import check_variants, unique_variants
 
 VARIANTS = (("a",), ("b",), ("a", "b"), ("b", "a"))
 LPLUS = UniqueVariantLog(VARIANTS)
@@ -119,3 +136,70 @@ def test_value_outside_its_interval_is_a_domain_error(case):
                                    if interval == "[0,1]"])
 def test_closed_interval_takes_its_endpoints(entry, value):
     UNIT_RANGED[entry][2](value)
+
+
+# A malformed variant -> the message of the check.
+BAD_VARIANTS = {
+    "str_variant": ("ab", "variants must be tuples of labels, got 'ab'"),
+    "set_variant": ({"a"}, "variants must be tuples of labels, got {'a'}"),
+    "empty_variant": ((), "variants must be non-empty"),
+    "int_label": (("a", 1), "variant labels must be non-empty strings, got 1"),
+    "empty_label": (("a", ""), "variant labels must be non-empty strings, got ''"),
+    "list_label": (("a", ["b"]), "variant labels must be non-empty strings, got ['b']"),
+}
+
+
+def _as_json(variants) -> str:
+    """JSON has no sets: a set variant is written as an object."""
+    return json.dumps(variants, default=lambda o: dict.fromkeys(sorted(o), 1))
+
+
+def _with_holdout(variants, tmp_path):
+    path = tmp_path / "model.json"
+    cfg = TrainConfig(rounds=0, select_sample_size=20)
+    save_checkpoint(train_and_select(UniqueVariantLog((("a",), ("b",), ("a", "b"))), cfg), path)
+    data = json.loads(path.read_text())
+    data["holdout_variants"] = variants
+    path.write_text(_as_json(data))
+    return load_checkpoint(path)
+
+
+NET = flower_model(["a", "b"])
+
+# entry point -> a call that passes it the variants, given a scratch directory
+VARIANT_ENTRIES = {
+    "check_variants": lambda vs, _: check_variants(vs),
+    "UniqueVariantLog": lambda vs, _: UniqueVariantLog(tuple(vs)),
+    "trace_model": lambda vs, _: trace_model(UniqueVariantLog(tuple(vs))),
+    "fit_mle": lambda vs, _: fit_mle(UniqueVariantLog(tuple(vs)), 2, 0.1),
+    "unique_variants": lambda vs, _: unique_variants(vs),
+    "load_checkpoint": _with_holdout,
+    "SystemTruth": lambda vs, _: SystemTruth(v_s=vs, lplus=UniqueVariantLog((("b",),)),
+                                             v_u=frozenset()),
+    "model_generalization": lambda vs, _: model_generalization(NET, vs),
+    "token_replay_fitness": lambda vs, _: token_replay_fitness(NET, VariantLog(tuple(vs))),
+    "etc_precision": lambda vs, _: etc_precision(NET, VariantLog(tuple(vs))),
+    "score_log": lambda vs, _: score_log(NET, VariantLog(tuple(vs))),
+    "compute_rates": lambda vs, _: compute_rates(vs, [("b",), ("c",)], [("b",)], [("c",)]),
+    "split_system": lambda vs, _: split_system(vs, 0.5, 0),
+    "synth_event_log": lambda vs, _: synth_event_log(vs),
+    "write_variants_tsv": lambda vs, tmp_path: write_variants_tsv(vs, tmp_path / "v.tsv"),
+    "dfg_discover": lambda vs, _: dfg_discover(VariantLog(tuple(vs))),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VARIANTS))
+@pytest.mark.parametrize("entry", list(VARIANT_ENTRIES))
+def test_malformed_variant_is_a_domain_error(entry, case, tmp_path):
+    bad, message = BAD_VARIANTS[case]
+    variants = [("b",), bad]
+    if entry == "load_checkpoint":
+        # the checkpoint holds the variants as JSON reads them back
+        with pytest.raises(InvalidInputError) as want:
+            check_variants(json.loads(_as_json(variants)))
+        message = str(want.value)
+    with pytest.raises(InvalidInputError) as info:
+        VARIANT_ENTRIES[entry](variants, tmp_path)
+    assert str(info.value) == message
+    if entry == "write_variants_tsv":
+        assert not (tmp_path / "v.tsv").exists()
