@@ -12,16 +12,17 @@ The n-gram/linear pair is a reference implementation of the sampling
 interface (draw a variant, score a variant); any stronger sequence model
 can be plugged in behind the same two callables.
 
-Both callables are cached on the model instance.  A generator compiles,
-per temperature and as draws first reach them, the states of a draw
-automaton: one per (context, first step), holding that context's
-cumulative-probability table and the state each symbol leads to.  A draw
-walks the states, taking one ``rng.random()`` per symbol and bisecting
-the state's table, the same single double and the same normalization that
-``Generator.choice(p=...)`` uses, so a seeded stream gives the same
-variants as sampling from :meth:`NGramGenerator.next_distribution`
-directly.  A scorer memoizes ``score`` per variant, which pays when it
-sees the same variants again, as MH chains over a small support do.
+Both callables are cached on the model instance.  A generator is an
+automaton per temperature, built as walks reach its states: one per
+context, plus the start state, whose end marker is masked.  A state holds
+its untempered probabilities, their CDF at its temperature and the state
+after each symbol; only building one reads ``next_distribution``.  A
+draw takes one ``rng.random()`` per symbol and bisects the CDF as
+``Generator.choice(p=...)`` would, so a seeded stream draws the same variants.
+``log_prob`` sums the logs of the probabilities along the temperature-1
+automaton, so it is ``-inf`` on exactly the variants such draws never emit.
+A scorer memoizes ``score`` per variant, which pays when it sees the same
+variants again, as MH chains over a small support do.
 Training's refinement and selection draws go through
 :func:`~genmine.sampling.draw_batch`, the only code that repositions a
 generator: it leaves each one where one scalar ``random()`` call per
@@ -90,10 +91,10 @@ def _check_smoothing(smoothing: float) -> None:
 # Generator
 # ---------------------------------------------------------------------------
 
-# One state of a generator's draw automaton: the CDF over symbols(), the
-# state after each alphabet symbol (None until a draw first takes it) and
-# the context the state stands for.
-_DrawState = tuple[list[float], list["_DrawState | None"], tuple[str, ...]]
+# One state of a generator's automaton: its CDF over symbols() at the automaton's
+# temperature, the state after each alphabet symbol (None until a walk first takes
+# it), its context and its untempered probabilities over symbols(), END last.
+_DrawState = tuple[list[float], list["_DrawState | None"], tuple[str, ...], list[float]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,22 +106,30 @@ class NGramGenerator:
     alphabet: tuple[str, ...]
     max_len: int
     counts: Mapping[tuple[str, ...], Mapping[str, float]]
-    # temperature -> (context, first step) -> draw state, plus the start
-    # state under None; see _draw_state() and _start_state().
-    _draw_states: dict[float, dict[tuple[tuple[str, ...], bool] | None, _DrawState]] = field(
+    # temperature -> context -> state, the start state under None; see _draw_state().
+    _draw_states: dict[float, dict[tuple[str, ...] | None, _DrawState]] = field(
         init=False, repr=False, compare=False
     )
+    # alphabet symbol -> its index in symbols(); END has none.
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_draw_states", {})
         check_count("order", self.order)
         _check_smoothing(self.smoothing)
         check_count("max_len", self.max_len)
-        if START in self.alphabet or END in self.alphabet:
+        alphabet = self.alphabet
+        index = {s: i for i, s in enumerate(alphabet) if isinstance(s, str) and s}
+        if len(index) < len(alphabet):
+            raise InvalidInputError(
+                f"alphabet must hold distinct non-empty strings, got {list(alphabet)!r}"
+            )
+        if START in index or END in index:
             raise InvalidInputError("alphabet must not contain the boundary markers")
+        object.__setattr__(self, "_index", index)
         # next_distribution divides by the smoothed row total, so it must be
         # finite; a row of huge finite counts could overflow it to inf.
-        width = len(self.alphabet) + 1
+        width = len(alphabet) + 1
         for row in self.counts.values():
             weights = list(row.values())
             if not all(w >= 0 for w in weights) or not math.isfinite(
@@ -163,26 +172,41 @@ class NGramGenerator:
                 probs /= mass
         return probs
 
-    def _draw_state(self, context: tuple[str, ...], first: bool, temperature: float) -> _DrawState:
-        """The draw automaton's state for one context, built once and cached.
+    def _draw_state(self, key: tuple[str, ...] | None, temperature: float) -> _DrawState:
+        """The state for context ``key``, or the start state for ``key=None``,
+        built once per temperature and cached.
 
-        Its CDF is :meth:`next_distribution` (end marker masked on the first
-        step) raised to ``1/temperature`` and renormalized; the cumulative
-        sum is normalized exactly as ``Generator.choice`` does, so
-        ``bisect_right(cdf, rng.random())`` picks the index ``choice`` would
-        pick from the same stream.  Its next-state list, one slot per
-        alphabet symbol, fills in as draws pass through it.  The
-        temperature's table exists once :meth:`_start_state` has checked it.
+        Its probabilities are :meth:`next_distribution`, the end marker
+        masked in the start state, and its CDF is them raised to
+        ``1/temperature``, renormalized and summed as ``Generator.choice``
+        does, so ``bisect_right(cdf, rng.random())`` picks the index
+        ``choice`` would pick from the same stream.  Its slots fill in as
+        walks pass through it; :meth:`_start_state` checks the temperature.
         """
         states = self._draw_states[temperature]
-        state = states.get((context, first))
+        state = states.get(key)
         if state is None:
-            cdf = _compile_cdf(self.next_distribution(context, mask_end=first), temperature)
-            state = states[(context, first)] = (cdf, [None] * len(self.alphabet), context)
+            context = self.context_of(()) if key is None else key
+            probs = tempered = self.next_distribution(context, mask_end=key is None)
+            if temperature != 1.0:
+                logp = np.log(probs, out=np.full_like(probs, -np.inf), where=probs > 0)
+                logp = logp / temperature
+                tempered = np.exp(logp - logp.max())
+                tempered /= tempered.sum()
+            cdf = tempered.cumsum()
+            cdf /= cdf[-1]
+            state = (cdf.tolist(), [None] * len(self.alphabet), context, probs.tolist())
+            states[key] = state
         return state
 
+    def _fill_slot(self, state: _DrawState, idx: int, temperature: float) -> _DrawState:
+        """Fill ``state``'s empty slot for alphabet symbol ``idx`` with the state it leads to."""
+        _, nexts, context, _ = state
+        nexts[idx] = nxt = self._draw_state((context + (self.alphabet[idx],))[1:], temperature)
+        return nxt
+
     def _start_state(self, temperature: float) -> _DrawState:
-        """The draw automaton's first-step state at ``temperature``.
+        """The automaton's start state at ``temperature``.
 
         A temperature is checked when it first enters the cache, so an
         invalid one is never cached and raises on every draw.  A cache hit
@@ -193,34 +217,26 @@ class NGramGenerator:
         if states is None or type(temperature) is not float:
             _check_temperature(temperature)
             if states is None:
-                states = self._draw_states[temperature] = {}
-                states[None] = self._draw_state(self.context_of(()), True, temperature)
+                self._draw_states[temperature] = {}
+                return self._draw_state(None, temperature)
         return states[None]
 
     def log_prob(self, v: Variant) -> float:
-        """Log-probability of emitting exactly ``v`` (including termination)."""
+        """Log-probability of emitting exactly ``v``: the temperature-1 automaton's
+        probabilities along ``v``, then its end marker's below the length bound."""
         if len(v) > self.max_len:
             return -math.inf
-        logp = 0.0
-        syms = self.symbols()
-        index = {s: i for i, s in enumerate(syms)}
-        emitted: list[str] = []
-        for label in v:
-            if label not in index:
+        logp, state = 0.0, self._start_state(1.0)
+        for step, label in enumerate(v, 1):
+            idx = self._index.get(label)
+            _, nexts, _, probs = state
+            if idx is None or probs[idx] == 0.0:
                 return -math.inf
-            dist = self.next_distribution(self.context_of(emitted), mask_end=not emitted)
-            p = dist[index[label]]
-            if p <= 0.0:
-                return -math.inf
-            logp += math.log(p)
-            emitted.append(label)
-        if len(v) < self.max_len:
-            dist = self.next_distribution(self.context_of(emitted))
-            p = dist[index[END]]
-            if p <= 0.0:
-                return -math.inf
-            logp += math.log(p)
-        return logp
+            logp += math.log(probs[idx])
+            if step < self.max_len:
+                state = nexts[idx] or self._fill_slot(state, idx, 1.0)
+        end = state[3][-1] if len(v) < self.max_len else 1.0
+        return logp + math.log(end) if end else -math.inf
 
     def with_added_counts(self, additions: Iterable[tuple[Variant, float]]) -> "NGramGenerator":
         """New generator with weighted variant counts folded into the tables."""
@@ -232,18 +248,6 @@ class NGramGenerator:
                 continue
             _accumulate(new_counts, v, self.order, weight)
         return replace(self, counts=new_counts)
-
-
-def _compile_cdf(probs: np.ndarray, temperature: float) -> list[float]:
-    if temperature != 1.0:
-        logp = np.log(probs, out=np.full_like(probs, -np.inf), where=probs > 0)
-        logp = logp / temperature
-        logp -= logp.max()
-        probs = np.exp(logp)
-        probs /= probs.sum()
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
 
 
 def _context(order: int, emitted: Sequence[str]) -> tuple[str, ...]:
@@ -289,13 +293,13 @@ def sample_variant(gen: NGramGenerator, temperature: float, rng: Uniforms) -> Va
     The end marker is masked at the first position (variants are non-empty)
     and generation stops at the end marker or at the length bound.  Each
     symbol consumes one ``rng.random()`` and moves one step through the
-    generator's draw automaton (see :meth:`NGramGenerator._draw_state`).
+    generator's automaton (see :meth:`NGramGenerator._draw_state`).
     """
     alphabet = gen.alphabet
     end_index = len(alphabet)
     max_len = gen.max_len
     random = rng.random
-    cdf, nexts, context = gen._start_state(temperature)
+    cdf, nexts, _, _ = state = gen._start_state(temperature)
     emitted: list[str] = []
     while True:
         idx = bisect_right(cdf, random())
@@ -304,12 +308,8 @@ def sample_variant(gen: NGramGenerator, temperature: float, rng: Uniforms) -> Va
         emitted.append(alphabet[idx])
         if len(emitted) >= max_len:
             break
-        state = nexts[idx]
-        if state is None:
-            state = nexts[idx] = gen._draw_state(
-                (context + (alphabet[idx],))[1:], False, temperature
-            )
-        cdf, nexts, context = state
+        state = nexts[idx] or gen._fill_slot(state, idx, temperature)
+        cdf, nexts, _, _ = state
     return tuple(emitted)
 
 

@@ -6,7 +6,8 @@ plain recursive path enumeration over dict markings, which also counts the
 differences over its own closed form of the discriminator loss
 (``log sigmoid`` via ``np.logaddexp``).  The
 sampling oracle draws every symbol with ``rng.choice`` from the generator's
-public next-symbol distribution, bypassing its compiled draw tables.  The
+public next-symbol distribution, bypassing its compiled draw tables, and
+the log-probability oracle reads that distribution afresh for every label.  The
 feature oracle counts a variant's k-grams into a dense vector in a plain
 loop, as the scorer did before it built rows with ``np.bincount``.  The
 MH reference runs its chains on scalar ``rng.random()`` calls and tests
@@ -22,6 +23,7 @@ ran before its sparse-marking core, kept on dense per-place count vectors
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 import numpy as np
@@ -164,6 +166,30 @@ def sample_variant_reference(gen, temperature, rng):
         if len(emitted) >= gen.max_len:
             break
     return tuple(emitted)
+
+
+def log_prob_reference(gen, v):
+    """A variant's log-probability from one fresh ``next_distribution`` row
+    per label and one for the end marker (none at the length bound)."""
+    if len(v) > gen.max_len:
+        return -math.inf
+    index = {s: i for i, s in enumerate(gen.symbols())}
+    logp = 0.0
+    emitted: list[str] = []
+    for label in v:
+        if label not in index:
+            return -math.inf
+        p = gen.next_distribution(gen.context_of(emitted), mask_end=not emitted)[index[label]]
+        if p <= 0.0:
+            return -math.inf
+        logp += math.log(p)
+        emitted.append(label)
+    if len(v) < gen.max_len:
+        p = gen.next_distribution(gen.context_of(emitted))[-1]
+        if p <= 0.0:
+            return -math.inf
+        logp += math.log(p)
+    return logp
 
 
 def mh_chain_reference(g, d_p, v_init, kappa, rng, strict_pseudocode=False):

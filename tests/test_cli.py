@@ -447,6 +447,22 @@ class TestTrainAndSample:
         assert error["message"].startswith("malformed checkpoint")
         assert "Traceback" not in err
 
+    def test_checkpoint_with_duplicate_label_is_one_line_error(self, tmp_path, tiny_log_file,
+                                                               capsys):
+        log_path, _ = tiny_log_file
+        model = tmp_path / "model.json"
+        assert main(["train", "--log", str(log_path), "--out", str(model),
+                     "--rounds", "0", "--select-sample-size", "50"]) == 0
+        payload = json.loads(model.read_text())
+        payload["generator"]["alphabet"] = ["a", "a", "c"]
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["sample", "--model", str(model), "--out", str(tmp_path / "o.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: alphabet must hold distinct non-empty strings, got ['a', 'a', 'c']\n")
+        assert not (tmp_path / "o.tsv").exists()
+
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_checkpoint_version_rejected(self, tmp_path, tiny_log_file, capsys, version):
         log_path, _ = tiny_log_file

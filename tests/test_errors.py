@@ -154,14 +154,29 @@ def _as_json(variants) -> str:
     return json.dumps(variants, default=lambda o: dict.fromkeys(sorted(o), 1))
 
 
-def _with_holdout(variants, tmp_path):
+def _edited_checkpoint(tmp_path, edit):
+    """A small trained checkpoint, loaded after ``edit`` changed its JSON."""
     path = tmp_path / "model.json"
     cfg = TrainConfig(rounds=0, select_sample_size=20)
     save_checkpoint(train_and_select(UniqueVariantLog((("a",), ("b",), ("a", "b"))), cfg), path)
     data = json.loads(path.read_text())
-    data["holdout_variants"] = variants
+    edit(data)
     path.write_text(_as_json(data))
     return load_checkpoint(path)
+
+
+def _with_holdout(variants, tmp_path):
+    return _edited_checkpoint(tmp_path, lambda data: data.update(holdout_variants=variants))
+
+
+# A generator's alphabet indexes its symbols, so each label must be a
+# distinct non-empty string: a duplicate would split a label's mass.
+@pytest.mark.parametrize("alphabet", [["a", "a", "c"], ["a", "", "c"], ["a", 1, "c"]],
+                         ids=["duplicate", "empty", "number"])
+def test_malformed_checkpoint_alphabet_is_a_domain_error(alphabet, tmp_path):
+    with pytest.raises(InvalidInputError) as info:
+        _edited_checkpoint(tmp_path, lambda data: data["generator"].update(alphabet=alphabet))
+    assert str(info.value) == f"alphabet must hold distinct non-empty strings, got {alphabet!r}"
 
 
 NET = flower_model(["a", "b"])

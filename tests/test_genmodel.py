@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -44,7 +45,12 @@ from genmine.genmodel import (
 )
 from genmine.losses import loss_gradient
 
-from .oracles import draw_batch_reference, featurize_reference, sample_variant_reference
+from .oracles import (
+    draw_batch_reference,
+    featurize_reference,
+    log_prob_reference,
+    sample_variant_reference,
+)
 
 
 def lplus(*variants):
@@ -297,6 +303,81 @@ class TestCompiledSampler:
         with pytest.raises(InvalidInputError):
             NGramGenerator(order=1, smoothing=smoothing, alphabet=("a", "b"), max_len=2,
                            counts={(): row})
+
+
+LOG_PROB_TRAIN = ("abc", "ab", "ca", "bcab")
+LOG_PROB_ADDED = [(("a", "c", "b"), 2.0), (("c", "c"), 0.5), (("b", "a", "b", "c", "a"), 1.0)]
+
+
+def log_prob_generators(smoothings=(0.0, 0.1)):
+    """Generators over orders 1-3 and ``smoothings``, before and after
+    ``with_added_counts``."""
+    for order, smoothing, derived in itertools.product((1, 2, 3), smoothings, (False, True)):
+        gen = fit_mle(lplus(*LOG_PROB_TRAIN), order=order, smoothing=smoothing)
+        if derived:
+            gen = gen.with_added_counts(LOG_PROB_ADDED)
+        kind = "derived" if derived else "fit"
+        yield pytest.param(gen, id=f"order{order}-smoothing{smoothing}-{kind}")
+
+
+def sequences(labels, max_len, min_len=1):
+    return [v for n in range(min_len, max_len + 1) for v in itertools.product(labels, repeat=n)]
+
+
+class TestLogProb:
+    @pytest.mark.parametrize("gen", log_prob_generators())
+    def test_total_mass_is_one(self, gen):
+        mass = math.fsum(math.exp(gen.log_prob(v)) for v in sequences(gen.alphabet, gen.max_len))
+        assert abs(mass - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("gen", log_prob_generators())
+    def test_equals_reference(self, gen):
+        # every sequence up to one past the bound, over the alphabet, the
+        # end marker and an unknown label, with draws in between that fill
+        # slots log_prob then walks
+        labels = gen.alphabet + (END, "z")
+        rng = np.random.default_rng(3)
+        for v in sequences(labels, gen.max_len + 1, min_len=0):
+            if v == () or END in v:
+                # no draw emits either: the end marker is masked at the
+                # first step and is never emitted as a label
+                assert gen.log_prob(v) == -math.inf
+            else:
+                assert gen.log_prob(v) == log_prob_reference(gen, v)
+            sample_variant(gen, 1.0, rng)
+
+    @pytest.mark.parametrize("gen", log_prob_generators(smoothings=(0.0,)))
+    def test_draws_at_zero_smoothing_are_finite(self, gen):
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            v = sample_variant(gen, 1.0, rng)
+            assert math.isfinite(gen.log_prob(v)), v
+
+    def test_variants_no_draw_emits_score_minus_inf(self):
+        gen = fit_mle(lplus(("a", "b"), ("a", "c"), ("b",)), order=2, smoothing=0.1)
+        assert gen.log_prob(()) == -math.inf
+        assert gen.log_prob(("a", END)) == -math.inf
+        assert math.isfinite(gen.log_prob(("a",)))
+
+    def test_reads_each_state_once(self, monkeypatch):
+        # log_prob walks the states draws build, reading next_distribution
+        # only when it first reaches a state
+        gen = fit_mle(lplus(*LOG_PROB_TRAIN), order=2, smoothing=0.1)
+        calls = []
+        real = NGramGenerator.next_distribution
+        monkeypatch.setattr(NGramGenerator, "next_distribution",
+                            lambda self, *args, **kw: calls.append(args) or real(self, *args, **kw))
+        rng = np.random.default_rng(0)
+        drawn = {sample_variant(gen, 1.0, rng) for _ in range(200)}
+        built = len(calls)
+        assert built == len(gen._draw_states[1.0])
+        first = [gen.log_prob(v) for v in drawn]
+        assert len(calls) == built
+        for v in sequences(gen.alphabet, gen.max_len):
+            gen.log_prob(v)
+        # the start state and one state per context of one label
+        assert len(calls) == len(gen._draw_states[1.0]) == len(gen.alphabet) + 1
+        assert [gen.log_prob(v) for v in drawn] == first
 
 
 def sigmoid_clamped(raw):
